@@ -3,7 +3,7 @@
 
 Run one measurement, from the root of a checkout:
 
-    python3 perfbench/run.py --workload explore_suite --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload explore_suite --seed 1 --seconds 40 --trace 0
 
 The first run configures and builds the library, hpacd and the driver into
 $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench); later runs
