@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "approx/region.hpp"
+#include "apps/support.hpp"
 #include "bench_common.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -45,11 +46,9 @@ int main(int argc, char** argv) {
       std::vector<double> out(n, 0.0);
       approx::RegionBinding binding;
       binding.out_dims = 1;
-      binding.accurate = [&f](std::uint64_t i, std::span<const double>, std::span<double> o) {
-        o[0] = f(i);
-      };
-      binding.accurate_cost = [](std::uint64_t) { return 300.0; };
-      binding.commit = [&out](std::uint64_t i, std::span<const double> o) { out[i] = o[0]; };
+      apps::bind_accurate(binding, [&f](std::uint64_t i, double* o) { o[0] = f(i); });
+      apps::bind_constant_cost(binding, 300.0);
+      apps::bind_commit(binding, [&out](std::uint64_t i, const double* o) { out[i] = o[0]; });
 
       pragma::ApproxSpec spec;
       spec.technique = pragma::Technique::kTafMemo;

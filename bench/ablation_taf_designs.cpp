@@ -21,6 +21,7 @@
 
 #include "approx/region.hpp"
 #include "approx/taf.hpp"
+#include "apps/support.hpp"
 #include "bench_common.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -121,11 +122,9 @@ int main(int argc, char** argv) {
     std::vector<double> out(kN, 0.0);
     approx::RegionBinding binding;
     binding.out_dims = 1;
-    binding.accurate = [](std::uint64_t i, std::span<const double>, std::span<double> o) {
-      o[0] = f(i);
-    };
-    binding.accurate_cost = [](std::uint64_t) { return kRegionCost; };
-    binding.commit = [&out](std::uint64_t i, std::span<const double> o) { out[i] = o[0]; };
+    apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = f(i); });
+    apps::bind_constant_cost(binding, kRegionCost);
+    apps::bind_commit(binding, [&out](std::uint64_t i, const double* o) { out[i] = o[0]; });
     approx::RegionExecutor executor(device);
     pragma::ApproxSpec spec;
     spec.technique = pragma::Technique::kTafMemo;

@@ -13,6 +13,7 @@
 #include "approx/iact.hpp"
 #include "approx/region.hpp"
 #include "approx/taf.hpp"
+#include "apps/support.hpp"
 #include "pragma/parser.hpp"
 #include "sim/memory_model.hpp"
 #include "sim/warp.hpp"
@@ -133,11 +134,10 @@ void BM_RegionExecutorThroughput(benchmark::State& state) {
   std::vector<double> out(n);
   approx::RegionBinding binding;
   binding.out_dims = 1;
-  binding.accurate = [](std::uint64_t i, std::span<const double>, std::span<double> o) {
-    o[0] = static_cast<double>(i) * 1e-6;
-  };
-  binding.accurate_cost = [](std::uint64_t) { return 100.0; };
-  binding.commit = [&out](std::uint64_t i, std::span<const double> o) { out[i] = o[0]; };
+  apps::bind_accurate(binding,
+                      [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i) * 1e-6; });
+  apps::bind_constant_cost(binding, 100.0);
+  apps::bind_commit(binding, [&out](std::uint64_t i, const double* o) { out[i] = o[0]; });
   approx::RegionExecutor executor(sim::v100());
   pragma::ApproxSpec spec;
   spec.technique = pragma::Technique::kTafMemo;

@@ -45,18 +45,18 @@ class HeatStencil : public harness::Benchmark {
     approx::RegionBinding region;
     region.in_dims = 3;
     region.out_dims = 1;
-    region.gather = [&](std::uint64_t i, std::span<double> in) {
+    apps::bind_gather(region, [&](std::uint64_t i, double* in) {
       in[0] = field[i > 0 ? i - 1 : 0];
       in[1] = field[i];
       in[2] = field[i + 1 < n ? i + 1 : n - 1];
-    };
-    region.accurate = [&](std::uint64_t i, std::span<const double>, std::span<double> out) {
+    });
+    apps::bind_accurate(region, [&](std::uint64_t i, double* out) {
       const double left = field[i > 0 ? i - 1 : 0];
       const double right = field[i + 1 < n ? i + 1 : n - 1];
       out[0] = field[i] + 0.2 * (left - 2.0 * field[i] + right);
-    };
-    region.accurate_cost = [](std::uint64_t) { return 40.0; };
-    region.commit = [&](std::uint64_t i, std::span<const double> out) { next[i] = out[0]; };
+    });
+    apps::bind_constant_cost(region, 40.0);
+    apps::bind_commit(region, [&](std::uint64_t i, const double* out) { next[i] = out[0]; });
 
     const sim::LaunchConfig launch =
         sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "approx/region.hpp"
+#include "apps/support.hpp"
 #include "common/stats.hpp"
 #include "offload/device.hpp"
 #include "offload/target.hpp"
@@ -47,12 +48,10 @@ int main() {
   approx::RegionBinding region;
   region.in_dims = 1;
   region.out_dims = 1;
-  region.gather = [&](std::uint64_t i, std::span<double> in) { in[0] = x[i]; };
-  region.accurate = [&](std::uint64_t i, std::span<const double>, std::span<double> out) {
-    out[0] = foo(x[i]);
-  };
-  region.accurate_cost = [](std::uint64_t) { return 64.0 * 22.0; };  // 64 sin() terms
-  region.commit = [&](std::uint64_t i, std::span<const double> out) { y[i] = out[0]; };
+  apps::bind_gather(region, [&](std::uint64_t i, double* in) { in[0] = x[i]; });
+  apps::bind_accurate(region, [&](std::uint64_t i, double* out) { out[0] = foo(x[i]); });
+  apps::bind_constant_cost(region, 64.0 * 22.0);  // 64 sin() terms
+  apps::bind_commit(region, [&](std::uint64_t i, const double* out) { y[i] = out[0]; });
 
   const sim::LaunchConfig launch = sim::launch_for_items_per_thread(n, 64, 128);
 

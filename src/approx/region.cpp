@@ -44,62 +44,6 @@ ExecTuning& default_tuning_storage() {
 // shards can be stolen by whichever worker goes idle first instead of
 // being gated behind a dedicated pool.
 
-// --- scalar-form adapters ---------------------------------------------------
-
-/// Per-warp adapters that present a scalar (per-item `std::function`)
-/// binding through the batched call interface. These are the
-/// compatibility path: the executor's hot loops only ever see the batched
-/// shape, bound once per launch through `FunctionRef`.
-struct ScalarGatherAdapter {
-  const RegionBinding* binding;
-  void operator()(std::uint64_t first_item, LaneMask lanes, std::span<double> in) const {
-    const auto dims = static_cast<std::size_t>(binding->in_dims);
-    sim::for_each_lane(lanes, [&](int lane) {
-      binding->gather(first_item + static_cast<std::uint64_t>(lane),
-                      in.subspan(static_cast<std::size_t>(lane) * dims, dims));
-    });
-  }
-};
-
-struct ScalarAccurateAdapter {
-  const RegionBinding* binding;
-  void operator()(std::uint64_t first_item, LaneMask lanes, std::span<const double> in,
-                  std::span<double> out) const {
-    const auto id = static_cast<std::size_t>(binding->in_dims);
-    const auto od = static_cast<std::size_t>(binding->out_dims);
-    sim::for_each_lane(lanes, [&](int lane) {
-      const std::span<const double> lane_in =
-          in.empty() ? std::span<const double>()
-                     : in.subspan(static_cast<std::size_t>(lane) * id, id);
-      binding->accurate(first_item + static_cast<std::uint64_t>(lane), lane_in,
-                        out.subspan(static_cast<std::size_t>(lane) * od, od));
-    });
-  }
-};
-
-struct ScalarCostAdapter {
-  const RegionBinding* binding;
-  double operator()(std::uint64_t first_item, LaneMask lanes) const {
-    double cost = 0;
-    sim::for_each_lane(lanes, [&](int lane) {
-      cost = std::max(cost,
-                      binding->accurate_cost(first_item + static_cast<std::uint64_t>(lane)));
-    });
-    return cost;
-  }
-};
-
-struct ScalarCommitAdapter {
-  const RegionBinding* binding;
-  void operator()(std::uint64_t first_item, LaneMask lanes, std::span<const double> out) const {
-    const auto od = static_cast<std::size_t>(binding->out_dims);
-    sim::for_each_lane(lanes, [&](int lane) {
-      binding->commit(first_item + static_cast<std::uint64_t>(lane),
-                      out.subspan(static_cast<std::size_t>(lane) * od, od));
-    });
-  }
-};
-
 // --- audit instrumentation ---------------------------------------------------
 //
 // When the launch is audited (ExecTuning::audit_mode != kOff and the
@@ -172,8 +116,7 @@ class RunContext {
              const ApproxSpec& spec, const RegionBinding& binding, std::uint64_t n,
              const sim::LaunchConfig& launch, std::size_t ac_bytes,
              const pragma::PerfoParams* composed_perfo, std::uint64_t team_begin,
-             std::uint64_t team_end, bool force_scalar,
-             audit::ShardLog* audit_log = nullptr)
+             std::uint64_t team_end, audit::ShardLog* audit_log = nullptr)
       : dev_(dev),
         composed_perfo_(composed_perfo),
         replacement_(replacement),
@@ -192,10 +135,10 @@ class RunContext {
         warps_per_team_(launch.warps_per_team(dev)),
         total_threads_(launch.total_threads()),
         steps_(launch.steps_for(n)),
-        gather_adapter_{&binding},
-        accurate_adapter_{&binding},
-        cost_adapter_{&binding},
-        commit_adapter_{&binding} {
+        gather_(binding.gather_batch),
+        accurate_(binding.accurate_batch),
+        cost_(binding.accurate_cost_batch),
+        commit_(binding.commit_batch) {
     stats_.shared_bytes_per_block = ac_bytes;
     out_buf_.resize(static_cast<std::size_t>(warp_size_) *
                     static_cast<std::size_t>(binding.out_dims));
@@ -205,48 +148,18 @@ class RunContext {
                   static_cast<std::size_t>(std::max(1, binding.in_dims)));
       s.match.resize(static_cast<std::size_t>(warp_size_));
     }
-    // Bind the hot-path operations once: the batched binding when the app
-    // provides one, the scalar adapter otherwise (or when parity testing
-    // forces the adapter path).
-    const auto prefer_scalar = [force_scalar](const auto& scalar_fn) {
-      return force_scalar && scalar_fn != nullptr;
-    };
-    if (binding.gather_batch && !prefer_scalar(binding.gather)) {
-      gather_ = binding.gather_batch;
-    } else if (binding.gather) {
-      gather_ = gather_adapter_;
-    }
-    if (binding.accurate_batch && !prefer_scalar(binding.accurate)) {
-      accurate_ = binding.accurate_batch;
-    } else if (binding.accurate) {
-      accurate_ = accurate_adapter_;
-    }
-    if (binding.accurate_cost_batch && !prefer_scalar(binding.accurate_cost)) {
-      cost_ = binding.accurate_cost_batch;
-    } else if (binding.accurate_cost) {
-      cost_ = cost_adapter_;
-    }
-    if (binding.commit_batch && !prefer_scalar(binding.commit)) {
-      commit_ = binding.commit_batch;
-    } else if (binding.commit) {
-      commit_ = commit_adapter_;
-    }
     // Audited launches wrap the bound dispatch once, here; the audit-off
-    // path never reaches these assignments.
+    // path never reaches these assignments. (`gather_` may refer to an
+    // empty `gather_batch`: only iACT calls it, and `validate_launch`
+    // requires it there.)
     if (audit_log != nullptr) {
-      if (commit_) {
-        audit_commit_adapter_ = AuditCommitAdapter{commit_, &binding, audit_log};
-        commit_ = audit_commit_adapter_;
-      }
+      audit_commit_adapter_ = AuditCommitAdapter{commit_, &binding, audit_log};
+      commit_ = audit_commit_adapter_;
       if (binding.read_extents) {
-        if (gather_) {
-          audit_gather_adapter_ = AuditGatherAdapter{gather_, &binding, audit_log};
-          gather_ = audit_gather_adapter_;
-        }
-        if (accurate_) {
-          audit_accurate_adapter_ = AuditAccurateAdapter{accurate_, &binding, audit_log};
-          accurate_ = audit_accurate_adapter_;
-        }
+        audit_gather_adapter_ = AuditGatherAdapter{gather_, &binding, audit_log};
+        gather_ = audit_gather_adapter_;
+        audit_accurate_adapter_ = AuditAccurateAdapter{accurate_, &binding, audit_log};
+        accurate_ = audit_accurate_adapter_;
       }
     }
   }
@@ -597,8 +510,6 @@ class RunContext {
     const int id = binding_.in_dims;
     const int od = binding_.out_dims;
     const std::span<double> out = out_span();
-    HPAC_REQUIRE(static_cast<bool>(gather_),
-                 "iACT requires a gather function for the declared inputs");
     const int tpw = iact.tables_per_warp > 0 ? iact.tables_per_warp : warp_size_;
     if (tpw > warp_size_ || warp_size_ % tpw != 0) {
       throw ConfigError(strings::format(
@@ -765,13 +676,6 @@ class RunContext {
   std::vector<TafState> taf_states_;
   std::vector<IactTable> tables_;
 
-  // Scalar-form adapters (referenced by the FunctionRefs below when the
-  // binding has no batched form).
-  ScalarGatherAdapter gather_adapter_;
-  ScalarAccurateAdapter accurate_adapter_;
-  ScalarCostAdapter cost_adapter_;
-  ScalarCommitAdapter commit_adapter_;
-
   // Audit wrappers around the bound dispatch (inert unless the launch is
   // audited; see the constructor).
   AuditCommitAdapter audit_commit_adapter_;
@@ -796,6 +700,35 @@ void merge_stats(ExecStats& total, const ExecStats& shard) {
   total.forced_accurate += shard.forced_accurate;
   total.iact_hits += shard.iact_hits;
   total.taf_stable_entries += shard.taf_stable_entries;
+}
+
+/// Binding and configuration checks shared by `run` and `run_composed`,
+/// all made before any work starts. Returns the per-block AC state bytes.
+std::size_t validate_launch(const RegionExecutor& executor, const ApproxSpec& spec,
+                            const RegionBinding& binding, const sim::LaunchConfig& launch) {
+  const sim::DeviceConfig& dev = executor.device();
+  launch.validate(dev);
+  HPAC_REQUIRE(binding.accurate_batch != nullptr, "region needs an accurate path");
+  HPAC_REQUIRE(binding.accurate_cost_batch != nullptr, "region needs a cost function");
+  HPAC_REQUIRE(binding.commit_batch != nullptr, "region needs a commit function");
+  HPAC_REQUIRE(binding.out_dims >= 1, "region needs at least one output");
+  if (spec.technique == Technique::kIactMemo) {
+    // The paper's MiniFE case: iACT "only supports computations with
+    // uniform input sizes for all threads" (§4.1); a region that cannot
+    // declare a fixed-width input key cannot use input memoization.
+    if (binding.in_dims <= 0) {
+      throw ConfigError("iACT requires uniform, fixed-width region inputs (in_dims > 0)");
+    }
+    HPAC_REQUIRE(binding.gather_batch != nullptr,
+                 "iACT requires a gather function for the declared inputs");
+  }
+  const std::size_t ac_bytes = executor.ac_state_bytes_per_block(spec, binding, launch);
+  if (ac_bytes > dev.shared_mem_per_block) {
+    throw ConfigError(strings::format(
+        "AC state (%zu bytes) exceeds shared memory per block (%u bytes)", ac_bytes,
+        dev.shared_mem_per_block));
+  }
+  return ac_bytes;
 }
 
 }  // namespace
@@ -891,7 +824,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   RegionReport report;
   if (shards <= 1) {
     RunContext ctx(dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes,
-                   composed_perfo, 0, teams, tuning_.force_scalar, shard_log(0));
+                   composed_perfo, 0, teams, shard_log(0));
     ctx.execute_body();
     report = ctx.finalize_report();
     report.stats.host_shards = 1;
@@ -907,7 +840,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
       const std::uint64_t length = per_shard + (s < extra ? 1 : 0);
       shard_ctxs.push_back(std::make_unique<RunContext>(
           dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes, composed_perfo,
-          begin, begin + length, tuning_.force_scalar, shard_log(s)));
+          begin, begin + length, shard_log(s)));
       begin += length;
     }
     Scheduler::shared().parallel_for(
@@ -952,7 +885,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
         const std::uint64_t begin = s * per_shard + std::min<std::uint64_t>(s, extra);
         const std::uint64_t length = per_shard + (s < extra ? 1 : 0);
         RunContext ctx(dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes,
-                       composed_perfo, begin, begin + length, tuning_.force_scalar);
+                       composed_perfo, begin, begin + length);
         ctx.execute_body();
       }
       auditor->compare_with(after);
@@ -975,28 +908,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
 RegionReport RegionExecutor::run(const pragma::ApproxSpec& spec, const RegionBinding& binding,
                                  std::uint64_t n, const sim::LaunchConfig& launch) const {
   spec.validate();
-  launch.validate(dev_);
-  HPAC_REQUIRE(binding.accurate != nullptr || binding.accurate_batch != nullptr,
-               "region needs an accurate path");
-  HPAC_REQUIRE(binding.accurate_cost != nullptr || binding.accurate_cost_batch != nullptr,
-               "region needs a cost function");
-  HPAC_REQUIRE(binding.commit != nullptr || binding.commit_batch != nullptr,
-               "region needs a commit function");
-  HPAC_REQUIRE(binding.out_dims >= 1, "region needs at least one output");
-  if (spec.technique == Technique::kIactMemo && binding.in_dims <= 0) {
-    // The paper's MiniFE case: iACT "only supports computations with
-    // uniform input sizes for all threads" (§4.1); a region that cannot
-    // declare a fixed-width input key cannot use input memoization.
-    throw ConfigError("iACT requires uniform, fixed-width region inputs (in_dims > 0)");
-  }
-
-  const std::size_t ac_bytes = ac_state_bytes_per_block(spec, binding, launch);
-  if (ac_bytes > dev_.shared_mem_per_block) {
-    throw ConfigError(strings::format(
-        "AC state (%zu bytes) exceeds shared memory per block (%u bytes)", ac_bytes,
-        dev_.shared_mem_per_block));
-  }
-
+  const std::size_t ac_bytes = validate_launch(*this, spec, binding, launch);
   return run_impl(spec, binding, n, launch, ac_bytes, nullptr);
 }
 
@@ -1013,22 +925,7 @@ RegionReport RegionExecutor::run_composed(const pragma::ApproxSpec& perfo_spec,
       memo_spec.technique != Technique::kIactMemo) {
     throw ConfigError("composed execution requires a memo(...) directive second");
   }
-  launch.validate(dev_);
-  HPAC_REQUIRE(binding.accurate != nullptr || binding.accurate_batch != nullptr,
-               "region needs an accurate path");
-  HPAC_REQUIRE(binding.accurate_cost != nullptr || binding.accurate_cost_batch != nullptr,
-               "region needs a cost function");
-  HPAC_REQUIRE(binding.commit != nullptr || binding.commit_batch != nullptr,
-               "region needs a commit function");
-  if (memo_spec.technique == Technique::kIactMemo && binding.in_dims <= 0) {
-    throw ConfigError("iACT requires uniform, fixed-width region inputs (in_dims > 0)");
-  }
-  const std::size_t ac_bytes = ac_state_bytes_per_block(memo_spec, binding, launch);
-  if (ac_bytes > dev_.shared_mem_per_block) {
-    throw ConfigError(strings::format(
-        "AC state (%zu bytes) exceeds shared memory per block (%u bytes)", ac_bytes,
-        dev_.shared_mem_per_block));
-  }
+  const std::size_t ac_bytes = validate_launch(*this, memo_spec, binding, launch);
   return run_impl(memo_spec, binding, n, launch, ac_bytes, &*perfo_spec.perfo);
 }
 

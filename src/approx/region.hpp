@@ -24,31 +24,22 @@ namespace hpac::approx {
 /// struct is the library-level equivalent. One invocation corresponds to
 /// one iteration of the parallel loop the directive decorates.
 ///
-/// A binding comes in two forms, and may provide both:
+/// Every operation is warp-batched: one call services every active lane
+/// of a warp, so the runtime pays no per-item dispatch — the cost the
+/// paper identifies as the one software AC must not pay. Lane `l` of the
+/// mask handles item `first_item + l`, and its per-lane data lives at
+/// offset `l * dims` in the packed buffer. Active lanes are always a
+/// subset of the warp; iterate them with `sim::for_each_lane`. Most
+/// regions are written per item and lifted with the `hpac::apps::bind_*`
+/// helpers (apps/support.hpp).
 ///
-///  * **Scalar** (`gather` / `accurate` / `accurate_cost` / `commit`):
-///    one `std::function` call per item — the original, compatibility
-///    form. The executor wraps it in an internal per-warp adapter, so
-///    scalar-only bindings keep working without code changes.
-///  * **Batched** (`gather_batch` / `accurate_batch` /
-///    `accurate_cost_batch` / `commit_batch`): one call services every
-///    active lane of a warp, eliminating the per-item dispatch the paper
-///    identifies as the cost software AC must not pay. Lane `l` of the
-///    mask handles item `first_item + l`, and its per-lane data lives at
-///    offset `l * dims` in the packed buffer. Active lanes are always a
-///    subset of the warp; iterate them with `sim::for_each_lane`.
-///
-/// When both forms are present the executor uses the batched one.
-///
-/// Warp evaluation order (both forms): the engine runs every lane's
-/// `accurate` before any lane's `commit` within a warp, so
-/// `accurate`/`gather` must not read state that `commit` writes for
-/// *other* items of the same warp. Warp-synchronous GPU code has the
-/// same constraint (lanes execute in lockstep), and no reproduced app
-/// depends on intra-warp commit-then-read ordering — but a scalar
-/// binding written against the pre-batching engine's interleaved
-/// per-lane order (e.g. a Gauss–Seidel-style in-place sweep) would
-/// observe different neighbor values and must be restructured.
+/// Warp evaluation order: the engine runs every lane's `accurate` before
+/// any lane's `commit` within a warp, so `accurate`/`gather` must not
+/// read state that `commit` writes for *other* items of the same warp.
+/// Warp-synchronous GPU code has the same constraint (lanes execute in
+/// lockstep), and no reproduced app depends on intra-warp
+/// commit-then-read ordering; a Gauss–Seidel-style in-place sweep that
+/// expects interleaved per-lane order must be restructured.
 struct RegionBinding {
   /// Diagnostic label used in audit reports and error messages; empty is
   /// rendered as "<unnamed>".
@@ -60,44 +51,30 @@ struct RegionBinding {
   /// Doubles per item the region produces (the `out(...)` sections).
   int out_dims = 1;
 
-  // --- scalar (compatibility) form ---------------------------------------
-
-  /// Gather the item's declared inputs (required when in_dims > 0).
-  std::function<void(std::uint64_t item, std::span<double> in)> gather;
-
-  /// The accurate execution path. `in` holds gathered inputs when
-  /// in_dims > 0 and is empty otherwise (regions read their own data).
-  std::function<void(std::uint64_t item, std::span<const double> in, std::span<double> out)>
-      accurate;
-
-  /// Cycles one lane spends on the accurate path for `item`. Data-dependent
-  /// costs (e.g. CSR row length) are allowed; within a warp the SIMT cost
-  /// is the maximum over the lanes executing the path.
-  std::function<double(std::uint64_t item)> accurate_cost;
-
-  /// Commit region outputs to the application's device arrays. Called for
-  /// accurate and approximated items, not for perforated (skipped) ones.
-  std::function<void(std::uint64_t item, std::span<const double> out)> commit;
-
-  // --- batched fast path (optional) ---------------------------------------
+  // --- region operations ---------------------------------------------------
 
   /// Gather inputs for every lane in `lanes`: lane `l` handles item
   /// `first_item + l` and writes `in[l*in_dims .. l*in_dims+in_dims)`.
+  /// Required for iACT regions (in_dims > 0).
   std::function<void(std::uint64_t first_item, sim::LaneMask lanes, std::span<double> in)>
       gather_batch;
 
-  /// Run the accurate path for every lane in `lanes`; outputs go to
+  /// The accurate execution path for every lane in `lanes`; outputs go to
   /// `out[l*out_dims .. l*out_dims+out_dims)`. `in` is the gathered batch
-  /// buffer (empty when the region was not gathered).
+  /// buffer (empty when the region was not gathered; regions then read
+  /// their own data).
   std::function<void(std::uint64_t first_item, sim::LaneMask lanes,
                      std::span<const double> in, std::span<double> out)>
       accurate_batch;
 
   /// Max accurate-path cycles over the lanes in `lanes` (the warp's SIMT
-  /// cost). Constant-cost regions return the constant in O(1).
+  /// cost). Data-dependent costs (e.g. CSR row length) are allowed;
+  /// constant-cost regions return the constant in O(1).
   std::function<double(std::uint64_t first_item, sim::LaneMask lanes)> accurate_cost_batch;
 
-  /// Commit outputs for every lane in `lanes`, in ascending lane order.
+  /// Commit outputs for every lane in `lanes`, in ascending lane order, to
+  /// the application's device arrays. Called for accurate and approximated
+  /// items, not for perforated (skipped) ones.
   std::function<void(std::uint64_t first_item, sim::LaneMask lanes,
                      std::span<const double> out)>
       commit_batch;
@@ -220,9 +197,6 @@ struct ExecTuning {
   std::uint64_t min_items = 1u << 14;
   /// Lower bound on teams per shard when splitting.
   std::uint64_t min_teams_per_shard = 4;
-  /// Testing/diagnostics: route batched bindings through the scalar
-  /// compatibility adapter (requires the scalar form to be present).
-  bool force_scalar = false;
   /// Commit-conflict auditing of `independent_items` bindings (see
   /// `hpac::approx::audit`). `kOff` leaves the dispatch path untouched;
   /// `kReport` collects findings into `ExecStats::conflicts`; `kEnforce`
@@ -304,8 +278,8 @@ class RegionExecutor {
 
   /// Process-wide default tuning picked up by every subsequently
   /// constructed executor — the hook tests and benches use to force the
-  /// scalar-adapter or team-parallel paths inside apps that construct
-  /// their own executors.
+  /// serial or team-parallel paths inside apps that construct their own
+  /// executors.
   static void set_default_tuning(const ExecTuning& tuning);
   static ExecTuning default_tuning();
 

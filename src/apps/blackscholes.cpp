@@ -105,7 +105,7 @@ harness::RunOutput Blackscholes::run(const pragma::ApproxSpec& spec,
     // contracts), resolved per run() so HPAC_SIMD / simd::set_level
     // changes take effect. The kernel prices each packed contract with
     // call_price's exact operation sequence, so prices are bit-identical
-    // to the scalar adapter above and sweep CSVs are dispatch-invariant.
+    // to price_one above and sweep CSVs are dispatch-invariant.
     if (const kernels::BlackscholesBatchFn batch = kernels::blackscholes_batch_fn()) {
       binding.accurate_batch = [this, batch](std::uint64_t first_item, sim::LaneMask lanes,
                                              std::span<const double>, std::span<double> out) {

@@ -69,11 +69,8 @@ harness::RunOutput MiniFe::run(const pragma::ApproxSpec& spec, std::uint64_t ite
     out[0] = sum;
   };
   bind_accurate(spmv, spmv_one);
-  spmv.accurate_cost = [this](std::uint64_t row) {
-    return 6.0 * static_cast<double>(row_ptr_[row + 1] - row_ptr_[row]) + 10.0;
-  };
-  // Row widths vary (the CSR structure), so the batched cost is a real
-  // max over the warp's rows — not a constant_cost_lanes candidate.
+  // Row widths vary (the CSR structure), so the cost is a real max over
+  // the warp's rows — not a bind_constant_cost candidate.
   spmv.accurate_cost_batch = [this](std::uint64_t first, sim::LaneMask lanes) {
     double cost = 0.0;
     sim::for_each_lane(lanes, [&](int lane) {

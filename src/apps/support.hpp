@@ -11,84 +11,58 @@
 
 namespace hpac::apps {
 
-// --- batched-binding builders ---------------------------------------------
+// --- region-binding builders ----------------------------------------------
 //
-// Lift a per-item callable over the active lanes of a warp, in ascending
-// lane order, with lane l's packed data at offset l * dims — the
-// RegionBinding batched-form contract. Apps define each region operation
-// once as `fn(item, double* data)` and hand it to both the scalar
-// wrapper and one of these builders, so the two forms cannot drift.
-
-/// `gather_batch` from `fn(item, double* in)`.
-template <typename Fn>
-auto gather_lanes(Fn fn, int in_dims) {
-  return [fn, in_dims](std::uint64_t first_item, sim::LaneMask lanes, std::span<double> in) {
-    sim::for_each_lane(lanes, [&](int lane) {
-      fn(first_item + static_cast<std::uint64_t>(lane),
-         in.data() + static_cast<std::size_t>(lane) * static_cast<std::size_t>(in_dims));
-    });
-  };
-}
-
-/// `accurate_batch` from `fn(item, double* out)` (for regions that read
-/// their own data and ignore the gathered inputs, as all bundled apps do).
-template <typename Fn>
-auto accurate_lanes(Fn fn, int out_dims) {
-  return [fn, out_dims](std::uint64_t first_item, sim::LaneMask lanes, std::span<const double>,
-                        std::span<double> out) {
-    sim::for_each_lane(lanes, [&](int lane) {
-      fn(first_item + static_cast<std::uint64_t>(lane),
-         out.data() + static_cast<std::size_t>(lane) * static_cast<std::size_t>(out_dims));
-    });
-  };
-}
-
-/// `commit_batch` from `fn(item, const double* out)`.
-template <typename Fn>
-auto commit_lanes(Fn fn, int out_dims) {
-  return [fn, out_dims](std::uint64_t first_item, sim::LaneMask lanes,
-                        std::span<const double> out) {
-    sim::for_each_lane(lanes, [&](int lane) {
-      fn(first_item + static_cast<std::uint64_t>(lane),
-         out.data() + static_cast<std::size_t>(lane) * static_cast<std::size_t>(out_dims));
-    });
-  };
-}
-
-/// `accurate_cost_batch` for regions whose accurate path costs the same
-/// for every item (answers the warp-max query in O(1)).
-inline auto constant_cost_lanes(double cycles) {
-  return [cycles](std::uint64_t, sim::LaneMask) { return cycles; };
-}
-
-// Set both forms of one region operation from a single per-item callable
-// (`fn(item, double* data)`). Dims must be assigned on the binding before
-// binding the operations. Regions with a genuinely custom shape (e.g.
-// minife's data-dependent batched cost) set the members directly.
+// Apps define each region operation once, per item, as
+// `fn(item, double* data)`; these lift it to the RegionBinding warp-batched
+// form: `fn` runs over the active lanes of a warp in ascending lane order,
+// with lane l's packed data at offset l * dims. Dims must be assigned on
+// the binding before binding the operations. Regions with a genuinely
+// custom shape (e.g. minife's data-dependent cost) set the members
+// directly.
 
 template <typename Fn>
 void bind_gather(approx::RegionBinding& binding, Fn fn) {
-  binding.gather = [fn](std::uint64_t i, std::span<double> in) { fn(i, in.data()); };
-  binding.gather_batch = gather_lanes(fn, binding.in_dims);
+  const auto dims = static_cast<std::size_t>(binding.in_dims);
+  binding.gather_batch = [fn, dims](std::uint64_t first_item, sim::LaneMask lanes,
+                                    std::span<double> in) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      fn(first_item + static_cast<std::uint64_t>(lane),
+         in.data() + static_cast<std::size_t>(lane) * dims);
+    });
+  };
 }
 
+/// For regions that read their own data and ignore the gathered inputs,
+/// as all bundled apps do.
 template <typename Fn>
 void bind_accurate(approx::RegionBinding& binding, Fn fn) {
-  binding.accurate = [fn](std::uint64_t i, std::span<const double>, std::span<double> out) {
-    fn(i, out.data());
+  const auto dims = static_cast<std::size_t>(binding.out_dims);
+  binding.accurate_batch = [fn, dims](std::uint64_t first_item, sim::LaneMask lanes,
+                                      std::span<const double>, std::span<double> out) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      fn(first_item + static_cast<std::uint64_t>(lane),
+         out.data() + static_cast<std::size_t>(lane) * dims);
+    });
   };
-  binding.accurate_batch = accurate_lanes(fn, binding.out_dims);
 }
 
 template <typename Fn>
 void bind_commit(approx::RegionBinding& binding, Fn fn) {
-  binding.commit = [fn](std::uint64_t i, std::span<const double> out) { fn(i, out.data()); };
-  binding.commit_batch = commit_lanes(fn, binding.out_dims);
+  const auto dims = static_cast<std::size_t>(binding.out_dims);
+  binding.commit_batch = [fn, dims](std::uint64_t first_item, sim::LaneMask lanes,
+                                    std::span<const double> out) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      fn(first_item + static_cast<std::uint64_t>(lane),
+         out.data() + static_cast<std::size_t>(lane) * dims);
+    });
+  };
 }
 
+/// For regions whose accurate path costs the same for every item: answers
+/// the warp-max query in O(1).
 inline void bind_constant_cost(approx::RegionBinding& binding, double cycles) {
-  binding.accurate_cost = [cycles](std::uint64_t) { return cycles; };
-  binding.accurate_cost_batch = constant_cost_lanes(cycles);
+  binding.accurate_cost_batch = [cycles](std::uint64_t, sim::LaneMask) { return cycles; };
 }
 
 /// `commit_extents` for the ubiquitous dense-row commit layout: item i's

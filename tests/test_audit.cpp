@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -330,16 +329,12 @@ struct CacheRegion {
     b.name = "cache.region";
     b.in_dims = 1;
     b.out_dims = 1;
-    b.gather = [](std::uint64_t i, std::span<double> in) {
-      in[0] = static_cast<double>(i % 5);
-    };
-    b.accurate = [](std::uint64_t i, std::span<const double>, std::span<double> o) {
-      o[0] = static_cast<double>(i);
-    };
-    b.accurate_cost = [](std::uint64_t) { return 50.0; };
-    b.commit = [this](std::uint64_t i, std::span<const double> o) {
+    apps::bind_gather(b, [](std::uint64_t i, double* in) { in[0] = static_cast<double>(i % 5); });
+    apps::bind_accurate(b, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
+    apps::bind_constant_cost(b, 50.0);
+    apps::bind_commit(b, [this](std::uint64_t i, const double* o) {
       (*current_)[index_of_(i)] = o[0];
-    };
+    });
     b.independent_items = true;  // index_of is a permutation
     b.commit_extents = [this](std::uint64_t i, approx::audit::ExtentSink& sink) {
       sink.writes(current_->data() + index_of_(i), sizeof(double));

@@ -1,13 +1,13 @@
 // Golden-parity tests of the rebuilt region execution engine.
 //
-// The PR 3 engine rebuild (FunctionRef dispatch, batched bindings, O(1)
-// active masks, AC-state reuse, team-sharded parallelism) promises
+// The engine rebuild (FunctionRef dispatch, batched bindings, O(1) active
+// masks, AC-state reuse, team-sharded parallelism) promises
 // *byte-identical* results to the pre-refactor serial engine. These tests
 // hold it to that: `engine_parity_golden.inc` embeds RunRecord CSV rows
-// produced by the PR 2 engine for all seven apps under all four
-// techniques on both platforms, and every engine path — the scalar
-// std::function adapter, the batched bindings, and forced team-parallel
-// execution — must reproduce them exactly, doubles and all.
+// produced by the pre-refactor engine for all seven apps under all four
+// techniques on both platforms, and both engine paths — serial and forced
+// team-parallel execution of the batched bindings — must reproduce them
+// exactly, doubles and all.
 
 #include <gtest/gtest.h>
 
@@ -81,15 +81,7 @@ class TuningGuard {
 
 TEST(EngineParity, BatchedBindingsMatchPreRefactorGolden) {
   approx::ExecTuning tuning;
-  tuning.max_threads = 1;  // serial engine, batched dispatch (the default form)
-  TuningGuard guard(tuning);
-  EXPECT_EQ(run_grid_csv(), kGoldenCsv);
-}
-
-TEST(EngineParity, ScalarAdapterMatchesPreRefactorGolden) {
-  approx::ExecTuning tuning;
-  tuning.max_threads = 1;
-  tuning.force_scalar = true;  // route through the std::function adapter
+  tuning.max_threads = 1;  // serial engine
   TuningGuard guard(tuning);
   EXPECT_EQ(run_grid_csv(), kGoldenCsv);
 }

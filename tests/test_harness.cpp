@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 
+#include "apps/support.hpp"
 #include "common/error.hpp"
 #include "common/scheduler.hpp"
 #include "harness/analysis.hpp"
@@ -103,14 +104,13 @@ class ToyBenchmark : public Benchmark {
     approx::RegionBinding binding;
     binding.in_dims = 1;
     binding.out_dims = 1;
-    binding.gather = [](std::uint64_t i, std::span<double> in) {
-      in[0] = static_cast<double>(i % 5);
-    };
-    binding.accurate = [](std::uint64_t i, std::span<const double>, std::span<double> o) {
+    apps::bind_gather(binding,
+                      [](std::uint64_t i, double* in) { in[0] = static_cast<double>(i % 5); });
+    apps::bind_accurate(binding, [](std::uint64_t i, double* o) {
       o[0] = 10.0 + static_cast<double>(i % 5);
-    };
-    binding.accurate_cost = [](std::uint64_t) { return 100.0; };
-    binding.commit = [&out](std::uint64_t i, std::span<const double> o) { out[i] = o[0]; };
+    });
+    apps::bind_constant_cost(binding, 100.0);
+    apps::bind_commit(binding, [&out](std::uint64_t i, const double* o) { out[i] = o[0]; });
     const sim::LaunchConfig launch =
         sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());
     RunOutput output;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "approx/region.hpp"
+#include "apps/support.hpp"
 #include "offload/device.hpp"
 #include "offload/target.hpp"
 #include "sim/device.hpp"
@@ -71,11 +72,9 @@ TEST(Offload, TargetParallelForAddsKernelTime) {
   std::vector<double> out(256, 0.0);
   approx::RegionBinding binding;
   binding.out_dims = 1;
-  binding.accurate = [](std::uint64_t i, std::span<const double>, std::span<double> o) {
-    o[0] = static_cast<double>(i);
-  };
-  binding.accurate_cost = [](std::uint64_t) { return 10.0; };
-  binding.commit = [&out](std::uint64_t i, std::span<const double> o) { out[i] = o[0]; };
+  apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
+  apps::bind_constant_cost(binding, 10.0);
+  apps::bind_commit(binding, [&out](std::uint64_t i, const double* o) { out[i] = o[0]; });
 
   const sim::LaunchConfig launch = sim::launch_for_items_per_thread(out.size(), 1, 128);
   const auto report =

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "approx/iact.hpp"
 #include "approx/region.hpp"
 #include "approx/taf.hpp"
+#include "apps/support.hpp"
 #include "common/error.hpp"
 #include "common/scheduler.hpp"
 #include "common/stats.hpp"
@@ -34,41 +34,11 @@ struct TestRegion {
     RegionBinding b;
     b.in_dims = in_dims;
     b.out_dims = 1;
-    b.gather = [this](std::uint64_t i, std::span<double> in) {
-      in[0] = static_cast<double>(i % 7);
-    };
-    b.accurate = [this](std::uint64_t i, std::span<const double>, std::span<double> o) {
-      o[0] = f(i);
-    };
-    b.accurate_cost = [cost](std::uint64_t) { return cost; };
-    b.commit = [this](std::uint64_t i, std::span<const double> o) { out[i] = o[0]; };
+    apps::bind_gather(b, [](std::uint64_t i, double* in) { in[0] = static_cast<double>(i % 7); });
+    apps::bind_accurate(b, [this](std::uint64_t i, double* o) { o[0] = f(i); });
+    apps::bind_constant_cost(b, cost);
+    apps::bind_commit(b, [this](std::uint64_t i, const double* o) { out[i] = o[0]; });
     b.independent_items = true;  // commits touch only out[i]
-    return b;
-  }
-
-  /// The same region through the batched fast-path API.
-  RegionBinding batched_binding(double cost = 100.0, int in_dims = 1) {
-    RegionBinding b = binding(cost, in_dims);
-    const int id = std::max(1, in_dims);
-    b.gather_batch = [id](std::uint64_t first, sim::LaneMask lanes, std::span<double> in) {
-      sim::for_each_lane(lanes, [&](int lane) {
-        in[static_cast<std::size_t>(lane) * id] =
-            static_cast<double>((first + static_cast<std::uint64_t>(lane)) % 7);
-      });
-    };
-    b.accurate_batch = [this](std::uint64_t first, sim::LaneMask lanes, std::span<const double>,
-                              std::span<double> o) {
-      sim::for_each_lane(lanes, [&](int lane) {
-        o[static_cast<std::size_t>(lane)] = f(first + static_cast<std::uint64_t>(lane));
-      });
-    };
-    b.accurate_cost_batch = [cost](std::uint64_t, sim::LaneMask) { return cost; };
-    b.commit_batch = [this](std::uint64_t first, sim::LaneMask lanes,
-                            std::span<const double> o) {
-      sim::for_each_lane(lanes, [&](int lane) {
-        out[first + static_cast<std::uint64_t>(lane)] = o[static_cast<std::size_t>(lane)];
-      });
-    };
     return b;
   }
 
@@ -152,7 +122,7 @@ TEST(Region, IactExactRepeatsHitCache) {
 TEST(Region, IactRequiresUniformInputs) {
   TestRegion region;
   auto binding = region.binding(100.0, 0);  // no uniform input key
-  binding.gather = nullptr;
+  binding.gather_batch = nullptr;
   RegionExecutor executor(sim::v100());
   const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 8, 128);
   EXPECT_THROW(executor.run(pragma::parse_approx("memo(in:4:0.5:2) in(x) out(y)"), binding,
@@ -270,6 +240,43 @@ TEST(Region, MissingCallbacksAreRejected) {
   RegionExecutor executor(sim::v100());
   const sim::LaunchConfig launch = sim::launch_for_items_per_thread(64, 1, 32);
   EXPECT_THROW(executor.run(pragma::parse_approx("none"), empty, 64, launch), Error);
+}
+
+TEST(Region, IncompleteBindingsAreRejectedBeforeAnyWork) {
+  // Each required operation missing in turn, plus an iACT region that
+  // declares inputs but cannot gather them: `run` and `run_composed` both
+  // reject the binding before a single item is committed.
+  const auto drop_accurate = [](RegionBinding& b) { b.accurate_batch = nullptr; };
+  const auto drop_cost = [](RegionBinding& b) { b.accurate_cost_batch = nullptr; };
+  const auto drop_commit = [](RegionBinding& b) { b.commit_batch = nullptr; };
+  const auto drop_gather = [](RegionBinding& b) { b.gather_batch = nullptr; };
+  struct Case {
+    const char* what;
+    void (*drop)(RegionBinding&);
+    const char* memo;
+  };
+  const Case cases[] = {
+      {"accurate_batch", drop_accurate, "memo(out:2:8:0.5)"},
+      {"accurate_cost_batch", drop_cost, "memo(out:2:8:0.5)"},
+      {"commit_batch", drop_commit, "memo(out:2:8:0.5)"},
+      {"gather_batch (iACT)", drop_gather, "memo(in:4:0.5:2) in(x) out(y)"},
+  };
+  RegionExecutor executor(sim::v100());
+  for (const Case& c : cases) {
+    TestRegion region;
+    RegionBinding binding = region.binding();
+    c.drop(binding);
+    const std::vector<double> untouched = region.out;
+    const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 16, 128);
+    EXPECT_THROW(executor.run(pragma::parse_approx(c.memo), binding, region.n, launch), Error)
+        << c.what;
+    EXPECT_EQ(region.out, untouched) << c.what;
+    EXPECT_THROW(executor.run_composed(pragma::parse_approx("perfo(small:4)"),
+                                       pragma::parse_approx(c.memo), binding, region.n, launch),
+                 Error)
+        << c.what;
+    EXPECT_EQ(region.out, untouched) << c.what;
+  }
 }
 
 TEST(Region, PartialTailWarpHandled) {
@@ -435,7 +442,7 @@ TEST(Composed, SkippedItemsNeverTouchAcState) {
   EXPECT_GT(untouched, region.n / 2);
 }
 
-// --- the rebuilt engine's dispatch paths and team sharding ---------------
+// --- team sharding ---------------------------------------------------------
 
 namespace {
 
@@ -495,45 +502,6 @@ const char* kEngineClauses[] = {
 
 }  // namespace
 
-TEST(EngineDispatch, BatchedBindingMatchesScalarAdapter) {
-  ExecTuning serial;
-  serial.max_threads = 1;
-  for (const char* clause : kEngineClauses) {
-    TestRegion region;
-    const EngineRun scalar = run_with_tuning(region, region.binding(), clause, serial);
-    const EngineRun batched = run_with_tuning(region, region.batched_binding(), clause, serial);
-    expect_identical(scalar, batched, clause);
-  }
-}
-
-TEST(EngineDispatch, ForceScalarRoutesBatchedBindingThroughAdapter) {
-  ExecTuning serial;
-  serial.max_threads = 1;
-  ExecTuning forced = serial;
-  forced.force_scalar = true;
-  TestRegion region;
-  const EngineRun batched =
-      run_with_tuning(region, region.batched_binding(), "memo(out:3:8:0.5)", serial);
-  const EngineRun adapter =
-      run_with_tuning(region, region.batched_binding(), "memo(out:3:8:0.5)", forced);
-  expect_identical(batched, adapter, "force_scalar");
-}
-
-TEST(EngineDispatch, BatchOnlyBindingRuns) {
-  // A binding that provides *only* the batched form is complete.
-  TestRegion region;
-  RegionBinding b = region.batched_binding();
-  b.gather = nullptr;
-  b.accurate = nullptr;
-  b.accurate_cost = nullptr;
-  b.commit = nullptr;
-  ExecTuning serial;
-  serial.max_threads = 1;
-  const EngineRun batch_only = run_with_tuning(region, b, "memo(in:4:0.5:2) in(x) out(y)", serial);
-  const EngineRun full = run_with_tuning(region, region.binding(), "memo(in:4:0.5:2) in(x) out(y)", serial);
-  expect_identical(batch_only, full, "batch-only");
-}
-
 TEST(RegionParallel, TeamShardingIsBitIdenticalToSerial) {
   ExecTuning serial;
   serial.max_threads = 1;
@@ -578,7 +546,7 @@ TEST(RegionParallel, NonIndependentBindingStaysSerial) {
   RegionBinding b = region.binding();
   b.independent_items = false;
   double sum = 0.0;
-  b.commit = [&sum](std::uint64_t, std::span<const double> o) { sum += o[0]; };
+  apps::bind_commit(b, [&sum](std::uint64_t, const double* o) { sum += o[0]; });
   ExecTuning tuning = forced_shards(4);
   RegionExecutor executor(sim::v100());
   executor.set_tuning(tuning);

@@ -17,6 +17,7 @@
 
 #include "apps/registry.hpp"
 #include "apps/simd_kernels.hpp"
+#include "apps/support.hpp"
 #include "approx/region.hpp"
 #include "common/simd.hpp"
 #include "harness/explorer.hpp"
@@ -96,11 +97,9 @@ TEST(Simd, ExecStatsReportTheActiveDispatchLevel) {
   approx::RegionBinding binding;
   binding.in_dims = 0;
   binding.out_dims = 1;
-  binding.accurate = [](std::uint64_t i, std::span<const double>, std::span<double> o) {
-    o[0] = static_cast<double>(i);
-  };
-  binding.accurate_cost = [](std::uint64_t) { return 10.0; };
-  binding.commit = [&out](std::uint64_t i, std::span<const double> o) { out[i] = o[0]; };
+  apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
+  apps::bind_constant_cost(binding, 10.0);
+  apps::bind_commit(binding, [&out](std::uint64_t i, const double* o) { out[i] = o[0]; });
   for (const simd::Level level : reachable_levels()) {
     simd::set_level(level);
     approx::RegionExecutor executor(sim::v100());
