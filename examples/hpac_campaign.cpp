@@ -246,9 +246,9 @@ int run_distributed(const harness::Campaign& campaign, const std::string& dist_d
 
   const auto stats = dist.run_worker();
   std::printf("worker %s done: %zu evaluated, %zu restored from own journal, "
-              "%zu lease(s) reclaimed, %zu lost, baselines %zu computed / %zu loaded\n",
+              "%zu lease(s) reclaimed, %zu lost\n",
               opt.worker.c_str(), stats.evaluated, stats.restored, stats.reclaimed,
-              stats.lost, stats.baselines_computed, stats.baselines_loaded);
+              stats.lost);
   std::printf("merge the fleet's journals with: --dist-dir=%s --finalize-only\n",
               dist_dir.c_str());
   return 0;

@@ -3,8 +3,8 @@
 // Serves tuning queries over a Unix-domain socket against a persistent
 // result store: memoized tuples answer from an immutable store snapshot
 // without touching the scheduler, missing tuples are admitted (bounded,
-// per-connection fair) and evaluated on demand, with baselines cached per
-// (benchmark, device). Point it at an existing campaign CSV and it serves
+// per-connection fair) and evaluated on demand, one at a time, with
+// baselines cached per (benchmark, device). Point it at an existing campaign CSV and it serves
 // everything the campaign already measured; every cold answer is appended
 // to the same journal, so the store only ever grows.
 //
@@ -48,7 +48,8 @@ namespace {
                "--socket     Unix-domain socket to listen on (required)\n"
                "--store      result CSV to serve and append to (default: in-memory)\n"
                "--max-pending  admission bound for cold tuples (default 64)\n"
-               "--threads    worker bound for cold evaluations (default: hardware)\n"
+               "--threads    accepted for compatibility; no effect (cold tuples\n"
+               "             are evaluated one at a time)\n"
                "--read-only  serve an existing --store without writing to it;\n"
                "             cold tuples answer degraded from the nearest config\n",
                argv0);
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
       options.service.max_pending =
           parse_count("--max-pending", *v3, /*allow_zero=*/false);
     } else if (auto v4 = value("--threads")) {
-      options.service.num_threads = parse_count("--threads", *v4, /*allow_zero=*/true);
+      parse_count("--threads", *v4, /*allow_zero=*/true);  // validated, then unused
     } else if (arg == "--read-only") {
       read_only = true;
     } else {

@@ -1,5 +1,7 @@
 #include "harness/campaign.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -90,11 +92,41 @@ Campaign::Campaign(CampaignPlan plan) : plan_(std::move(plan)) {
   }
 }
 
-Campaign::ShardView Campaign::shard_view(std::size_t index) const {
-  HPAC_REQUIRE(index < shards_.size(), "shard index out of range");
-  const Shard& shard = shards_[index];
-  return ShardView{shard.benchmark, shard.device, *shard.specs, shard.first_tuple,
-                   shard.tuple_count};
+Campaign::Tuple Campaign::tuple(std::size_t index) const {
+  HPAC_REQUIRE(index < keys_.size(), "tuple index out of range");
+  // The shard holding `index` is the last one starting at or before it.
+  const auto next = std::upper_bound(
+      shards_.begin(), shards_.end(), index,
+      [](std::size_t i, const Shard& shard) { return i < shard.first_tuple; });
+  const Shard& shard = *std::prev(next);
+  const std::size_t local = index - shard.first_tuple;
+  const std::size_t ipt_count = plan_.items_per_thread.size();
+  return Tuple{shard.benchmark, shard.device.name, (*shard.specs)[local / ipt_count],
+               plan_.items_per_thread[local % ipt_count]};
+}
+
+struct TupleEvaluator::Pair {
+  Pair(const std::string& benchmark, const std::string& device)
+      : app(apps::make_benchmark(benchmark)), explorer(*app, sim::device_by_name(device)) {}
+  std::unique_ptr<Benchmark> app;
+  Explorer explorer;
+};
+
+TupleEvaluator::TupleEvaluator() = default;
+TupleEvaluator::~TupleEvaluator() = default;
+
+RunRecord TupleEvaluator::evaluate(const std::string& benchmark, const std::string& device,
+                                   const pragma::ApproxSpec& spec,
+                                   std::uint64_t items_per_thread) {
+  const std::string key = benchmark + '\x1f' + device;
+  auto it = pairs_.find(key);
+  if (it == pairs_.end()) {
+    it = pairs_.emplace(key, std::make_unique<Pair>(benchmark, device)).first;
+  }
+  // measure_configs, unlike run_config, leaves the Explorer's database
+  // empty: records go to the caller's store, not into a growing cache.
+  return it->second->explorer.measure_configs({ConfigRequest{spec, items_per_thread}}, 1)
+      .front();
 }
 
 CampaignResult Campaign::run() {
@@ -160,14 +192,13 @@ CampaignResult Campaign::run(ResultStore& store) {
   common::Mutex callback_mutex;
   auto run_shard = [&](std::size_t shard_index) {
     const Shard& shard = shards_[shard_index];
-    auto app = apps::make_benchmark(shard.benchmark);
-    Explorer explorer(*app, shard.device);  // baseline cached per (benchmark, device)
-    const std::size_t ipt_count = plan_.items_per_thread.size();
-    for (std::size_t t = 0; t < shard.tuple_count; ++t) {
-      const std::size_t index = shard.first_tuple + t;
+    TupleEvaluator evaluator;
+    for (std::size_t index = shard.first_tuple;
+         index < shard.first_tuple + shard.tuple_count; ++index) {
       if (done[index]) continue;
-      const RunRecord record = explorer.run_config((*shard.specs)[t / ipt_count],
-                                                   plan_.items_per_thread[t % ipt_count]);
+      const Tuple t = tuple(index);
+      const RunRecord record =
+          evaluator.evaluate(t.benchmark, t.device, t.spec, t.items_per_thread);
       {
         common::MutexLock lock(mutex);
         records[index] = record;

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "harness/record.hpp"
@@ -71,11 +72,11 @@ struct CampaignResult {
 /// restartable batch job (the way the paper's harness swept 57,288
 /// configurations per benchmark over days of GPU time).
 ///
-/// Work is sharded at (benchmark, device) granularity: each shard gets a
-/// freshly constructed benchmark and its own Explorer, so the accurate
-/// baseline is computed once per pair (and never for pairs whose tuples
-/// are all restored from the checkpoint). Shards run concurrently on the
-/// process-wide work-stealing scheduler (`hpac::Scheduler`) — a worker
+/// Work is sharded at (benchmark, device) granularity: each shard gets its
+/// own TupleEvaluator, so the accurate baseline is computed once per pair
+/// (and never for pairs whose tuples are all restored from the
+/// checkpoint). Shards run concurrently on the process-wide
+/// work-stealing scheduler (`hpac::Scheduler`) — a worker
 /// whose shard finishes early steals team shards that nested
 /// `independent_items` region launches publish, instead of idling. Every
 /// tuple is deterministic, so the assembled database — and the final CSV —
@@ -120,16 +121,14 @@ class Campaign {
   const std::vector<std::string>& tuple_keys() const { return keys_; }
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Read-only view of one (benchmark, device) shard; references stay
-  /// valid for the Campaign's lifetime.
-  struct ShardView {
+  /// One planned tuple; references stay valid for the Campaign's lifetime.
+  struct Tuple {
     const std::string& benchmark;
-    const sim::DeviceConfig& device;
-    const std::vector<pragma::ApproxSpec>& specs;
-    std::size_t first_tuple;
-    std::size_t tuple_count;
+    const std::string& device;  ///< canonical preset name
+    const pragma::ApproxSpec& spec;
+    std::uint64_t items_per_thread;
   };
-  ShardView shard_view(std::size_t index) const;
+  Tuple tuple(std::size_t index) const;
 
  private:
   struct Shard {
@@ -144,6 +143,30 @@ class Campaign {
   CampaignPlan plan_;
   std::vector<Shard> shards_;
   std::vector<std::string> keys_;  ///< canonical key per tuple index
+};
+
+/// The execution harness's tuple step (paper §2.3), shared by Campaign
+/// shards, DistributedCampaign workers and TuningService: the accurate
+/// program runs once per (benchmark, device) pair, on the pair's first
+/// tuple, and every tuple of the pair is measured against that baseline.
+/// Pairs are built lazily and kept for the evaluator's lifetime.
+/// Single-threaded: one instance belongs to one thread at a time.
+class TupleEvaluator {
+ public:
+  TupleEvaluator();
+  ~TupleEvaluator();
+  TupleEvaluator(const TupleEvaluator&) = delete;
+  TupleEvaluator& operator=(const TupleEvaluator&) = delete;
+
+  /// Measure one tuple. `device` is a preset name for sim::device_by_name.
+  /// Infeasible configurations yield a record with feasible = false, as
+  /// Explorer::run_config does; unknown names throw ConfigError.
+  RunRecord evaluate(const std::string& benchmark, const std::string& device,
+                     const pragma::ApproxSpec& spec, std::uint64_t items_per_thread);
+
+ private:
+  struct Pair;  ///< one benchmark instance and the Explorer that owns its baseline
+  std::unordered_map<std::string, std::unique_ptr<Pair>> pairs_;
 };
 
 }  // namespace hpac::harness

@@ -9,20 +9,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "apps/registry.hpp"
 #include "common/annotated_mutex.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/fileops.hpp"
 #include "common/strings.hpp"
-#include "harness/explorer.hpp"
 #include "harness/result_store.hpp"
 
 namespace hpac::harness {
@@ -76,68 +73,6 @@ void maybe_stall_for_test() {
   std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
 }
 
-std::string double_text(double value) { return cell_text(CsvCell(value)); }
-
-std::string serialize_baseline(const std::string& benchmark, const std::string& device,
-                               const BaselineSummary& b) {
-  std::ostringstream os;
-  os << "hpac-baseline v1\n";
-  os << "benchmark " << benchmark << "\n";
-  os << "device " << device << "\n";
-  os << "seconds " << double_text(b.seconds) << "\n";
-  os << "iterations " << double_text(b.iterations) << "\n";
-  os << "qoi " << b.qoi.size();
-  for (const double v : b.qoi) os << ' ' << double_text(v);
-  os << "\n";
-  os << "qoi_labels " << b.qoi_labels.size();
-  for (const int v : b.qoi_labels) os << ' ' << v;
-  os << "\n";
-  return os.str();
-}
-
-BaselineSummary parse_baseline(const std::string& text, const std::string& benchmark,
-                               const std::string& device, const std::string& path) {
-  const auto fail = [&](const std::string& why) -> Error {
-    return Error("bad baseline cache " + path + ": " + why);
-  };
-  const std::vector<std::string> lines = strings::split(text, '\n');
-  if (lines.size() < 7 || lines[0] != "hpac-baseline v1") throw fail("bad header");
-  const auto field = [&](std::size_t i, const std::string& name) -> std::string {
-    const std::string prefix = name + " ";
-    if (lines[i].rfind(prefix, 0) != 0) throw fail("expected '" + name + "' line");
-    return lines[i].substr(prefix.size());
-  };
-  if (field(1, "benchmark") != benchmark || field(2, "device") != device) {
-    throw fail("cached for a different (benchmark, device)");
-  }
-  BaselineSummary b;
-  if (!strings::parse_double(field(3, "seconds"), b.seconds) ||
-      !strings::parse_double(field(4, "iterations"), b.iterations)) {
-    throw fail("unparseable seconds/iterations");
-  }
-  const auto vec_field = [&](std::size_t i, const std::string& name,
-                             auto push) {
-    const std::vector<std::string> tok = strings::split(lines[i], ' ');
-    long long count = 0;
-    if (tok.size() < 2 || tok[0] != name || !strings::parse_int(tok[1], count) ||
-        count < 0 || tok.size() != static_cast<std::size_t>(count) + 2) {
-      throw fail("malformed '" + name + "' line");
-    }
-    for (std::size_t k = 0; k < static_cast<std::size_t>(count); ++k) push(tok[k + 2]);
-  };
-  vec_field(5, "qoi", [&](const std::string& t) {
-    double v = 0;
-    if (!strings::parse_double(t, v)) throw fail("unparseable qoi value");
-    b.qoi.push_back(v);
-  });
-  vec_field(6, "qoi_labels", [&](const std::string& t) {
-    long long v = 0;
-    if (!strings::parse_int(t, v)) throw fail("unparseable qoi label");
-    b.qoi_labels.push_back(static_cast<int>(v));
-  });
-  return b;
-}
-
 std::string row_signature(const RunRecord& record) {
   std::ostringstream os;
   write_csv_row(os, record.to_row());
@@ -185,10 +120,6 @@ std::string DistributedCampaign::worker_journal_path() const {
   return options_.dir + "/results." + options_.worker + ".csv";
 }
 
-std::string DistributedCampaign::baseline_path(std::size_t shard) const {
-  return options_.dir + "/baseline." + std::to_string(shard) + ".txt";
-}
-
 // --- worker loop -------------------------------------------------------------
 
 struct DistributedCampaign::Runner {
@@ -196,13 +127,8 @@ struct DistributedCampaign::Runner {
   const Campaign& campaign;
   LeaseJournal journal;
   ResultStore store;
+  TupleEvaluator evaluator;
   WorkerStats stats;
-
-  struct ShardCtx {
-    std::unique_ptr<Benchmark> app;
-    std::unique_ptr<Explorer> explorer;
-  };
-  std::unordered_map<std::size_t, ShardCtx> ctxs;
 
   // Heartbeat thread state.
   common::Mutex hb_mutex;
@@ -214,9 +140,8 @@ struct DistributedCampaign::Runner {
       : dist(d),
         campaign(d.campaign_),
         journal(LeaseJournal::Options{
-            d.lease_path(), d.options_.worker, /*nonce=*/0,
-            d.campaign_.tuple_count() + d.campaign_.shard_count(), d.fingerprint_,
-            d.options_.mode, d.options_.ttl_ms}),
+            d.lease_path(), d.options_.worker, /*nonce=*/0, d.campaign_.tuple_count(),
+            d.fingerprint_, d.options_.mode, d.options_.ttl_ms}),
         store(d.worker_journal_path()) {}
 
   void start_heartbeats() {
@@ -245,82 +170,6 @@ struct DistributedCampaign::Runner {
     hb_thread.join();
   }
 
-  std::size_t shard_of(std::size_t tuple) const {
-    for (std::size_t s = 0; s < campaign.shard_count(); ++s) {
-      const Campaign::ShardView view = campaign.shard_view(s);
-      if (tuple >= view.first_tuple && tuple < view.first_tuple + view.tuple_count) {
-        return s;
-      }
-    }
-    throw Error("tuple index outside every shard");
-  }
-
-  /// Per-shard evaluation context, created on first use. Ensuring the
-  /// baseline may block on (or take over) the shard's baseline lease.
-  ShardCtx& shard_ctx(std::size_t s) {
-    auto it = ctxs.find(s);
-    if (it != ctxs.end()) return it->second;
-    const Campaign::ShardView view = campaign.shard_view(s);
-    ShardCtx ctx;
-    ctx.app = apps::make_benchmark(view.benchmark);
-    ctx.explorer = std::make_unique<Explorer>(*ctx.app, view.device);
-    ensure_baseline(s, view, *ctx.explorer);
-    return ctxs.emplace(s, std::move(ctx)).first->second;
-  }
-
-  /// Load the shard's published baseline, or win the baseline lease and
-  /// compute + publish it once for the whole fleet. The lease index lives
-  /// past the campaign tuples (tuple_count + s), so baseline computation
-  /// inherits the same claim/heartbeat/expiry/reclaim machinery as real
-  /// work — a worker that dies mid-baseline is taken over like any other
-  /// crash.
-  void ensure_baseline(std::size_t s, const Campaign::ShardView& view,
-                       Explorer& explorer) {
-    const std::string path = dist.baseline_path(s);
-    const std::size_t lease = campaign.tuple_count() + s;
-    std::string text;
-    for (;;) {
-      if (fileops::read_file(path, text)) {
-        explorer.seed_baseline(
-            parse_baseline(text, view.benchmark, view.device.name, path));
-        ++stats.baselines_loaded;
-        return;
-      }
-      bool mine = !journal.claim(lease, 1).empty();
-      if (!mine) {
-        const LeaseJournal::TupleState st = journal.state(lease);
-        if (st.claimed && !st.released) {
-          // Owner may have crashed mid-baseline; only an expired lease
-          // actually transfers.
-          const auto outcome = journal.try_reclaim(lease);
-          if (outcome.won) ++stats.reclaimed;
-          mine = outcome.won;
-        }
-        // Released without a file cannot happen (publish precedes
-        // release); a release we raced with will show up as the file on
-        // the next iteration.
-      }
-      if (mine) {
-        if (fileops::read_file(path, text)) {
-          // Reclaimed from a worker that published but died before
-          // releasing: adopt its file.
-          journal.release(lease);
-          explorer.seed_baseline(
-              parse_baseline(text, view.benchmark, view.device.name, path));
-          ++stats.baselines_loaded;
-          return;
-        }
-        const BaselineSummary summary = explorer.baseline_summary();
-        fileops::write_file_atomic(
-            path, serialize_baseline(view.benchmark, view.device.name, summary));
-        ++stats.baselines_computed;
-        journal.release(lease);
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
-    }
-  }
-
   void process_tuple(std::size_t tuple) {
     const std::string& key = campaign.tuple_keys()[tuple];
     if (store.snapshot().contains_key(key)) {
@@ -330,20 +179,16 @@ struct DistributedCampaign::Runner {
       ++stats.restored;
       return;
     }
-    const std::size_t s = shard_of(tuple);
-    ShardCtx& ctx = shard_ctx(s);
     if (!journal.holds(tuple)) {
-      // Lease was reclaimed (e.g. while this worker stalled in the
-      // baseline path); the new owner evaluates it.
+      // Lease was reclaimed (e.g. while this worker was frozen); the new
+      // owner evaluates it.
       ++stats.lost;
       return;
     }
     maybe_stall_for_test();
-    const Campaign::ShardView view = campaign.shard_view(s);
-    const auto& ipts = campaign.plan().items_per_thread;
-    const std::size_t local = tuple - view.first_tuple;
-    const RunRecord record = ctx.explorer->run_config(view.specs[local / ipts.size()],
-                                                      ipts[local % ipts.size()]);
+    const Campaign::Tuple t = campaign.tuple(tuple);
+    const RunRecord record =
+        evaluator.evaluate(t.benchmark, t.device, t.spec, t.items_per_thread);
     // Result row flushed BEFORE the release record: a released tuple
     // always has a durable result somewhere, and a crash between the two
     // leaves at most a duplicate evaluation for the merge to drop.

@@ -14,13 +14,14 @@ namespace hpac::harness {
 /// sharing a filesystem — split one CampaignPlan's tuple space through a
 /// LeaseJournal and write results through per-worker ResultStore journals;
 /// `finalize` merges everything into the canonical CSV an uninterrupted
-/// single-process Campaign produces, byte for byte.
+/// single-process Campaign produces, byte for byte. The class is claiming
+/// plus finalize: each worker evaluates through its own TupleEvaluator,
+/// computing the baseline of every (benchmark, device) pair it touches, so
+/// workers share nothing but the directory's files.
 ///
 /// Directory layout (`options.dir`):
 ///   leases.journal          shared claim journal (+ .lock sidecars)
 ///   results.<worker>.csv    per-worker ResultStore journal (single writer)
-///   baseline.<shard>.txt    published BaselineSummary per (benchmark,
-///                           device) shard — computed once per fleet
 ///   results.csv             canonical merged CSV, written by finalize()
 ///
 /// Crash-recovery contract:
@@ -52,8 +53,6 @@ class DistributedCampaign {
     std::size_t restored = 0;   ///< tuples released from this worker's own journal
     std::size_t reclaimed = 0;  ///< expired leases this worker took over
     std::size_t lost = 0;       ///< held leases lost to a reclaimer (skipped/stale)
-    std::size_t baselines_computed = 0;
-    std::size_t baselines_loaded = 0;
   };
 
   struct FinalizeStats {
@@ -90,13 +89,12 @@ class DistributedCampaign {
   /// a status view) that inspects a fleet without joining it.
   static std::string lease_path_in(const std::string& dir);
   std::string results_path() const;
-  std::string worker_journal_path() const;             ///< this worker's
-  std::string baseline_path(std::size_t shard) const;  ///< shard's cache file
+  std::string worker_journal_path() const;  ///< this worker's
 
   const Options& options() const { return options_; }
 
  private:
-  struct Runner;  // per-run_worker state (journal, store, shard contexts)
+  struct Runner;  // per-run_worker state (journal, store, evaluator)
 
   const Campaign& campaign_;
   Options options_;

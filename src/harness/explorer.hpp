@@ -21,9 +21,9 @@ struct ConfigRequest {
 /// qoi/qoi_labels (for error_percent), the solver iteration count, and
 /// the scoped seconds the speedup ratio divides by. Everything else in the
 /// baseline's RunOutput is incidental, so this summary is sufficient to
-/// reproduce evaluation results bit-for-bit — which lets a distributed
-/// campaign compute each (benchmark, device) baseline once, persist it,
-/// and seed every other worker process from the file.
+/// reproduce evaluation results bit-for-bit — which lets a caller evaluate
+/// against a baseline computed elsewhere (another Explorer, another
+/// process).
 struct BaselineSummary {
   std::vector<double> qoi;
   std::vector<int> qoi_labels;
@@ -47,10 +47,10 @@ class Explorer {
   /// Run (or reuse) the baseline and return the evaluation-relevant slice.
   BaselineSummary baseline_summary();
 
-  /// Adopt a previously computed baseline instead of running one — the
-  /// distributed campaign's shared-baseline path. Evaluations after
-  /// seeding produce records identical to ones computed after a local
-  /// baseline() on the same benchmark/device (all runs deterministic).
+  /// Adopt a baseline computed elsewhere instead of running one (see
+  /// BaselineSummary). Evaluations after seeding produce records identical
+  /// to ones computed after a local baseline() on the same
+  /// benchmark/device (all runs deterministic).
   /// Must be called before the baseline is computed or used.
   void seed_baseline(const BaselineSummary& summary);
 

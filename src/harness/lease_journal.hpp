@@ -64,7 +64,7 @@ class LeaseJournal {
     std::string worker;
     /// Incarnation tag; 0 = generate one (random ^ pid ^ clock).
     std::uint64_t nonce = 0;
-    /// Total lease indices (campaign tuples + baseline leases).
+    /// Total lease indices: one per campaign tuple.
     std::size_t domain = 0;
     /// Plan fingerprint; all joiners must present the identical value so
     /// two processes can never map one index to different tuples.

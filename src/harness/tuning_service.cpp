@@ -6,20 +6,10 @@
 
 #include "apps/registry.hpp"
 #include "common/error.hpp"
-#include "harness/campaign.hpp"
-#include "harness/explorer.hpp"
 #include "pragma/parser.hpp"
 #include "sim/device.hpp"
 
 namespace hpac::harness {
-
-/// Benchmark + Explorer pair kept alive across queries so the accurate
-/// baseline is computed once per (benchmark, device). Only the single
-/// active evaluator thread touches engines, so no lock guards them.
-struct TuningService::Engine {
-  std::unique_ptr<Benchmark> app;
-  std::unique_ptr<Explorer> explorer;
-};
 
 TuningService::TuningService(ResultStore& store, TuningServiceConfig config)
     : store_(store), config_(std::move(config)) {
@@ -292,20 +282,8 @@ RunRecord TuningService::evaluate(const Pending& pending) {
   if (config_.evaluate_override) {
     record = config_.evaluate_override(pending.query, pending.spec);
   } else {
-    const std::string engine_key = pending.query.benchmark + '\x1f' + pending.query.device;
-    auto it = engines_.find(engine_key);
-    if (it == engines_.end()) {
-      auto engine = std::make_unique<Engine>();
-      engine->app = apps::make_benchmark(pending.query.benchmark);
-      engine->explorer = std::make_unique<Explorer>(
-          *engine->app, sim::device_by_name(pending.query.device));
-      it = engines_.emplace(engine_key, std::move(engine)).first;
-    }
-    record = it->second->explorer
-                 ->measure_configs({ConfigRequest{pending.spec,
-                                                  pending.query.items_per_thread}},
-                                   config_.num_threads)
-                 .front();
+    record = evaluator_.evaluate(pending.query.benchmark, pending.query.device,
+                                 pending.spec, pending.query.items_per_thread);
   }
   // Canonical identity regardless of what the evaluator filled in, so the
   // stored key always matches the admitted key.

@@ -5,13 +5,13 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/annotated_mutex.hpp"
+#include "harness/campaign.hpp"
 #include "harness/record.hpp"
 #include "harness/result_store.hpp"
 #include "pragma/spec.hpp"
@@ -62,9 +62,6 @@ struct TuningServiceConfig {
   /// the nearest known config (kDegraded) — or kRejected when the store
   /// knows nothing useful — instead of queued.
   std::size_t max_pending = 64;
-  /// Worker bound for Explorer::measure_configs on cold evaluations
-  /// (0 = hardware concurrency).
-  std::size_t num_threads = 0;
   /// Evaluation retry budget per tuple: a tuple whose evaluation throws
   /// is retried on later demand up to this many total attempts, then
   /// quarantined — further queries answer degraded (or kError carrying
@@ -76,7 +73,7 @@ struct TuningServiceConfig {
   /// ResultStore serving a finalized CSV.
   bool read_only = false;
   /// Test seam: when set, cold tuples are answered by this function
-  /// instead of constructing a Benchmark/Explorer — admission, fairness
+  /// instead of the service's TupleEvaluator — admission, fairness
   /// and memoization behave identically, but evaluation is deterministic
   /// and scheduler-free. Identity fields of the returned record are
   /// overwritten with the tuple's canonical identity.
@@ -98,9 +95,10 @@ struct TuningServiceConfig {
 ///    thread finds no evaluator running becomes it, and drains the
 ///    admission queue one tuple per client in rotation, so a client that
 ///    floods the queue cannot starve a client asking for one tuple.
-///  * Baselines are cached per (benchmark, device): the first cold tuple
-///    of a pair pays for the accurate run, subsequent tuples reuse it —
-///    the Campaign's shard economics, applied incrementally.
+///  * Cold tuples are evaluated one at a time through one TupleEvaluator,
+///    so baselines are cached per (benchmark, device): the first cold
+///    tuple of a pair pays for the accurate run, subsequent tuples reuse
+///    it — the Campaign's shard economics, applied incrementally.
 ///
 /// Failure contract (the daemon stays up no matter what a tuple does):
 ///  * A throwing evaluation never propagates: the failure is recorded
@@ -157,11 +155,6 @@ class TuningService {
     std::string last_error;
   };
 
-  /// Lazily constructed per (benchmark, device) so the accurate baseline
-  /// is computed once per pair; only the single evaluator thread touches
-  /// these, so they need no lock of their own.
-  struct Engine;
-
   using Clock = std::chrono::steady_clock;
 
   /// Drain the admission queue; called with mutex_ held, returns with it
@@ -211,9 +204,9 @@ class TuningService {
 
   /// Touched only by the single active evaluator thread, with mutex_
   /// RELEASED (the evaluator_running_ flag is the exclusion protocol, so
-  /// baseline engines never run under a lock). Deliberately unannotated:
-  /// no capability expresses "guarded by being the evaluator".
-  std::map<std::string, std::unique_ptr<Engine>> engines_;
+  /// baselines never run under a lock). Deliberately unannotated: no
+  /// capability expresses "guarded by being the evaluator".
+  TupleEvaluator evaluator_;
 };
 
 }  // namespace hpac::harness

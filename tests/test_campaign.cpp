@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "harness/campaign.hpp"
 #include "pragma/parser.hpp"
@@ -31,6 +32,13 @@ std::string slurp(const std::string& path) {
   EXPECT_TRUE(in.good()) << path;
   std::ostringstream os;
   os << in.rdbuf();
+  return os.str();
+}
+
+/// The record's CSV row, byte for byte as a store writes it.
+std::string row_text(const RunRecord& record) {
+  std::ostringstream os;
+  write_csv_row(os, record.to_row());
   return os.str();
 }
 
@@ -358,4 +366,21 @@ TEST(Campaign, DeviceAliasesCollapseBeforeUniquenessCheck) {
 TEST(Campaign, TupleKeyIsInjectiveOnDelimiterCollisions) {
   EXPECT_NE(Campaign::tuple_key("a", "b,c", "s", 1), Campaign::tuple_key("a,b", "c", "s", 1));
   EXPECT_NE(Campaign::tuple_key("a", "b", "s", 11), Campaign::tuple_key("a", "b", "s1", 1));
+}
+
+TEST(TupleEvaluator, MatchesCampaignRowsWhenPairsInterleave) {
+  // One evaluator walks the plan backwards, so it switches (benchmark,
+  // device) pair several times; every row must still be the one
+  // Campaign::run writes for that tuple. A pair cache keyed by benchmark
+  // alone would answer v100 tuples with the mi250x Explorer.
+  const Campaign campaign(multi_shard_plan());
+  const CampaignResult reference = Campaign(multi_shard_plan()).run();
+  ASSERT_EQ(reference.db.size(), campaign.tuple_count());
+  TupleEvaluator evaluator;
+  for (std::size_t i = campaign.tuple_count(); i-- > 0;) {
+    const Campaign::Tuple t = campaign.tuple(i);
+    const RunRecord record =
+        evaluator.evaluate(t.benchmark, t.device, t.spec, t.items_per_thread);
+    EXPECT_EQ(row_text(record), row_text(reference.db.records()[i])) << "tuple " << i;
+  }
 }

@@ -420,7 +420,6 @@ TEST(DistCampaign, SingleWorkerFleetMatchesSerialReference) {
   const auto stats = read_stats(dir, "w0");
   EXPECT_EQ(stats.at("evaluated"), 6);
   EXPECT_EQ(stats.at("reclaimed"), 0);
-  EXPECT_EQ(stats.at("baselines_computed"), 1);
 
   const auto merge = finalize_dir("tiny", dir);
   EXPECT_EQ(merge.merged, 6u);
@@ -446,7 +445,6 @@ TEST(DistCampaign, KilledWorkerRestartsAndResumesItsOwnJournal) {
   EXPECT_EQ(stats.at("restored"), 1);  // the append-without-release tuple
   EXPECT_EQ(stats.at("evaluated"), 3);
   EXPECT_GE(stats.at("reclaimed"), 1);
-  EXPECT_EQ(stats.at("baselines_loaded"), 1);  // cache survives the crash
 
   const auto merge = finalize_dir("tiny", dir);
   EXPECT_EQ(merge.merged, 6u);
@@ -515,33 +513,6 @@ TEST(DistCampaign, FrozenWorkerIsReclaimedOnceAndItsLateResultDiscarded) {
   EXPECT_EQ(merge.duplicates, 1u);
   EXPECT_EQ(merge.conflicting, 0u);
   EXPECT_EQ(slurp(dir + "/results.csv"), slurp(serial_reference("tiny", "frozen")));
-}
-
-// --- satellite: baselines computed once per fleet ----------------------------
-
-TEST(DistCampaign, BaselinesComputedOncePerShardAcrossTheFleet) {
-  const std::string dir = fresh_dir("baselines");
-  const pid_t w0 = spawn_worker(dir, "w0", "multi", 3000, 2);
-  const pid_t w1 = spawn_worker(dir, "w1", "multi", 3000, 2);
-  expect_clean_exit(w0, "w0");
-  expect_clean_exit(w1, "w1");
-
-  const auto s0 = read_stats(dir, "w0");
-  const auto s1 = read_stats(dir, "w1");
-  // The lease serializes baseline computation: 4 shards, 4 computations
-  // fleet-wide, no matter how the two workers interleave.
-  EXPECT_EQ(s0.at("baselines_computed") + s1.at("baselines_computed"), 4);
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    EXPECT_TRUE(std::filesystem::exists(dir + "/baseline." + std::to_string(shard) +
-                                        ".txt"));
-  }
-
-  // Parity: records evaluated against a seeded (file-loaded) baseline are
-  // byte-identical to ones evaluated after a locally computed baseline.
-  const auto merge = finalize_dir("multi", dir);
-  EXPECT_EQ(merge.merged, 16u);
-  EXPECT_EQ(merge.conflicting, 0u);
-  EXPECT_EQ(slurp(dir + "/results.csv"), slurp(serial_reference("multi", "baselines")));
 }
 
 TEST(DistCampaign, RenameRewriteFleetMatchesSerialReference) {
@@ -640,9 +611,7 @@ int dist_worker_main(int argc, char** argv) {
     os << "evaluated=" << stats.evaluated << "\n"
        << "restored=" << stats.restored << "\n"
        << "reclaimed=" << stats.reclaimed << "\n"
-       << "lost=" << stats.lost << "\n"
-       << "baselines_computed=" << stats.baselines_computed << "\n"
-       << "baselines_loaded=" << stats.baselines_loaded << "\n";
+       << "lost=" << stats.lost << "\n";
     fileops::write_file_atomic(dir + "/stats." + worker, os.str());
     return 0;
   } catch (const std::exception& e) {

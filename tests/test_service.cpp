@@ -21,10 +21,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "harness/campaign.hpp"
 #include "harness/result_store.hpp"
@@ -151,6 +153,32 @@ TEST(TuningService, CanonicalizesDeviceAliasAndSpecSpelling) {
   EXPECT_TRUE(aliased.memoized);
   EXPECT_EQ(aliased.record.device, "v100");
   EXPECT_EQ(eval.calls.load(), 1u);
+}
+
+TEST(TuningService, RealEvaluatorAnswersTheCampaignRowForTheCanonicalTuple) {
+  ResultStore store;
+  TuningService service(store);  // no evaluate_override: the real evaluator
+  const TuningAnswer cold = service.query(
+      query_for("#pragma approx perfo(small:2)", 8, "lavamd", "nvidia"));
+  ASSERT_EQ(cold.status, TuningStatus::kOk) << cold.error;
+  EXPECT_FALSE(cold.memoized);
+
+  CampaignPlan plan;
+  plan.benchmarks = {"lavamd"};
+  plan.devices = {"v100"};
+  plan.specs_for = [](const sim::DeviceConfig&) {
+    return std::vector<pragma::ApproxSpec>{pragma::parse_approx("perfo(small:2)")};
+  };
+  plan.items_per_thread = {8};
+  plan.num_threads = 1;
+  const CampaignResult reference = Campaign(plan).run();
+  ASSERT_EQ(reference.db.size(), 1u);
+  const auto row_text = [](const RunRecord& record) {
+    std::ostringstream os;
+    write_csv_row(os, record.to_row());
+    return os.str();
+  };
+  EXPECT_EQ(row_text(cold.record), row_text(reference.db.records().front()));
 }
 
 TEST(TuningService, AnswersFromRecordsACampaignWroteToTheSameStore) {
