@@ -17,8 +17,7 @@ struct RegionBinding;
 
 /// Commit-conflict auditing: runtime validation of a binding's
 /// `independent_items` declaration (paper hazard class: silent errors from
-/// mislabeled approximation regions; ROADMAP "automatic commit-conflict
-/// detector").
+/// mislabeled approximation regions).
 ///
 /// The engine's team-sharded fast path is only sound when region
 /// invocations of different items really touch disjoint state. Instead of

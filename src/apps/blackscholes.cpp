@@ -109,6 +109,9 @@ harness::RunOutput Blackscholes::run(const pragma::ApproxSpec& spec,
     if (const kernels::BlackscholesBatchFn batch = kernels::blackscholes_batch_fn()) {
       binding.accurate_batch = [this, batch](std::uint64_t first_item, sim::LaneMask lanes,
                                              std::span<const double>, std::span<double> out) {
+        // An empty mask prices nothing; returning first also shows GCC that
+        // the packing loop below writes every array before `batch` reads it.
+        if (lanes == 0) return;
         double s[64], k[64], r[64], v[64], t[64], p[64];
         int lane_of[64];
         int count = 0;

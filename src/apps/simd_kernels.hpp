@@ -1,7 +1,7 @@
 #pragma once
 
 // Vectorized application math for the two apps whose `accurate` paths
-// dominate sweep time (ROADMAP item 3): blackscholes batch pricing
+// dominate sweep time: blackscholes batch pricing
 // (lanes = option contracts, wired through the warp-per-call
 // `accurate_batch` binding hook) and the binomial backward induction
 // (lanes = tree nodes of one level, applied inside `tree_price` so both

@@ -8,7 +8,7 @@
 /// Clang thread-safety annotations (-Wthread-safety) over the standard
 /// synchronization types. The std types themselves carry no capability
 /// attributes, so locking discipline stated only in comments ("guarded by
-/// head_mutex_") is invisible to the compiler; these wrappers attach the
+/// mutex_") is invisible to the compiler; these wrappers attach the
 /// attributes so clang proves, at compile time, that every GUARDED_BY
 /// field is touched only under its mutex and every REQUIRES method is
 /// called with the right lock held. Under any other compiler the macros

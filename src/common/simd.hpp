@@ -4,7 +4,8 @@
 
 namespace hpac::simd {
 
-/// Host vector-ISA dispatch level of the SIMD fast paths (ROADMAP item 3).
+/// Host vector-ISA dispatch level of the SIMD fast paths in the engine and
+/// the apps' accurate kernels.
 ///
 /// Every SIMD kernel in the tree is *bit-identical* to its scalar
 /// reference: vectorization always runs across independent lanes (table

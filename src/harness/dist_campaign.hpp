@@ -9,8 +9,7 @@
 
 namespace hpac::harness {
 
-/// Multi-process campaign execution over one shared directory (ROADMAP
-/// item 2): N independent worker processes — possibly on different nodes
+/// Multi-process campaign execution over one shared directory: N independent worker processes — possibly on different nodes
 /// sharing a filesystem — split one CampaignPlan's tuple space through a
 /// LeaseJournal and write results through per-worker ResultStore journals;
 /// `finalize` merges everything into the canonical CSV an uninterrupted

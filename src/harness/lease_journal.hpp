@@ -13,11 +13,11 @@
 namespace hpac::harness {
 
 /// Shared claim journal coordinating N independent worker processes over
-/// one tuple domain (ROADMAP item 2). Every coordination action — claim,
-/// heartbeat, release, reclaim — is one appended record; the journal's
-/// record ORDER is the single source of truth, so every process derives
-/// the identical lease state by replaying it, and "who owns tuple T" never
-/// needs a lock shared between processes.
+/// one tuple domain (the distributed campaign's coordination layer). Every
+/// coordination action — claim, heartbeat, release, reclaim — is one
+/// appended record; the journal's record ORDER is the single source of
+/// truth, so every process derives the identical lease state by replaying
+/// it, and "who owns tuple T" never needs a lock shared between processes.
 ///
 /// Record transport comes in two modes:
 ///  * kAtomicAppend (default): records are single O_APPEND write(2)s

@@ -2,8 +2,11 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "common/csv.hpp"
@@ -41,17 +44,53 @@ std::streamoff durable_prefix(const std::string& path) {
 
 }  // namespace
 
+// --- Log ---------------------------------------------------------------------
+
+/// The append-only record log every snapshot shares. Appends come only
+/// from the store's writer (under its writer mutex); the log mutex is held
+/// for one in-memory insert or one lookup at a time.
+struct ResultStore::Log {
+  mutable common::Mutex mutex;
+  std::deque<RunRecord> records GUARDED_BY(mutex);  ///< push_back keeps references valid
+  std::unordered_map<std::string, std::size_t> index GUARDED_BY(mutex);  ///< key -> position
+
+  std::size_t size() const {
+    common::MutexLock lock(mutex);
+    return records.size();
+  }
+
+  /// Record for `key` if it is among the first `limit` records.
+  const RunRecord* find(const std::string& key, std::size_t limit) const {
+    common::MutexLock lock(mutex);
+    const auto it = index.find(key);
+    return it != index.end() && it->second < limit ? &records[it->second] : nullptr;
+  }
+
+  const RunRecord& at(std::size_t position) const {
+    common::MutexLock lock(mutex);
+    return records[position];
+  }
+
+  /// Appends `record` under `key` and returns the new length, or 0 (and
+  /// changes nothing) when `key` is already present.
+  std::size_t add(std::string key, const RunRecord& record) {
+    common::MutexLock lock(mutex);
+    const auto [slot, inserted] = index.try_emplace(std::move(key), records.size());
+    if (!inserted) return 0;
+    try {
+      records.push_back(record);
+    } catch (...) {
+      index.erase(slot);  // a failed append leaves the log unchanged
+      throw;
+    }
+    return records.size();
+  }
+};
+
 // --- Snapshot ----------------------------------------------------------------
 
-const std::shared_ptr<const ResultStore::Snapshot::State>&
-ResultStore::Snapshot::empty_state() {
-  static const std::shared_ptr<const State> empty = std::make_shared<State>();
-  return empty;
-}
-
 const RunRecord* ResultStore::Snapshot::find_key(const std::string& tuple_key) const {
-  const std::size_t* index = state_->index.find(tuple_key);
-  return index != nullptr ? &state_->records[*index] : nullptr;
+  return size_ == 0 ? nullptr : log_->find(tuple_key, size_);
 }
 
 const RunRecord* ResultStore::Snapshot::find(const std::string& benchmark,
@@ -61,9 +100,14 @@ const RunRecord* ResultStore::Snapshot::find(const std::string& benchmark,
   return find_key(Campaign::tuple_key(benchmark, device, spec_text, items_per_thread));
 }
 
+const RunRecord& ResultStore::Snapshot::at(std::size_t index) const {
+  HPAC_REQUIRE(index < size_, "result store snapshot index out of range");
+  return log_->at(index);
+}
+
 ResultDb ResultStore::Snapshot::to_db() const {
   ResultDb db;
-  state_->records.for_each([&db](const RunRecord& record) { db.add(record); });
+  for_each([&db](const RunRecord& record) { db.add(record); });
   return db;
 }
 
@@ -75,8 +119,7 @@ std::string ResultStore::key_of(const RunRecord& record) {
 }
 
 ResultStore::ResultStore(std::string path, bool read_only)
-    : path_(std::move(path)), read_only_(read_only) {
-  auto state = std::make_shared<Snapshot::State>();
+    : path_(std::move(path)), read_only_(read_only), log_(std::make_shared<Log>()) {
   // Serialize against writers in OTHER processes sharing this journal:
   // append_if_absent holds the same flock around each row. Without it, a
   // peer's complete rows landing between the durable-prefix read and the
@@ -98,15 +141,11 @@ ResultStore::ResultStore(std::string path, bool read_only)
     // drop_torn_tail: a writer killed mid-append must not brick the store.
     const ResultDb journal = ResultDb::load(path_, /*drop_torn_tail=*/true);
     for (const RunRecord& record : journal.records()) {
-      std::string key = key_of(record);
-      if (state->index.contains(key)) {
+      if (log_->add(key_of(record), record) == 0) {
         ++load_stats_.duplicates;  // e.g. two writers raced on one file
-        continue;
+      } else {
+        ++load_stats_.restored;
       }
-      state->index = state->index.set(std::move(key), state->records.size());
-      state->records = state->records.push_back(record);
-      ++state->version;
-      ++load_stats_.restored;
     }
   }
   if (persistent() && !read_only_) {
@@ -133,10 +172,11 @@ ResultStore::ResultStore(std::string path, bool read_only)
       journal_.flush();
     }
   }
-  publish(std::move(state));
 }
 
 ResultStore::~ResultStore() = default;
+
+ResultStore::Snapshot ResultStore::snapshot() const { return Snapshot(log_, log_->size()); }
 
 std::uint64_t ResultStore::append(const RunRecord& record) {
   const std::uint64_t version = append_if_absent(record);
@@ -149,10 +189,10 @@ std::uint64_t ResultStore::append_if_absent(const RunRecord& record) {
   common::MutexLock lock(writer_mutex_);
   HPAC_REQUIRE(!read_only_, "result store is read-only: " + path_);
   HPAC_REQUIRE(!finalized_, "result store was finalized; no further appends");
-  const std::shared_ptr<const Snapshot::State> current = snapshot().state_;
   std::string key = key_of(record);
-  if (current->index.contains(key)) return 0;
-  // Journal first, publish second: a version is only ever visible once its
+  // The writer lock makes this check-then-add atomic against other appends.
+  if (log_->find(key, SIZE_MAX) != nullptr) return 0;
+  // Journal first, log second: a version is only ever visible once its
   // row is flushed, so a snapshot can never lead the durable journal.
   if (persistent()) {
     // The flock pairs with the constructor's open-time truncation window
@@ -162,13 +202,7 @@ std::uint64_t ResultStore::append_if_absent(const RunRecord& record) {
     write_csv_row(journal_, record.to_row());
     journal_.flush();
   }
-  auto next = std::make_shared<Snapshot::State>();
-  next->index = current->index.set(std::move(key), current->records.size());
-  next->records = current->records.push_back(record);
-  next->version = current->version + 1;
-  const std::uint64_t version = next->version;
-  publish(std::move(next));
-  return version;
+  return log_->add(std::move(key), record);
 }
 
 void ResultStore::finalize(const ResultDb& canonical) {

@@ -6,50 +6,55 @@
 #include <string>
 
 #include "common/annotated_mutex.hpp"
-#include "common/persistent.hpp"
 #include "harness/record.hpp"
 
 namespace hpac::harness {
 
 /// Versioned, snapshot-readable result store over the Campaign journal —
 /// the persistence layer that turns one-shot batch sweeps into a serving
-/// substrate (ROADMAP item 1). One writer appends records through the
-/// existing flushed-CSV journal path (so files stay byte-compatible with
-/// pre-store campaigns and a killed writer loses at most the in-flight
-/// record); any number of readers take immutable snapshots.
+/// substrate. One writer appends records through the existing
+/// flushed-CSV journal path (so files stay byte-compatible with pre-store
+/// campaigns and a killed writer loses at most the in-flight record); any
+/// number of readers take immutable snapshots.
+///
+/// Records are never replaced or removed, so version k is always the
+/// prefix [0, k) of one append-only log. A snapshot is that log plus a
+/// length.
 ///
 /// Concurrency contract:
 ///  * `append` serializes writers on the writer mutex, writes + flushes
-///    the journal row and builds the next index, then publishes the new
-///    version in one pointer swap.
-///  * `snapshot` copies the published pointer under a dedicated head
-///    mutex held for nothing but that copy (a refcount bump — no journal
-///    IO, no index work ever happens under it). It never takes the
-///    writer lock, so a blocked or slow writer cannot stall readers and
-///    concurrent readers add no contention to the writer's slow path.
-///  * A snapshot is an immutable value: every record and index node it
-///    references is structurally shared with later versions
-///    (`common::PersistentVector` / `common::PersistentMap`) and stays
-///    valid for the snapshot's lifetime regardless of subsequent appends.
+///    the journal row, and only then inserts the record into the log —
+///    a version is never visible before its row is durable.
+///  * Readers (`snapshot`, and every lookup on a snapshot) take the log
+///    mutex, never the writer lock: a slow writer or journal IO cannot
+///    stall them. The trade is that readers are not lock-free — each
+///    lookup takes the log mutex — but the writer holds it only for one
+///    in-memory insert, so readers wait at most that long.
+///  * A snapshot is an immutable value: it sees exactly the records below
+///    its length, and record addresses stay valid across later appends
+///    (the log is a deque) for as long as any snapshot or the store holds
+///    the log — a snapshot may outlive its store.
 class ResultStore {
+  struct Log;
+
  public:
   /// An immutable view of the store at one version. Copies are cheap
-  /// (shared structure); all methods are const and thread-safe.
+  /// (one shared pointer); all methods are const and thread-safe.
   class Snapshot {
    public:
-    Snapshot() : state_(empty_state()) {}
+    Snapshot() = default;
 
     /// Number of appends absorbed (restored rows included). Strictly
     /// monotonic across the store's lifetime; two snapshots with equal
     /// versions are the same value.
-    std::uint64_t version() const { return state_->version; }
-    std::size_t size() const { return state_->records.size(); }
-    bool empty() const { return size() == 0; }
+    std::uint64_t version() const { return size_; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /// Record for a (benchmark, device, spec, items-per-thread) tuple, or
-    /// nullptr. The pointee is owned by the store's persistent structure
-    /// and outlives the snapshot only while some snapshot references it —
-    /// copy it out to keep it past this snapshot's lifetime.
+    /// nullptr. The pointee lives in the store's log and stays valid while
+    /// any snapshot of that store (or the store itself) is alive — copy
+    /// it out to keep it longer.
     const RunRecord* find(const std::string& benchmark, const std::string& device,
                           const std::string& spec_text,
                           std::uint64_t items_per_thread) const;
@@ -58,13 +63,14 @@ class ResultStore {
       return find_key(tuple_key) != nullptr;
     }
 
-    /// Record by append order (0 = oldest).
-    const RunRecord& at(std::size_t index) const { return state_->records[index]; }
+    /// Record by append order (0 = oldest); throws past this snapshot's size.
+    const RunRecord& at(std::size_t index) const;
 
-    /// Visit every record in append order.
+    /// Visit every record in append order. `fn` runs with no lock held,
+    /// so it may call back into this snapshot.
     template <typename Fn>
     void for_each(Fn&& fn) const {
-      state_->records.for_each(fn);
+      for (std::size_t i = 0; i < size_; ++i) fn(at(i));
     }
 
     /// Materialize as a ResultDb (append order) for the analysis helpers.
@@ -73,16 +79,11 @@ class ResultStore {
    private:
     friend class ResultStore;
 
-    struct State {
-      common::PersistentVector<RunRecord> records;
-      common::PersistentMap<std::string, std::size_t> index;  ///< tuple key -> record
-      std::uint64_t version = 0;
-    };
+    Snapshot(std::shared_ptr<const Log> log, std::size_t size)
+        : log_(std::move(log)), size_(size) {}
 
-    explicit Snapshot(std::shared_ptr<const State> state) : state_(std::move(state)) {}
-    static const std::shared_ptr<const State>& empty_state();
-
-    std::shared_ptr<const State> state_;
+    std::shared_ptr<const Log> log_;
+    std::size_t size_ = 0;
   };
 
   /// Counters of the journal absorption performed by the constructor.
@@ -112,17 +113,14 @@ class ResultStore {
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
-  /// The current version: one pointer copy under the head mutex, never
-  /// the writer lock.
-  Snapshot snapshot() const {
-    common::MutexLock lock(head_mutex_);
-    return Snapshot(state_);
-  }
+  /// The current version: the log's length, read under the log mutex,
+  /// never the writer lock.
+  Snapshot snapshot() const;
 
   /// Append one record: journal row written and flushed under the writer
-  /// lock, then the new version is published. Throws hpac::Error when the
-  /// record's tuple is already present (the resume paths check first).
-  /// Returns the published version.
+  /// lock, then the record is made visible in the log. Throws hpac::Error
+  /// when the record's tuple is already present (the resume paths check
+  /// first). Returns the published version.
   std::uint64_t append(const RunRecord& record);
 
   /// Like `append`, but when the tuple is already present it writes
@@ -131,7 +129,7 @@ class ResultStore {
   /// TuningService evaluation vs. a concurrent campaign.
   std::uint64_t append_if_absent(const RunRecord& record);
 
-  /// `version()` of the latest snapshot, without building one.
+  /// `version()` / `size()` of the latest snapshot.
   std::uint64_t version() const { return snapshot().version(); }
   std::size_t size() const { return snapshot().size(); }
 
@@ -151,11 +149,6 @@ class ResultStore {
   static std::string key_of(const RunRecord& record);
 
  private:
-  void publish(std::shared_ptr<const Snapshot::State> next) {
-    common::MutexLock lock(head_mutex_);
-    state_ = std::move(next);
-  }
-
   std::string path_;
   bool read_only_ = false;
   LoadStats load_stats_;
@@ -164,14 +157,8 @@ class ResultStore {
   /// the constructor (single-threaded) and then only under writer_mutex_.
   std::ofstream journal_ GUARDED_BY(writer_mutex_);
   bool finalized_ GUARDED_BY(writer_mutex_) = false;
-  /// Guards only the `state_` pointer itself: both sides hold it for a
-  /// single shared_ptr copy/swap. (std::atomic<shared_ptr> would express
-  /// this directly, but libstdc++'s spinlock implementation unlocks the
-  /// reader side with a relaxed RMW, which ThreadSanitizer — gating in CI
-  /// — rightly refuses to treat as synchronizing with the writer.)
-  mutable common::Mutex head_mutex_;
-  /// Published head: written by publish(), copied by snapshot().
-  std::shared_ptr<const Snapshot::State> state_ GUARDED_BY(head_mutex_);
+  /// Shared with every snapshot; appended to only under writer_mutex_.
+  const std::shared_ptr<Log> log_;
 };
 
 }  // namespace hpac::harness

@@ -80,10 +80,10 @@ struct TuningServiceConfig {
   std::function<RunRecord(const TuningQuery&, const pragma::ApproxSpec&)> evaluate_override;
 };
 
-/// Serving layer over a ResultStore: answers memoized tuples from lock-free
-/// snapshots and admits only the *missing* tuples for evaluation, with
-/// per-client round-robin fairness and a bounded admission queue
-/// (ROADMAP item 1's daemon core, minus the socket).
+/// Serving layer over a ResultStore: answers memoized tuples from store
+/// snapshots (one log-mutex lookup, never the writer lock) and admits only
+/// the *missing* tuples for evaluation, with per-client round-robin
+/// fairness and a bounded admission queue (hpacd's core, minus the socket).
 ///
 /// Concurrency contract:
 ///  * Memoized queries read one store snapshot and touch a short stats

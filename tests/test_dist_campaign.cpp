@@ -1,4 +1,5 @@
-// Fault-injection rig for the distributed campaign (ROADMAP item 2).
+// Fault-injection rig for the distributed campaign (DistributedCampaign
+// over LeaseJournal).
 //
 // These tests fork REAL worker subprocesses (fork + exec of this binary in
 // --dist-worker mode, so no fork-from-multithreaded hazards), SIGKILL them

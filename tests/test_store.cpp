@@ -2,7 +2,8 @@
 // under Campaign and TuningService. The load-bearing properties:
 //   * snapshots are immutable, consistent values — concurrent readers see
 //     a version whose contents never shift under them while the writer
-//     appends (the sharded cases run under ThreadSanitizer in CI);
+//     appends (the sharded cases run under ThreadSanitizer in CI), and a
+//     snapshot keeps serving after its store is gone;
 //   * the journal stays byte-compatible with the pre-store Campaign CSV:
 //     a writer killed mid-append leaves a journal that reloads (torn tail
 //     dropped) and finalizes byte-identical to an uninterrupted run;
@@ -111,7 +112,34 @@ TEST(ResultStore, SnapshotsAreImmutableValues) {
   EXPECT_EQ(old.size(), 1u);
   EXPECT_EQ(old.find_key(ResultStore::key_of(make_record(0))), pinned);
   EXPECT_EQ(old.find_key(ResultStore::key_of(make_record(7))), nullptr);
+  // The bound comes from the snapshot, not the shared log that now holds
+  // 200 records.
+  EXPECT_EQ(&old.at(0), pinned);
+  EXPECT_THROW(old.at(1), Error);
+  std::size_t visited = 0;
+  old.for_each([&visited](const RunRecord&) { ++visited; });
+  EXPECT_EQ(visited, 1u);
   EXPECT_EQ(store.snapshot().size(), 200u);
+}
+
+TEST(ResultStore, SnapshotOutlivesItsStore) {
+  ResultStore::Snapshot snap;
+  {
+    ResultStore store;
+    for (std::uint64_t i = 0; i < 3; ++i) store.append(make_record(i));
+    snap = store.snapshot();
+  }
+  ASSERT_EQ(snap.size(), 3u);
+  const RunRecord* hit = snap.find_key(ResultStore::key_of(make_record(1)));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->perfo_stride, 3);
+  EXPECT_EQ(snap.at(2).spec_text, "perfo(small:4)");
+  std::vector<int> strides;
+  snap.for_each([&strides](const RunRecord& r) { strides.push_back(r.perfo_stride); });
+  EXPECT_EQ(strides, (std::vector<int>{2, 3, 4}));
+  const ResultDb db = snap.to_db();
+  ASSERT_EQ(db.size(), 3u);
+  EXPECT_EQ(db.records()[0].spec_text, "perfo(small:2)");
 }
 
 TEST(ResultStore, ConcurrentReadersSeeConsistentVersions) {
