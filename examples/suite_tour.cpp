@@ -23,8 +23,8 @@ int main() {
     auto bench = apps::make_benchmark(name);
     harness::Explorer explorer(*bench, sim::v100());
 
-    // A handful of representative configurations per technique; the
-    // per-figure benches do the real sweeps.
+    // A handful of representative configurations per technique;
+    // bench/hpac_repro does the real per-figure sweeps.
     for (const char* clause :
          {"memo(out:1:64:1.5) level(warp) out(q)", "memo(out:3:8:0.3) level(warp) out(q)",
           "memo(out:3:2:0.3) level(warp) out(q)", "perfo(fini:0.3)", "perfo(large:16)"}) {

@@ -511,10 +511,6 @@ class RunContext {
     const int od = binding_.out_dims;
     const std::span<double> out = out_span();
     const int tpw = iact.tables_per_warp > 0 ? iact.tables_per_warp : warp_size_;
-    if (tpw > warp_size_ || warp_size_ % tpw != 0) {
-      throw ConfigError(strings::format(
-          "tables per warp (%d) must divide the warp size (%d)", tpw, warp_size_));
-    }
     const int lanes_per_table = warp_size_ / tpw;
     const std::size_t per_table = IactTable::storage_doubles(iact.table_size, id, od);
     const Replacement replacement =
@@ -721,6 +717,11 @@ std::size_t validate_launch(const RegionExecutor& executor, const ApproxSpec& sp
     }
     HPAC_REQUIRE(binding.gather_batch != nullptr,
                  "iACT requires a gather function for the declared inputs");
+    const int tpw = spec.iact->tables_per_warp > 0 ? spec.iact->tables_per_warp : dev.warp_size;
+    if (tpw > dev.warp_size || dev.warp_size % tpw != 0) {
+      throw ConfigError(strings::format("tables per warp (%d) must divide the warp size (%d)",
+                                        tpw, dev.warp_size));
+    }
   }
   const std::size_t ac_bytes = executor.ac_state_bytes_per_block(spec, binding, launch);
   if (ac_bytes > dev.shared_mem_per_block) {

@@ -1,6 +1,7 @@
 #include "harness/analysis.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <tuple>
@@ -13,7 +14,7 @@ std::optional<RunRecord> best_under_error(const std::vector<RunRecord>& records,
                                           double max_error_percent) {
   std::optional<RunRecord> best;
   for (const auto& r : records) {
-    if (!r.feasible || r.error_percent >= max_error_percent) continue;
+    if (!r.feasible || !(r.error_percent < max_error_percent)) continue;
     if (!best || r.speedup > best->speedup) best = r;
   }
   return best;
@@ -32,9 +33,10 @@ std::vector<RunRecord> decimate_for_plot(const std::vector<RunRecord>& records, 
                                          double keep_fraction) {
   HPAC_REQUIRE(intervals > 0, "need at least one interval");
   HPAC_REQUIRE(keep_fraction > 0.0 && keep_fraction <= 1.0, "keep fraction in (0,1]");
+  // A NaN or infinite error has no place on the error axis.
   std::vector<RunRecord> feasible;
   for (const auto& r : records) {
-    if (r.feasible) feasible.push_back(r);
+    if (r.feasible && std::isfinite(r.error_percent)) feasible.push_back(r);
   }
   if (feasible.empty()) return {};
   double lo = feasible.front().error_percent;
@@ -100,7 +102,7 @@ ConvergenceCorrelation convergence_correlation(const std::vector<RunRecord>& rec
 double geomean_best_speedup(const std::vector<RunRecord>& records, double max_error_percent) {
   std::map<std::pair<std::string, std::string>, double> best;
   for (const auto& r : records) {
-    if (!r.feasible || r.error_percent >= max_error_percent) continue;
+    if (!r.feasible || !(r.error_percent < max_error_percent)) continue;
     auto key = std::make_pair(r.benchmark, pragma::technique_name(r.technique));
     auto it = best.find(key);
     if (it == best.end() || r.speedup > it->second) best[key] = r.speedup;
@@ -124,7 +126,7 @@ std::vector<DeviceBest> per_device_geomean_best(const std::vector<RunRecord>& re
     ++it->second.total;
     if (!r.feasible) continue;
     ++it->second.feasible;
-    if (r.error_percent >= max_error_percent) continue;
+    if (!(r.error_percent < max_error_percent)) continue;
     auto key = std::make_tuple(r.device, r.benchmark, pragma::technique_name(r.technique));
     auto best_it = best.find(key);
     if (best_it == best.end() || r.speedup > best_it->second) best[std::move(key)] = r.speedup;

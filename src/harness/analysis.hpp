@@ -12,7 +12,8 @@ namespace hpac::harness {
 
 /// Best (highest-speedup) feasible record with error below `max_error`,
 /// the selection rule of Figure 6 ("highest speedup where error is less
-/// than 10%"). Empty when no configuration qualifies.
+/// than 10%"). A NaN error never qualifies. Empty when no configuration
+/// qualifies.
 std::optional<RunRecord> best_under_error(const std::vector<RunRecord>& records,
                                           double max_error_percent);
 
@@ -23,7 +24,8 @@ std::vector<double> errors_under(const std::vector<RunRecord>& records,
 
 /// The overplotting-reduction rule of §4: divide the error range into
 /// `intervals` equal bins and keep, per bin, the fastest and slowest
-/// `keep_fraction` of configurations.
+/// `keep_fraction` of configurations. Records with a non-finite error are
+/// dropped.
 std::vector<RunRecord> decimate_for_plot(const std::vector<RunRecord>& records, int intervals,
                                          double keep_fraction);
 

@@ -243,11 +243,14 @@ TEST(Analysis, BestUnderErrorPicksFastestQualifying) {
 }
 
 TEST(Analysis, BestUnderErrorSkipsInfeasible) {
-  std::vector<RunRecord> records(1);
+  std::vector<RunRecord> records(2);
   records[0].speedup = 9.0;
   records[0].error_percent = 0.0;
   records[0].feasible = false;
+  records[1].speedup = 20.0;  // feasible, but its error is unknown
+  records[1].error_percent = std::nan("");
   EXPECT_FALSE(best_under_error(records, 10.0).has_value());
+  EXPECT_TRUE(errors_under(records, 10.0).empty());
 }
 
 TEST(Analysis, DecimateKeepsExtremesPerBin) {
@@ -258,9 +261,14 @@ TEST(Analysis, DecimateKeepsExtremesPerBin) {
     r.speedup = static_cast<double>(i);
     records.push_back(r);
   }
+  RunRecord unknown_error;  // the fastest record, but it cannot be binned
+  unknown_error.error_percent = std::nan("");
+  unknown_error.speedup = 1000.0;
+  records.push_back(unknown_error);
   const auto kept = decimate_for_plot(records, 10, 0.10);
   EXPECT_LT(kept.size(), records.size());
   EXPECT_FALSE(kept.empty());
+  for (const auto& r : kept) EXPECT_LT(r.speedup, 1000.0);
 }
 
 TEST(Analysis, ConvergenceCorrelationPerfectLine) {
@@ -289,6 +297,9 @@ TEST(Analysis, GeomeanBestTakesPerTechniqueBest) {
   records[2].technique = pragma::Technique::kPerforation;
   records[2].speedup = 1.0;
   records[2].error_percent = 2.0;
+  records.push_back(records[0]);
+  records[3].speedup = 100.0;  // fastest of all, with a NaN error
+  records[3].error_percent = std::nan("");
   EXPECT_NEAR(geomean_best_speedup(records, 10.0), std::sqrt(4.0 * 1.0), 1e-12);
 }
 
@@ -353,6 +364,9 @@ TEST(Analysis, PerDeviceGeomeanBestSplitsByDevice) {
   records[3] = records[0];
   records[3].device = "a100";
   records[3].feasible = false;
+  records.push_back(records[0]);
+  records[4].speedup = 100.0;  // fastest on v100, with a NaN error
+  records[4].error_percent = std::nan("");
 
   const auto table = per_device_geomean_best(records, 10.0);
   ASSERT_EQ(table.size(), 3u);  // sorted: a100, mi250x, v100

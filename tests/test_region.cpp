@@ -243,9 +243,11 @@ TEST(Region, MissingCallbacksAreRejected) {
 }
 
 TEST(Region, IncompleteBindingsAreRejectedBeforeAnyWork) {
-  // Each required operation missing in turn, plus an iACT region that
-  // declares inputs but cannot gather them: `run` and `run_composed` both
-  // reject the binding before a single item is committed.
+  // Each required operation missing in turn, an iACT region that declares
+  // inputs but cannot gather them, and tables per warp that do not divide
+  // the warp: `run` and `run_composed` both reject the launch before a
+  // single item is committed.
+  const auto keep_all = [](RegionBinding&) {};
   const auto drop_accurate = [](RegionBinding& b) { b.accurate_batch = nullptr; };
   const auto drop_cost = [](RegionBinding& b) { b.accurate_cost_batch = nullptr; };
   const auto drop_commit = [](RegionBinding& b) { b.commit_batch = nullptr; };
@@ -260,6 +262,7 @@ TEST(Region, IncompleteBindingsAreRejectedBeforeAnyWork) {
       {"accurate_cost_batch", drop_cost, "memo(out:2:8:0.5)"},
       {"commit_batch", drop_commit, "memo(out:2:8:0.5)"},
       {"gather_batch (iACT)", drop_gather, "memo(in:4:0.5:2) in(x) out(y)"},
+      {"tables per warp (iACT)", keep_all, "memo(in:4:0.5:3) in(x) out(y)"},
   };
   RegionExecutor executor(sim::v100());
   for (const Case& c : cases) {
