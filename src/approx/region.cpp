@@ -261,7 +261,12 @@ class RunContext {
     if (composed_perfo_ == nullptr || active == 0) return active;
     const bool bounds_based = composed_perfo_->kind == pragma::PerfoKind::kIni ||
                               composed_perfo_->kind == pragma::PerfoKind::kFini;
-    if (!bounds_based && composed_perfo_->herded) return active;  // step-level, handled above
+    if (!bounds_based && composed_perfo_->herded) {
+      // A kept herded step: skipped steps were handled above, but the
+      // check itself runs on every active warp-step.
+      ledger.charge_compute(costs_.perfo_check);
+      return active;
+    }
     LaneMask exec = active;
     sim::for_each_lane(active, [&](int lane) {
       const std::uint64_t item = first_item + static_cast<std::uint64_t>(lane);

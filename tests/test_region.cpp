@@ -414,6 +414,40 @@ TEST(Composed, CpuStylePerfoFiltersLanes) {
   EXPECT_NEAR(static_cast<double>(report.stats.skipped_items) / region.n, 0.75, 0.05);
 }
 
+TEST(Composed, ChargesPerfoCheckLikeStandalonePerforation) {
+  // The difference of two runs that differ only in the perforation
+  // check's cost counts the warp-steps charged for it. Composed over
+  // either memoization technique, every pattern must charge exactly the
+  // warp-steps standalone perforation charges: every active one.
+  const auto charged = [](const char* perfo, const char* memo) {
+    double cycles[2];
+    for (int i = 0; i < 2; ++i) {
+      RuntimeCosts costs;
+      costs.perfo_check = i == 0 ? 1000.0 : 0.0;
+      RegionExecutor executor(sim::v100(), Replacement::kRoundRobin, costs);
+      TestRegion region;
+      region.n = 16384;
+      auto binding = region.binding();
+      const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 16, 128);
+      const auto report =
+          memo == nullptr
+              ? executor.run(pragma::parse_approx(perfo), binding, region.n, launch)
+              : executor.run_composed(pragma::parse_approx(perfo), pragma::parse_approx(memo),
+                                      binding, region.n, launch);
+      cycles[i] = report.timing.compute_cycles_total;
+    }
+    return (cycles[0] - cycles[1]) / 1000.0;
+  };
+  for (const char* perfo :
+       {"perfo(small:4)", "perfo(large:4)", "perfo(small:4) herded(0)", "perfo(ini:0.3)"}) {
+    const double standalone = charged(perfo, nullptr);
+    EXPECT_GT(standalone, 0.0) << perfo;
+    for (const char* memo : {"memo(out:2:8:0.5)", "memo(in:4:0.5:2) in(x) out(y)"}) {
+      EXPECT_EQ(charged(perfo, memo), standalone) << perfo << " + " << memo;
+    }
+  }
+}
+
 TEST(Composed, RejectsWrongDirectiveKinds) {
   TestRegion region;
   auto binding = region.binding();
