@@ -96,13 +96,61 @@ struct AuditAccurateAdapter {
 struct WarpScratch {
   LaneMask active = 0;
   LaneMask wishes = 0;
-  bool group_decision = false;
+  LaneMask reusable = 0;                      ///< lanes with something to reuse
   std::vector<double> in;                     ///< gathered inputs, ws x in_dims
   std::vector<IactTable::Match> match;        ///< per-lane nearest entry
 };
 
+/// Tables per warp an iACT spec runs with: its `tables_per_warp`, or one
+/// table per lane when the clause leaves it out.
+int tables_per_warp(const pragma::IactParams& iact, int warp_size) {
+  return iact.tables_per_warp > 0 ? iact.tables_per_warp : warp_size;
+}
+
+// --- per-technique policies of the grid-stride walk -------------------------
+//
+// A policy is the state its technique keeps across a context's teams.
+// `RunContext` overloads the memoizing policies' steps on the policy type
+// — `decide` in Phase A, `reuse` and `record` in Phase B — so
+// `walk<Policy>` binds the technique at compile time and makes no indirect
+// call of its own.
+
+/// `none` and `perfo(...)`: every lane that survives perforation runs the
+/// accurate path; the walk needs nothing else.
+struct AccuratePolicy {
+  static constexpr bool kMemoizes = false;
+  static constexpr bool kGathers = false;
+  void reset() {}
+};
+
+/// `memo(out:...)`: one TAF state machine per thread (paper Figure 4d).
+struct TafPolicy {
+  static constexpr bool kMemoizes = true;
+  static constexpr bool kGathers = false;
+  const pragma::TafParams& params;
+  std::vector<TafState> states;  ///< indexed by thread within the team
+  void reset() {
+    for (auto& state : states) state.reset();
+  }
+};
+
+/// `memo(in:...)`: warp-shared input tables with a reading phase before and
+/// a single-writer writing phase after execution (paper §3.1.4). Inputs are
+/// gathered, and their loads charged, in Phase A.
+struct IactPolicy {
+  static constexpr bool kMemoizes = true;
+  static constexpr bool kGathers = true;
+  const pragma::IactParams& params;
+  int tables_per_warp;
+  int lanes_per_table;
+  std::vector<IactTable> tables;  ///< `tables_per_warp` per warp of the team
+  void reset() {
+    for (auto& table : tables) table.reset();
+  }
+};
+
 /// Everything one region execution needs; avoids threading a dozen
-/// parameters through the per-technique drivers.
+/// parameters through the walk and its policies.
 ///
 /// A context executes teams [team_begin, team_end) of the launch against
 /// its own `KernelTracker` shard and its own AC state, so several contexts
@@ -118,13 +166,20 @@ class RunContext {
              const pragma::PerfoParams* composed_perfo, std::uint64_t team_begin,
              std::uint64_t team_end, audit::ShardLog* audit_log = nullptr)
       : dev_(dev),
-        composed_perfo_(composed_perfo),
+        perfo_(composed_perfo != nullptr                   ? composed_perfo
+               : spec.technique == Technique::kPerforation ? &*spec.perfo
+                                                           : nullptr),
+        // ini/fini adjust the *loop bounds* (paper §3.3), so they always
+        // act on item indices regardless of the herded flag; only the
+        // modulo patterns (small/large) distinguish step-herded from
+        // per-iteration.
+        herded_(perfo_ != nullptr && perfo_->herded && perfo_->kind != pragma::PerfoKind::kIni &&
+                perfo_->kind != pragma::PerfoKind::kFini),
         replacement_(replacement),
         costs_(costs),
         spec_(spec),
         binding_(binding),
         n_(n),
-        launch_(launch),
         team_begin_(team_begin),
         team_end_(team_end),
         tracker_(dev, launch, ac_bytes, team_begin, team_end),
@@ -167,20 +222,9 @@ class RunContext {
   /// Run the technique over this context's team range. Does not finalize
   /// timing — shards are merged first.
   void execute_body() {
-    switch (spec_.technique) {
-      case Technique::kNone:
-        run_baseline();
-        break;
-      case Technique::kPerforation:
-        run_perforation();
-        break;
-      case Technique::kTafMemo:
-        run_taf();
-        break;
-      case Technique::kIactMemo:
-        run_iact();
-        break;
-    }
+    if (spec_.technique == Technique::kTafMemo) return walk(taf_policy());
+    if (spec_.technique == Technique::kIactMemo) return walk(iact_policy());
+    walk(AccuratePolicy{});  // none, perfo(...)
   }
 
   RegionReport finalize_report() {
@@ -196,86 +240,54 @@ class RunContext {
  private:
   // --- geometry helpers -------------------------------------------------
 
-  /// Item handled by `lane` of warp `w` of `team` at grid-stride `step`.
-  std::uint64_t item_of(std::uint64_t team, std::uint32_t w, int lane,
-                        std::uint64_t step) const {
-    const std::uint64_t tid = team * threads_per_team_ +
-                              static_cast<std::uint64_t>(w) * warp_size_ +
-                              static_cast<std::uint64_t>(lane);
-    return step * total_threads_ + tid;
+  /// First item of warp `w` of `team` at grid-stride `step` (its lane 0).
+  std::uint64_t item_of(std::uint64_t team, std::uint32_t w, std::uint64_t step) const {
+    return step * total_threads_ + team * threads_per_team_ +
+           static_cast<std::uint64_t>(w) * warp_size_;
   }
 
   /// Lanes of this warp that are both real threads and map to items < n.
   /// Both constraints bound a *prefix* of the warp (thread ids and items
   /// are affine in the lane index), so the mask is computed arithmetically
   /// — no per-lane loop for any step, full or partial.
-  LaneMask active_mask(std::uint64_t team, std::uint32_t w, std::uint64_t step) const {
-    const std::uint32_t lane0 = w * static_cast<std::uint32_t>(warp_size_);
-    std::uint64_t lanes = std::min<std::uint64_t>(static_cast<std::uint64_t>(warp_size_),
-                                                  threads_per_team_ - lane0);
-    const std::uint64_t first_item =
-        step * total_threads_ + team * threads_per_team_ + lane0;
+  LaneMask active_mask(std::uint32_t w, std::uint64_t first_item) const {
     if (first_item >= n_) return 0;
-    lanes = std::min<std::uint64_t>(lanes, n_ - first_item);
+    const std::uint64_t lanes =
+        std::min<std::uint64_t>({static_cast<std::uint64_t>(warp_size_),
+                                 threads_per_team_ - w * static_cast<std::uint64_t>(warp_size_),
+                                 n_ - first_item});
     return sim::full_mask(static_cast<int>(lanes));
   }
 
-  std::span<double> out_span() { return std::span<double>(out_buf_); }
-
-  std::span<double> lane_out(int lane) {
-    return std::span<double>(out_buf_).subspan(
-        static_cast<std::size_t>(lane) * binding_.out_dims,
-        static_cast<std::size_t>(binding_.out_dims));
+  /// Lane `lane`'s `dims` doubles of a packed warp buffer.
+  static std::span<double> lane_slice(std::vector<double>& buf, int lane, int dims) {
+    return std::span<double>(buf).subspan(static_cast<std::size_t>(lane) * dims,
+                                          static_cast<std::size_t>(dims));
   }
+  std::span<double> lane_out(int lane) { return lane_slice(out_buf_, lane, binding_.out_dims); }
 
-  std::span<double> lane_in(WarpScratch& s, int lane) {
-    return std::span<double>(s.in).subspan(
-        static_cast<std::size_t>(lane) * binding_.in_dims,
-        static_cast<std::size_t>(binding_.in_dims));
-  }
-
-  /// Figure-2 composition: when a perforation directive decorates the
-  /// loop around a memoized region, perforated iterations are removed
-  /// before the memoization logic runs (they are counted as skipped and
-  /// never touch AC state). Returns true when the *whole step* is herded
-  /// away; otherwise trims the warp's active mask in place.
-  bool composed_step_skipped(std::uint64_t team, std::uint64_t step) {
-    if (composed_perfo_ == nullptr) return false;
-    const bool bounds_based = composed_perfo_->kind == pragma::PerfoKind::kIni ||
-                              composed_perfo_->kind == pragma::PerfoKind::kFini;
-    if (bounds_based || !composed_perfo_->herded) return false;
-    if (!perfo_skip_step(*composed_perfo_, step, steps_)) return false;
-    for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
-      const LaneMask active = active_mask(team, w, step);
-      if (active == 0) continue;
-      const auto count = static_cast<std::uint64_t>(sim::popcount(active));
-      stats_.region_invocations += count;
-      stats_.skipped_items += count;
-      tracker_.warp(team, w).charge_compute(costs_.perfo_check);
-    }
-    return true;
-  }
-
-  LaneMask composed_lane_filter(LaneMask active, std::uint64_t first_item,
-                                sim::WarpLedger& ledger) {
-    if (composed_perfo_ == nullptr || active == 0) return active;
-    const bool bounds_based = composed_perfo_->kind == pragma::PerfoKind::kIni ||
-                              composed_perfo_->kind == pragma::PerfoKind::kFini;
-    if (!bounds_based && composed_perfo_->herded) {
-      // A kept herded step: skipped steps were handled above, but the
-      // check itself runs on every active warp-step.
-      ledger.charge_compute(costs_.perfo_check);
-      return active;
-    }
+  /// The one perforation filter (paper §3.1.5). `perfo_` is the spec's own
+  /// for `perfo(...)` or, in a Figure-2 composition, the directive around
+  /// the memoized region. Every active warp-step pays the check; perforated
+  /// lanes are counted as covered and skipped and never reach the policy,
+  /// so they never touch AC state. Returns the lanes that still execute.
+  LaneMask perforate(LaneMask active, std::uint64_t first_item, std::uint64_t step,
+                     sim::WarpLedger& ledger) {
+    if (perfo_ == nullptr || active == 0) return active;
+    ledger.charge_compute(costs_.perfo_check);
     LaneMask exec = active;
-    sim::for_each_lane(active, [&](int lane) {
-      const std::uint64_t item = first_item + static_cast<std::uint64_t>(lane);
-      if (perfo_skip_item(*composed_perfo_, item, n_)) exec &= ~(1ull << lane);
-    });
+    if (herded_) {
+      if (perfo_skip_step(*perfo_, step, steps_)) exec = 0;
+    } else {
+      const pragma::PerfoParams& perfo = *perfo_;
+      sim::for_each_lane(active, [&](int lane) {
+        const std::uint64_t item = first_item + static_cast<std::uint64_t>(lane);
+        if (perfo_skip_item(perfo, item, n_)) exec &= ~(1ull << lane);
+      });
+    }
     const auto skipped = static_cast<std::uint64_t>(sim::popcount(active & ~exec));
     stats_.region_invocations += skipped;
     stats_.skipped_items += skipped;
-    ledger.charge_compute(costs_.perfo_check);
     return exec;
   }
 
@@ -295,80 +307,6 @@ class RunContext {
     }
   }
 
-  // --- baseline ----------------------------------------------------------
-
-  void run_baseline() {
-    const std::span<double> out = out_span();
-    for (std::uint64_t team = team_begin_; team < team_end_; ++team) {
-      for (std::uint64_t step = 0; step < steps_; ++step) {
-        for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
-          const LaneMask active = active_mask(team, w, step);
-          if (active == 0) continue;
-          sim::WarpLedger& ledger = tracker_.warp(team, w);
-          const std::uint64_t first_item = item_of(team, w, 0, step);
-          accurate_(first_item, active, {}, out);
-          commit_(first_item, active, out);
-          const std::array<double, 1> paths{cost_(first_item, active)};
-          ledger.charge_paths(paths);
-          charge_item_memory(ledger, first_item, active, active);
-          const auto count = static_cast<std::uint64_t>(sim::popcount(active));
-          stats_.region_invocations += count;
-          stats_.accurate_items += count;
-        }
-      }
-    }
-  }
-
-  // --- perforation ---------------------------------------------------------
-
-  void run_perforation() {
-    const pragma::PerfoParams& perfo = *spec_.perfo;
-    const std::span<double> out = out_span();
-    // ini/fini adjust the *loop bounds* (paper §3.3), so they always act
-    // on item indices regardless of the herded flag; only the modulo
-    // patterns (small/large) distinguish step-herded from per-iteration.
-    const bool bounds_based = perfo.kind == pragma::PerfoKind::kIni ||
-                              perfo.kind == pragma::PerfoKind::kFini;
-    for (std::uint64_t team = team_begin_; team < team_end_; ++team) {
-      for (std::uint64_t step = 0; step < steps_; ++step) {
-        const bool herded_skip =
-            !bounds_based && perfo.herded && perfo_skip_step(perfo, step, steps_);
-        for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
-          const LaneMask active = active_mask(team, w, step);
-          if (active == 0) continue;
-          sim::WarpLedger& ledger = tracker_.warp(team, w);
-          const std::uint64_t first_item = item_of(team, w, 0, step);
-          stats_.region_invocations += static_cast<std::uint64_t>(sim::popcount(active));
-          ledger.charge_compute(costs_.perfo_check);
-
-          LaneMask exec = active;
-          if (perfo.herded && !bounds_based) {
-            if (herded_skip) exec = 0;
-          } else {
-            sim::for_each_lane(active, [&](int lane) {
-              const std::uint64_t item = first_item + static_cast<std::uint64_t>(lane);
-              if (perfo_skip_item(perfo, item, n_)) exec &= ~(1ull << lane);
-            });
-          }
-
-          const int skipped = sim::popcount(active) - sim::popcount(exec);
-          stats_.skipped_items += static_cast<std::uint64_t>(skipped);
-          if (exec == 0) continue;
-
-          accurate_(first_item, exec, {}, out);
-          commit_(first_item, exec, out);
-          const std::array<double, 1> paths{cost_(first_item, exec)};
-          ledger.charge_paths(paths);
-          // A partially perforated warp still touches nearly the same
-          // memory segments (fragmentation), which the coalescing model
-          // captures by counting segments of the surviving lanes.
-          charge_item_memory(ledger, first_item, exec, exec);
-          stats_.accurate_items += static_cast<std::uint64_t>(sim::popcount(exec));
-        }
-      }
-    }
-  }
-
   // --- group decision helpers ---------------------------------------------
 
   /// Phase-A cost of the hierarchy machinery, charged per warp.
@@ -382,17 +320,13 @@ class RunContext {
     }
   }
 
-  /// Resolve the per-lane approximate mask from the wishes and the level.
+  /// Resolve the per-lane approximate mask from the wishes and the level:
+  /// each thread's own wish, or the warp's or block's majority.
   LaneMask resolve_mask(const WarpScratch& s, bool block_decision) const {
-    switch (spec_.level) {
-      case HierarchyLevel::kThread:
-        return s.wishes & s.active;
-      case HierarchyLevel::kWarp:
-        return s.group_decision ? s.active : 0;
-      case HierarchyLevel::kBlock:
-        return block_decision ? s.active : 0;
-    }
-    return 0;
+    if (spec_.level == HierarchyLevel::kThread) return s.wishes & s.active;
+    const bool group = spec_.level == HierarchyLevel::kWarp ? warp_majority(s.wishes, s.active)
+                                                            : block_decision;
+    return group ? s.active : 0;
   }
 
   void count_forced(const WarpScratch& s, LaneMask approx_mask) {
@@ -403,54 +337,37 @@ class RunContext {
         static_cast<std::uint64_t>(sim::popcount(s.active & ~approx_mask & s.wishes));
   }
 
-  // --- TAF -----------------------------------------------------------------
+  // --- the grid-stride walk ------------------------------------------------
 
-  void run_taf() {
-    const pragma::TafParams& taf = *spec_.taf;
-    const int od = binding_.out_dims;
-    const std::size_t per_thread = TafState::storage_doubles(taf.history_size, od);
-    const std::span<double> out = out_span();
-
-    // One set of per-thread state machines, reset between teams.
-    taf_states_.reserve(threads_per_team_);
-    for (std::uint32_t t = 0; t < threads_per_team_; ++t) {
-      taf_states_.emplace_back(taf, od, arena_.alloc_doubles(per_thread));
-    }
-    std::vector<TafState>& states = taf_states_;
-
+  /// The one loop every technique runs: team → step → warp. Per step,
+  /// Phase A builds each warp's active mask, perforates it and, for a
+  /// memoizing policy, collects the lanes' wishes (and which lanes have
+  /// something to reuse) and the block tally. Phase B resolves each warp's
+  /// approximate lanes by thread wish, warp majority or block majority,
+  /// runs the accurate lanes, lets the policy fill the approximated ones,
+  /// commits the warp, lets the policy learn from the accurate lanes, then
+  /// charges the warp's paths and item memory and counts it. Within a
+  /// warp, every lane's `accurate` runs before any lane's `commit`, and the
+  /// accurate-path cost is queried after the commit.
+  template <class Policy>
+  void walk(Policy policy) {
     for (std::uint64_t team = team_begin_; team < team_end_; ++team) {
-      if (team != team_begin_) {
-        for (auto& state : states) state.reset();
-      }
-
+      if (team != team_begin_) policy.reset();
       for (std::uint64_t step = 0; step < steps_; ++step) {
-        if (composed_step_skipped(team, step)) continue;
-        // Phase A: activation wishes and (for warp/block) group decisions.
+        // Phase A: activation wishes and (for block level) the tally.
         BlockTally tally;
-        bool team_has_active = false;
         for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
           WarpScratch& s = scratch_[w];
-          s.active = composed_lane_filter(active_mask(team, w, step),
-                                          item_of(team, w, 0, step), tracker_.warp(team, w));
-          s.wishes = 0;
+          sim::WarpLedger& ledger = tracker_.warp(team, w);
+          const std::uint64_t first_item = item_of(team, w, step);
+          s.active = perforate(active_mask(w, first_item), first_item, step, ledger);
           if (s.active == 0) continue;
-          team_has_active = true;
-          const std::uint32_t tid_base = w * static_cast<std::uint32_t>(warp_size_);
-          LaneMask wishes = 0;
-          sim::for_each_lane(s.active, [&](int lane) {
-            if (states[tid_base + static_cast<std::uint32_t>(lane)].should_approximate()) {
-              wishes = sim::with_lane(wishes, lane);
-            }
-          });
-          s.wishes = wishes;
-          charge_decision_cost(tracker_.warp(team, w));
-          if (spec_.level == HierarchyLevel::kWarp) {
-            s.group_decision = warp_majority(s.wishes, s.active);
-          } else if (spec_.level == HierarchyLevel::kBlock) {
-            tally.add(s.wishes, s.active);
+          if constexpr (Policy::kMemoizes) {
+            decide(policy, w, s, first_item, ledger);
+            charge_decision_cost(ledger);
+            if (spec_.level == HierarchyLevel::kBlock) tally.add(s.wishes, s.active);
           }
         }
-        if (!team_has_active) continue;
         const bool block_decision =
             spec_.level == HierarchyLevel::kBlock && tally.majority();
 
@@ -459,48 +376,32 @@ class RunContext {
           WarpScratch& s = scratch_[w];
           if (s.active == 0) continue;
           sim::WarpLedger& ledger = tracker_.warp(team, w);
-          const std::uint64_t first_item = item_of(team, w, 0, step);
-          const std::uint32_t tid_base = w * static_cast<std::uint32_t>(warp_size_);
-          LaneMask approx_mask = resolve_mask(s, block_decision);
-          // Lanes without a prediction cannot approximate; they fall back
-          // to the accurate path (only reachable for forced minorities).
-          sim::for_each_lane(approx_mask, [&](int lane) {
-            if (!states[tid_base + static_cast<std::uint32_t>(lane)].has_prediction()) {
-              approx_mask &= ~(1ull << lane);
-            }
-          });
-          count_forced(s, approx_mask);
+          const std::uint64_t first_item = item_of(team, w, step);
+          LaneMask approx_mask = 0;
+          if constexpr (Policy::kMemoizes) {
+            approx_mask = resolve_mask(s, block_decision) & s.reusable;
+            count_forced(s, approx_mask);
+          }
           const LaneMask acc_mask = s.active & ~approx_mask;
           stats_.region_invocations += static_cast<std::uint64_t>(sim::popcount(s.active));
-
-          double acc_cost = 0;
-          double approx_cost = 0;
+          const std::span<double> out(out_buf_);
           if (acc_mask != 0) {
-            accurate_(first_item, acc_mask, {}, out);
-            sim::for_each_lane(acc_mask, [&](int lane) {
-              TafState& state = states[tid_base + static_cast<std::uint32_t>(lane)];
-              const int credits_before = state.credits();
-              state.record_accurate(lane_out(lane));
-              if (credits_before == 0 && state.credits() > 0) {
-                ++stats_.taf_stable_entries;
-              }
-            });
-            acc_cost = cost_(first_item, acc_mask);
+            const auto in = Policy::kGathers ? std::span<const double>(s.in)
+                                             : std::span<const double>();
+            accurate_(first_item, acc_mask, in, out);
           }
-          sim::for_each_lane(approx_mask, [&](int lane) {
-            states[tid_base + static_cast<std::uint32_t>(lane)].predict(lane_out(lane));
-          });
+          std::array<double, 2> paths{0.0, 0.0};  // accurate, approximate
+          if constexpr (Policy::kMemoizes) paths[1] = reuse(policy, w, s, approx_mask);
           commit_(first_item, s.active, out);
           if (acc_mask != 0) {
-            acc_cost += costs_.taf_record_per_value * taf.history_size * od;
-            ledger.charge_shared(static_cast<std::uint32_t>(od), dev_.shared_mem_access_cycles);
+            paths[0] = cost_(first_item, acc_mask);
+            if constexpr (Policy::kMemoizes) paths[0] += record(policy, w, s, acc_mask, ledger);
           }
-          if (approx_mask != 0) {
-            approx_cost = costs_.taf_predict_per_value * od;
-          }
-          const std::array<double, 2> paths{acc_cost, approx_cost};
           ledger.charge_paths(paths);
-          charge_item_memory(ledger, first_item, acc_mask, s.active);
+          // A partially perforated warp still touches nearly the same
+          // memory segments (fragmentation), which the coalescing model
+          // captures by counting segments of the surviving lanes.
+          charge_item_memory(ledger, first_item, Policy::kGathers ? 0 : acc_mask, s.active);
           stats_.accurate_items += static_cast<std::uint64_t>(sim::popcount(acc_mask));
           stats_.approx_items += static_cast<std::uint64_t>(sim::popcount(approx_mask));
         }
@@ -508,159 +409,177 @@ class RunContext {
     }
   }
 
-  // --- iACT ------------------------------------------------------------------
+  // --- TAF policy ------------------------------------------------------------
 
-  void run_iact() {
-    const pragma::IactParams& iact = *spec_.iact;
-    const int id = binding_.in_dims;
+  TafPolicy taf_policy() {
+    TafPolicy policy{*spec_.taf, {}};
+    const std::size_t per_thread =
+        TafState::storage_doubles(policy.params.history_size, binding_.out_dims);
+    policy.states.reserve(threads_per_team_);
+    for (std::uint32_t t = 0; t < threads_per_team_; ++t) {
+      policy.states.emplace_back(policy.params, binding_.out_dims,
+                                 arena_.alloc_doubles(per_thread));
+    }
+    return policy;
+  }
+
+  /// The states of warp `w`'s threads, indexed by lane.
+  TafState* warp_states(TafPolicy& policy, std::uint32_t w) const {
+    return policy.states.data() + static_cast<std::size_t>(w) * warp_size_;
+  }
+
+  /// Lanes without a prediction cannot approximate; they fall back to the
+  /// accurate path (only reachable for forced minorities).
+  void decide(TafPolicy& policy, std::uint32_t w, WarpScratch& s, std::uint64_t,
+              sim::WarpLedger&) {
+    const TafState* states = warp_states(policy, w);
+    LaneMask wishes = 0;
+    LaneMask reusable = 0;
+    sim::for_each_lane(s.active, [&](int lane) {
+      if (states[lane].should_approximate()) wishes = sim::with_lane(wishes, lane);
+      if (states[lane].has_prediction()) reusable = sim::with_lane(reusable, lane);
+    });
+    s.wishes = wishes;
+    s.reusable = reusable;
+  }
+
+  /// Predict the approximated lanes' outputs; returns the approximate
+  /// path's cycles.
+  double reuse(TafPolicy& policy, std::uint32_t w, WarpScratch&, LaneMask approx_mask) {
+    TafState* states = warp_states(policy, w);
+    sim::for_each_lane(approx_mask, [&](int lane) { states[lane].predict(lane_out(lane)); });
+    return approx_mask != 0 ? costs_.taf_predict_per_value * binding_.out_dims : 0.0;
+  }
+
+  /// Push the accurate lanes' outputs into their windows; returns the
+  /// cycles this adds to the accurate path.
+  double record(TafPolicy& policy, std::uint32_t w, WarpScratch&, LaneMask acc_mask,
+                sim::WarpLedger& ledger) {
     const int od = binding_.out_dims;
-    const std::span<double> out = out_span();
-    const int tpw = iact.tables_per_warp > 0 ? iact.tables_per_warp : warp_size_;
-    const int lanes_per_table = warp_size_ / tpw;
-    const std::size_t per_table = IactTable::storage_doubles(iact.table_size, id, od);
+    TafState* states = warp_states(policy, w);
+    sim::for_each_lane(acc_mask, [&](int lane) {
+      TafState& state = states[lane];
+      const int credits_before = state.credits();
+      state.record_accurate(lane_out(lane));
+      if (credits_before == 0 && state.credits() > 0) {
+        ++stats_.taf_stable_entries;
+      }
+    });
+    ledger.charge_shared(static_cast<std::uint32_t>(od), dev_.shared_mem_access_cycles);
+    return costs_.taf_record_per_value * policy.params.history_size * od;
+  }
+
+  // --- iACT policy -----------------------------------------------------------
+
+  IactPolicy iact_policy() {
+    const pragma::IactParams& iact = *spec_.iact;
+    const int tpw = tables_per_warp(iact, warp_size_);
+    IactPolicy policy{iact, tpw, warp_size_ / tpw, {}};
+    const std::size_t per_table =
+        IactTable::storage_doubles(iact.table_size, binding_.in_dims, binding_.out_dims);
     const Replacement replacement =
         iact.clock_replacement ? Replacement::kClock : replacement_;
-
-    // One set of warp-shared tables, reset between teams.
     const std::uint32_t table_count = warps_per_team_ * static_cast<std::uint32_t>(tpw);
-    tables_.reserve(table_count);
+    policy.tables.reserve(table_count);
     for (std::uint32_t i = 0; i < table_count; ++i) {
-      tables_.emplace_back(iact.table_size, id, od, replacement,
-                           arena_.alloc_doubles(per_table));
+      policy.tables.emplace_back(iact.table_size, binding_.in_dims, binding_.out_dims,
+                                 replacement, arena_.alloc_doubles(per_table));
     }
+    return policy;
+  }
 
-    for (std::uint64_t team = team_begin_; team < team_end_; ++team) {
-      if (team != team_begin_) {
-        for (auto& table : tables_) table.reset();
+  /// Warp `w`'s tables; lane `l` uses table `l / lanes_per_table`.
+  static IactTable* warp_tables(IactPolicy& policy, std::uint32_t w) {
+    return policy.tables.data() + static_cast<std::size_t>(w) * policy.tables_per_warp;
+  }
+
+  /// Reading phase: gather the inputs and probe the tables. Every
+  /// invocation pays the table scan — the cost iACT can never amortize
+  /// (paper insight 4). A forced lane with an empty table has nothing to
+  /// reuse; it falls back to the accurate path.
+  void decide(IactPolicy& policy, std::uint32_t w, WarpScratch& s, std::uint64_t first_item,
+              sim::WarpLedger& ledger) {
+    const pragma::IactParams& iact = policy.params;
+    const int id = binding_.in_dims;
+    IactTable* tables = warp_tables(policy, w);
+    const int lanes_per_table = policy.lanes_per_table;
+    gather_(first_item, s.active, std::span<double>(s.in));
+    LaneMask wishes = 0;
+    LaneMask reusable = 0;
+    sim::for_each_lane(s.active, [&](int lane) {
+      IactTable::Match& m = s.match[static_cast<std::size_t>(lane)];
+      m = tables[lane / lanes_per_table].find_nearest(lane_slice(s.in, lane, id));
+      if (m.valid()) reusable = sim::with_lane(reusable, lane);
+      if (m.valid() && m.distance < iact.threshold) {
+        wishes = sim::with_lane(wishes, lane);
+        ++stats_.iact_hits;
       }
+    });
+    s.wishes = wishes;
+    s.reusable = reusable;
+    ledger.charge_compute(iact.table_size *
+                          (id * costs_.iact_distance_per_dim + costs_.iact_sqrt));
+    ledger.charge_shared(static_cast<std::uint32_t>(iact.table_size * id),
+                         dev_.shared_mem_access_cycles);
+    charge_item_memory(ledger, first_item, s.active, 0);
+  }
 
-      for (std::uint64_t step = 0; step < steps_; ++step) {
-        if (composed_step_skipped(team, step)) continue;
-        // Phase A: gather inputs, probe tables, form wishes.
-        BlockTally tally;
-        bool team_has_active = false;
-        for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
-          WarpScratch& s = scratch_[w];
-          s.active = composed_lane_filter(active_mask(team, w, step),
-                                          item_of(team, w, 0, step), tracker_.warp(team, w));
-          s.wishes = 0;
-          if (s.active == 0) continue;
-          team_has_active = true;
-          sim::WarpLedger& ledger = tracker_.warp(team, w);
-          const std::uint64_t first_item = item_of(team, w, 0, step);
-          IactTable* warp_tables = tables_.data() + static_cast<std::size_t>(w) * tpw;
-          gather_(first_item, s.active, std::span<double>(s.in));
-          LaneMask wishes = 0;
-          sim::for_each_lane(s.active, [&](int lane) {
-            IactTable::Match& m = s.match[static_cast<std::size_t>(lane)];
-            m = warp_tables[lane / lanes_per_table].find_nearest(lane_in(s, lane));
-            if (m.valid() && m.distance < iact.threshold) {
-              wishes = sim::with_lane(wishes, lane);
-              ++stats_.iact_hits;
-            }
-          });
-          s.wishes = wishes;
-          // Reading phase: every invocation pays the table scan — the cost
-          // iACT can never amortize (paper insight 4).
-          ledger.charge_compute(iact.table_size *
-                                (id * costs_.iact_distance_per_dim + costs_.iact_sqrt));
-          ledger.charge_shared(static_cast<std::uint32_t>(iact.table_size * id),
-                               dev_.shared_mem_access_cycles);
-          charge_item_memory(ledger, first_item, s.active, 0);
-          charge_decision_cost(ledger);
-          if (spec_.level == HierarchyLevel::kWarp) {
-            s.group_decision = warp_majority(s.wishes, s.active);
-          } else if (spec_.level == HierarchyLevel::kBlock) {
-            tally.add(s.wishes, s.active);
-          }
-        }
-        if (!team_has_active) continue;
-        const bool block_decision =
-            spec_.level == HierarchyLevel::kBlock && tally.majority();
+  /// Copy each approximated lane's nearest cached output; returns the
+  /// approximate path's cycles.
+  double reuse(IactPolicy& policy, std::uint32_t w, WarpScratch& s, LaneMask approx_mask) {
+    IactTable* tables = warp_tables(policy, w);
+    const int lanes_per_table = policy.lanes_per_table;
+    sim::for_each_lane(approx_mask, [&](int lane) {
+      IactTable& table = tables[lane / lanes_per_table];
+      const auto& m = s.match[static_cast<std::size_t>(lane)];
+      auto cached = table.output_at(m.index);
+      std::copy(cached.begin(), cached.end(), lane_out(lane).begin());
+      table.mark_used(m.index);
+    });
+    return approx_mask != 0 ? 2.0 * binding_.out_dims : 0.0;
+  }
 
-        // Phase B: execute, then the single-writer writing phase.
-        for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
-          WarpScratch& s = scratch_[w];
-          if (s.active == 0) continue;
-          sim::WarpLedger& ledger = tracker_.warp(team, w);
-          const std::uint64_t first_item = item_of(team, w, 0, step);
-          IactTable* warp_tables = tables_.data() + static_cast<std::size_t>(w) * tpw;
-          LaneMask approx_mask = resolve_mask(s, block_decision);
-          // A forced lane with an empty table has nothing to reuse; it
-          // falls back to the accurate path.
-          sim::for_each_lane(approx_mask, [&](int lane) {
-            if (!s.match[static_cast<std::size_t>(lane)].valid()) {
-              approx_mask &= ~(1ull << lane);
-            }
-          });
-          count_forced(s, approx_mask);
-          const LaneMask acc_mask = s.active & ~approx_mask;
-          stats_.region_invocations += static_cast<std::uint64_t>(sim::popcount(s.active));
-
-          double acc_cost = 0;
-          double approx_cost = 0;
-          if (acc_mask != 0) {
-            accurate_(first_item, acc_mask, std::span<const double>(s.in), out);
-          }
-          sim::for_each_lane(approx_mask, [&](int lane) {
-            IactTable& table = warp_tables[lane / lanes_per_table];
-            const auto& m = s.match[static_cast<std::size_t>(lane)];
-            auto cached = table.output_at(m.index);
-            std::copy(cached.begin(), cached.end(), lane_out(lane).begin());
-            table.mark_used(m.index);
-          });
-          commit_(first_item, s.active, out);
-          if (acc_mask != 0) acc_cost = cost_(first_item, acc_mask);
-          if (approx_mask != 0) approx_cost = 2.0 * od;
-
-          // Writing phase: one writer per table — the accurate lane whose
-          // input was farthest from every cached entry. One pass over the
-          // accurate lanes (ascending, so the first strictly-farther lane
-          // wins ties exactly as a per-table ascending scan would).
-          if (acc_mask != 0) {
-            ledger.charge_barrier(costs_.barrier);
-            std::array<int, 64> writer;
-            std::array<double, 64> farthest;
-            for (int t = 0; t < tpw; ++t) {
-              writer[static_cast<std::size_t>(t)] = -1;
-              farthest[static_cast<std::size_t>(t)] = -1.0;
-            }
-            sim::for_each_lane(acc_mask, [&](int lane) {
-              const auto& m = s.match[static_cast<std::size_t>(lane)];
-              const double d =
-                  m.valid() ? m.distance : std::numeric_limits<double>::infinity();
-              const auto t = static_cast<std::size_t>(lane / lanes_per_table);
-              if (d > farthest[t]) {
-                farthest[t] = d;
-                writer[t] = lane;
-              }
-            });
-            for (int t = 0; t < tpw; ++t) {
-              const int lane = writer[static_cast<std::size_t>(t)];
-              if (lane < 0) continue;
-              warp_tables[t].insert(lane_in(s, lane), lane_out(lane));
-            }
-            acc_cost += costs_.iact_insert_per_value * (id + od);
-          }
-
-          const std::array<double, 2> paths{acc_cost, approx_cost};
-          ledger.charge_paths(paths);
-          charge_item_memory(ledger, first_item, 0, s.active);
-          stats_.accurate_items += static_cast<std::uint64_t>(sim::popcount(acc_mask));
-          stats_.approx_items += static_cast<std::uint64_t>(sim::popcount(approx_mask));
-        }
+  /// Writing phase: one writer per table — the accurate lane whose input
+  /// was farthest from every cached entry. One pass over the accurate
+  /// lanes (ascending, so the first strictly-farther lane wins ties
+  /// exactly as a per-table ascending scan would). Returns the cycles this
+  /// adds to the accurate path.
+  double record(IactPolicy& policy, std::uint32_t w, WarpScratch& s, LaneMask acc_mask,
+                sim::WarpLedger& ledger) {
+    const int tpw = policy.tables_per_warp;
+    const int lanes_per_table = policy.lanes_per_table;
+    ledger.charge_barrier(costs_.barrier);
+    std::array<int, 64> writer;
+    std::array<double, 64> farthest;
+    std::fill_n(writer.begin(), tpw, -1);
+    std::fill_n(farthest.begin(), tpw, -1.0);
+    sim::for_each_lane(acc_mask, [&](int lane) {
+      const auto& m = s.match[static_cast<std::size_t>(lane)];
+      const double d =
+          m.valid() ? m.distance : std::numeric_limits<double>::infinity();
+      const auto t = static_cast<std::size_t>(lane / lanes_per_table);
+      if (d > farthest[t]) {
+        farthest[t] = d;
+        writer[t] = lane;
       }
+    });
+    IactTable* tables = warp_tables(policy, w);
+    for (int t = 0; t < tpw; ++t) {
+      const int lane = writer[static_cast<std::size_t>(t)];
+      if (lane < 0) continue;
+      tables[t].insert(lane_slice(s.in, lane, binding_.in_dims), lane_out(lane));
     }
+    return costs_.iact_insert_per_value * (binding_.in_dims + binding_.out_dims);
   }
 
   const sim::DeviceConfig& dev_;
-  const pragma::PerfoParams* composed_perfo_;
+  const pragma::PerfoParams* perfo_;  ///< the spec's own or the composed one; null if none
+  bool herded_;                       ///< perforation drops whole grid-stride steps
   Replacement replacement_;
   const RuntimeCosts& costs_;
   const ApproxSpec& spec_;
   const RegionBinding& binding_;
   std::uint64_t n_;
-  sim::LaunchConfig launch_;
   std::uint64_t team_begin_;
   std::uint64_t team_end_;
   sim::KernelTracker tracker_;
@@ -674,8 +593,6 @@ class RunContext {
   ExecStats stats_;
   std::vector<double> out_buf_;
   std::vector<WarpScratch> scratch_;
-  std::vector<TafState> taf_states_;
-  std::vector<IactTable> tables_;
 
   // Audit wrappers around the bound dispatch (inert unless the launch is
   // audited; see the constructor).
@@ -722,7 +639,7 @@ std::size_t validate_launch(const RegionExecutor& executor, const ApproxSpec& sp
     }
     HPAC_REQUIRE(binding.gather_batch != nullptr,
                  "iACT requires a gather function for the declared inputs");
-    const int tpw = spec.iact->tables_per_warp > 0 ? spec.iact->tables_per_warp : dev.warp_size;
+    const int tpw = tables_per_warp(*spec.iact, dev.warp_size);
     if (tpw > dev.warp_size || dev.warp_size % tpw != 0) {
       throw ConfigError(strings::format("tables per warp (%d) must divide the warp size (%d)",
                                         tpw, dev.warp_size));
@@ -768,14 +685,11 @@ std::size_t RegionExecutor::ac_state_bytes_per_block(const pragma::ApproxSpec& s
     case Technique::kTafMemo:
       return static_cast<std::size_t>(launch.threads_per_team) *
              TafState::footprint_bytes(spec.taf->history_size, binding.out_dims);
-    case Technique::kIactMemo: {
-      const int tpw = spec.iact->tables_per_warp > 0 ? spec.iact->tables_per_warp
-                                                     : dev_.warp_size;
+    case Technique::kIactMemo:
       return static_cast<std::size_t>(launch.warps_per_team(dev_)) *
-             static_cast<std::size_t>(tpw) *
+             static_cast<std::size_t>(tables_per_warp(*spec.iact, dev_.warp_size)) *
              IactTable::footprint_bytes(spec.iact->table_size, binding.in_dims,
                                         binding.out_dims);
-    }
     default:
       return 0;
   }
