@@ -49,7 +49,8 @@ namespace {
                "--store      result CSV to serve and append to (default: in-memory)\n"
                "--max-pending  admission bound for cold tuples (default 64)\n"
                "--threads    accepted for compatibility; no effect (cold tuples\n"
-               "             are evaluated one at a time)\n"
+               "             are evaluated one at a time, but each one's large\n"
+               "             kernel launches still fan out over the host's cores)\n"
                "--read-only  serve an existing --store without writing to it;\n"
                "             cold tuples answer degraded from the nearest config\n",
                argv0);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "approx/hierarchy.hpp"
@@ -620,6 +621,19 @@ void merge_stats(ExecStats& total, const ExecStats& shard) {
   total.taf_stable_entries += shard.taf_stable_entries;
 }
 
+/// Team range [begin, end) of shard `s` when `teams` are cut into `shards`
+/// contiguous, near-equal ranges: shard s gets one extra team while the
+/// remainder lasts. The live shards and the differential audit's
+/// reversed-shard pass both cut with this.
+std::pair<std::uint64_t, std::uint64_t> shard_team_range(std::uint64_t teams,
+                                                         std::uint64_t shards,
+                                                         std::uint64_t s) {
+  const std::uint64_t per_shard = teams / shards;
+  const std::uint64_t extra = teams % shards;
+  const std::uint64_t begin = s * per_shard + std::min(s, extra);
+  return {begin, begin + per_shard + (s < extra ? 1 : 0)};
+}
+
 /// Binding and configuration checks shared by `run` and `run_composed`,
 /// all made before any work starts. Returns the per-block AC state bytes.
 std::size_t validate_launch(const RegionExecutor& executor, const ApproxSpec& spec,
@@ -704,21 +718,21 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   // Decide the team-shard count. Sharding never changes results (each team
   // is executed exactly as the serial engine would, and merges are
   // deterministic), so this is purely a wall-clock decision: the binding
-  // must declare independent items and the launch must be big enough to
-  // amortize the fan-out. A launch reached from inside an Explorer or
-  // Campaign worker shards too — its shards become stealable tasks on the
-  // shared scheduler, picked up by whichever workers are idle, and the
-  // submitting thread executes the remainder itself.
+  // must declare independent items and the launch must cover enough items
+  // to amortize the fan-out. The team count only caps the shard count, so
+  // few-team launches (the items-per-thread axis) shard too. A launch
+  // reached from inside an Explorer or Campaign worker shards as well —
+  // its shards become stealable tasks on the shared scheduler, picked up
+  // by whichever workers are idle, and the submitting thread executes the
+  // remainder itself.
   std::size_t threads =
       tuning_.max_threads != 0 ? tuning_.max_threads : std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
-  const std::uint64_t shard_cap =
-      teams / std::max<std::uint64_t>(1, tuning_.min_teams_per_shard);
-  std::size_t shards = static_cast<std::size_t>(
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), shard_cap));
-  if (!binding.independent_items || teams < tuning_.min_teams || n < tuning_.min_items) {
-    shards = 1;
-  }
+  const std::size_t shards =
+      binding.independent_items && n >= tuning_.min_items
+          ? static_cast<std::size_t>(
+                std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), teams))
+          : 1;
 
   // Commit-conflict auditing: validates the independent_items declaration
   // instead of assuming it. The auditor is constructed before the launch
@@ -749,19 +763,13 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
     report = ctx.finalize_report();
     report.stats.host_shards = 1;
   } else {
-    // Contiguous, near-equal team ranges; shard s gets one extra team while
-    // the remainder lasts.
     std::vector<std::unique_ptr<RunContext>> shard_ctxs;
     shard_ctxs.reserve(shards);
-    const std::uint64_t per_shard = teams / shards;
-    const std::uint64_t extra = teams % shards;
-    std::uint64_t begin = 0;
     for (std::size_t s = 0; s < shards; ++s) {
-      const std::uint64_t length = per_shard + (s < extra ? 1 : 0);
-      shard_ctxs.push_back(std::make_unique<RunContext>(
-          dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes, composed_perfo,
-          begin, begin + length, shard_log(s)));
-      begin += length;
+      const auto [begin, end] = shard_team_range(teams, shards, s);
+      shard_ctxs.push_back(std::make_unique<RunContext>(dev_, replacement_, costs_, spec,
+                                                        binding, n, launch, ac_bytes,
+                                                        composed_perfo, begin, end, shard_log(s)));
     }
     Scheduler::shared().parallel_for(
         shard_ctxs.size(),
@@ -799,13 +807,10 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
       auditor->restore_pre();
       const std::uint64_t diff_shards =
           std::min<std::uint64_t>(teams, audit::LaunchAudit::kDifferentialShards);
-      const std::uint64_t per_shard = teams / std::max<std::uint64_t>(1, diff_shards);
-      const std::uint64_t extra = teams % std::max<std::uint64_t>(1, diff_shards);
       for (std::uint64_t s = diff_shards; s-- > 0;) {
-        const std::uint64_t begin = s * per_shard + std::min<std::uint64_t>(s, extra);
-        const std::uint64_t length = per_shard + (s < extra ? 1 : 0);
+        const auto [begin, end] = shard_team_range(teams, diff_shards, s);
         RunContext ctx(dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes,
-                       composed_perfo, begin, begin + length);
+                       composed_perfo, begin, end);
         ctx.execute_body();
       }
       auditor->compare_with(after);

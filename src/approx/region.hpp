@@ -190,13 +190,10 @@ struct ExecTuning {
   /// Host threads a single launch may use. 0 = hardware concurrency;
   /// 1 disables team sharding.
   std::size_t max_threads = 0;
-  /// Launches with fewer teams than this run serially.
-  std::uint64_t min_teams = 8;
   /// Launches covering fewer items than this run serially (sharding
-  /// overhead would dominate).
+  /// overhead would dominate). Larger launches split into
+  /// min(threads, teams) shards, however few teams they have.
   std::uint64_t min_items = 1u << 14;
-  /// Lower bound on teams per shard when splitting.
-  std::uint64_t min_teams_per_shard = 4;
   /// Commit-conflict auditing of `independent_items` bindings (see
   /// `hpac::approx::audit`). `kOff` leaves the dispatch path untouched;
   /// `kReport` collects findings into `ExecStats::conflicts`; `kEnforce`

@@ -39,6 +39,8 @@ struct Avx2Ops {
 
 BlackscholesBatchFn blackscholes_batch_avx2() { return &blackscholes_batch_impl<Avx2Ops>; }
 BinomialInductFn binomial_induct_avx2() { return &binomial_induct_impl<Avx2Ops>; }
+KMeansAssignFn kmeans_assign_avx2() { return &kmeans_assign_impl<Avx2Ops>; }
+KMeansAccumulateFn kmeans_accumulate_avx2() { return &kmeans_accumulate_impl<Avx2Ops>; }
 
 }  // namespace hpac::apps::kernels
 
@@ -48,6 +50,8 @@ namespace hpac::apps::kernels {
 
 BlackscholesBatchFn blackscholes_batch_avx2() { return nullptr; }
 BinomialInductFn binomial_induct_avx2() { return nullptr; }
+KMeansAssignFn kmeans_assign_avx2() { return nullptr; }
+KMeansAccumulateFn kmeans_accumulate_avx2() { return nullptr; }
 
 }  // namespace hpac::apps::kernels
 

@@ -9,7 +9,8 @@
 //
 // Bit-identity contract (the whole point): each lane executes the exact
 // operation sequence of `Blackscholes::call_price` / the binomial
-// backward-induction statement — same association, explicit mul/add
+// backward-induction statement / the kmeans distance and centroid-sum
+// loops — same association, explicit mul/add
 // (never FMA; these TUs are compiled without -mfma and intrinsics are
 // never contracted), and scalar libm calls (`std::log`, `std::exp`)
 // extracted per lane, since no vector math library is allowed to change
@@ -19,6 +20,9 @@
 // dispatch levels.
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "apps/blackscholes.hpp"
 
@@ -126,6 +130,75 @@ void binomial_induct_impl(double* values, int steps, double discount, double p_u
     for (; i <= level; ++i) {
       values[i] = discount * (p_up * values[i + 1] + p_down * values[i]);
     }
+  }
+}
+
+/// Nearest centroid with lanes = clusters. `centroids_t` is the dims x
+/// clusters transpose, so one load fetches coordinate j of W consecutive
+/// clusters. Each lane's distance starts at 0.0 and accumulates
+/// `diff * diff` in ascending j, exactly as the scalar loop does for its
+/// cluster, and the argmin visits clusters in ascending order with strict
+/// `<` from +inf — same distances, same ties, same winner. The cluster
+/// remainder is scalar.
+template <typename Ops>
+int kmeans_assign_impl(const double* point, const double* centroids_t, int dims, int clusters) {
+  using V = typename Ops::V;
+  constexpr int kW = Ops::kWidth;
+  int best = 0;
+  double best_dist = std::numeric_limits<double>::infinity();
+  double dist[kW];
+  const auto scan = [&](int first, int count) {
+    for (int l = 0; l < count; ++l) {
+      if (dist[l] < best_dist) {
+        best_dist = dist[l];
+        best = first + l;
+      }
+    }
+  };
+  const auto column = [&](int j, int c) {
+    return centroids_t + static_cast<std::size_t>(j) * static_cast<std::size_t>(clusters) + c;
+  };
+  int c = 0;
+  for (; c + kW <= clusters; c += kW) {
+    V acc = Ops::broadcast(0.0);
+    for (int j = 0; j < dims; ++j) {
+      const V diff = Ops::sub(Ops::broadcast(point[j]), Ops::loadu(column(j, c)));
+      acc = Ops::add(acc, Ops::mul(diff, diff));
+    }
+    Ops::storeu(dist, acc);
+    scan(c, kW);
+  }
+  for (; c < clusters; ++c) {
+    dist[0] = 0.0;
+    for (int j = 0; j < dims; ++j) {
+      const double diff = point[j] - *column(j, c);
+      dist[0] += diff * diff;
+    }
+    scan(c, 1);
+  }
+  return best;
+}
+
+/// Centroid sums with lanes = dims: points are added to their cluster's
+/// row in point order, element-wise, so every sum sees the scalar loop's
+/// additions in the scalar loop's order. Points with a negative label are
+/// skipped, as in the scalar loop.
+template <typename Ops>
+void kmeans_accumulate_impl(const double* points, const int* membership, std::uint64_t n,
+                            int dims, double* sums, std::uint64_t* counts) {
+  constexpr int kW = Ops::kWidth;
+  const auto d = static_cast<std::size_t>(dims);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const int c = membership[i];
+    if (c < 0) continue;
+    ++counts[c];
+    double* row = sums + static_cast<std::size_t>(c) * d;
+    const double* point = points + i * d;
+    int j = 0;
+    for (; j + kW <= dims; j += kW) {
+      Ops::storeu(row + j, Ops::add(Ops::loadu(row + j), Ops::loadu(point + j)));
+    }
+    for (; j < dims; ++j) row[j] += point[j];
   }
 }
 

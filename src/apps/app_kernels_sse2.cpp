@@ -38,6 +38,8 @@ struct Sse2Ops {
 
 BlackscholesBatchFn blackscholes_batch_sse2() { return &blackscholes_batch_impl<Sse2Ops>; }
 BinomialInductFn binomial_induct_sse2() { return &binomial_induct_impl<Sse2Ops>; }
+KMeansAssignFn kmeans_assign_sse2() { return &kmeans_assign_impl<Sse2Ops>; }
+KMeansAccumulateFn kmeans_accumulate_sse2() { return &kmeans_accumulate_impl<Sse2Ops>; }
 
 }  // namespace hpac::apps::kernels
 
@@ -47,6 +49,8 @@ namespace hpac::apps::kernels {
 
 BlackscholesBatchFn blackscholes_batch_sse2() { return nullptr; }
 BinomialInductFn binomial_induct_sse2() { return nullptr; }
+KMeansAssignFn kmeans_assign_sse2() { return nullptr; }
+KMeansAccumulateFn kmeans_accumulate_sse2() { return nullptr; }
 
 }  // namespace hpac::apps::kernels
 

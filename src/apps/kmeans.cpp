@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "apps/simd_kernels.hpp"
 #include "apps/support.hpp"
 #include "common/rng.hpp"
 
@@ -87,7 +88,32 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
     out[0] = static_cast<double>(best);
   };
   bind_gather(binding, gather_one);
-  bind_accurate(binding, assign_one);
+  // Vector fast paths, resolved per run() so HPAC_SIMD / simd::set_level
+  // changes take effect. The assign kernel reads `centroids_t`, the
+  // dims x clusters transpose refreshed after every centroid update; it
+  // computes assign_one's distances in assign_one's order and picks the
+  // same winner, so labels — and sweep CSVs — are dispatch-invariant.
+  const kernels::KMeansAssignFn assign = kernels::kmeans_assign_fn();
+  const kernels::KMeansAccumulateFn accumulate = kernels::kmeans_accumulate_fn();
+  std::vector<double> centroids_t;
+  const auto transpose_centroids = [&] {
+    if (assign == nullptr) return;
+    centroids_t.resize(centroids.size());
+    for (int c = 0; c < k; ++c) {
+      for (int j = 0; j < d; ++j) {
+        centroids_t[static_cast<std::size_t>(j) * k + c] =
+            centroids[static_cast<std::size_t>(c) * d + j];
+      }
+    }
+  };
+  transpose_centroids();
+  if (assign != nullptr) {
+    bind_accurate(binding, [this, d, k, assign, &centroids_t](std::uint64_t i, double* out) {
+      out[0] = static_cast<double>(assign(points_.data() + i * d, centroids_t.data(), d, k));
+    });
+  } else {
+    bind_accurate(binding, assign_one);
+  }
   bind_constant_cost(binding, 3.0 * d * k + 2.0 * k);
 
   // `changed` commutes (integer adds), so commits of different items may
@@ -127,11 +153,15 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
     // Host-side centroid update (reduction over all points).
     std::vector<double> sums(static_cast<std::size_t>(k) * d, 0.0);
     std::vector<std::uint64_t> counts(static_cast<std::size_t>(k), 0);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const int c = membership[i];
-      if (c < 0) continue;
-      ++counts[static_cast<std::size_t>(c)];
-      for (int j = 0; j < d; ++j) sums[static_cast<std::size_t>(c) * d + j] += points_[i * d + j];
+    if (accumulate != nullptr) {
+      accumulate(points_.data(), membership.data(), n, d, sums.data(), counts.data());
+    } else {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const int c = membership[i];
+        if (c < 0) continue;
+        ++counts[static_cast<std::size_t>(c)];
+        for (int j = 0; j < d; ++j) sums[static_cast<std::size_t>(c) * d + j] += points_[i * d + j];
+      }
     }
     for (int c = 0; c < k; ++c) {
       if (counts[static_cast<std::size_t>(c)] == 0) continue;
@@ -141,6 +171,7 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
             static_cast<double>(counts[static_cast<std::size_t>(c)]);
       }
     }
+    transpose_centroids();
     dev.record_host(static_cast<double>(n) * d * 2.0 / 10e9);
     dev.record_htod(static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(d) *
                     sizeof(double));

@@ -1,14 +1,18 @@
 #pragma once
 
-// Vectorized application math for the two apps whose `accurate` paths
+// Vectorized application math for the three apps whose `accurate` paths
 // dominate sweep time: blackscholes batch pricing
 // (lanes = option contracts, wired through the warp-per-call
-// `accurate_batch` binding hook) and the binomial backward induction
+// `accurate_batch` binding hook), the binomial backward induction
 // (lanes = tree nodes of one level, applied inside `tree_price` so both
-// binding forms benefit). Every kernel is bit-identical to its scalar
-// reference — same per-lane operation order, explicit mul/add (no FMA)
-// — so QoI vectors, error metrics and sweep CSVs are invariant across
-// dispatch levels (enforced by the `simd` tests and the CI matrix).
+// binding forms benefit) and kmeans (lanes = clusters in the nearest-
+// centroid search, lanes = dims in the host centroid sums). Every kernel
+// is bit-identical to its scalar reference — same per-lane operation
+// order, explicit mul/add (no FMA) — so QoI vectors, error metrics and
+// sweep CSVs are invariant across dispatch levels (enforced by the
+// `simd` tests and the CI matrix).
+
+#include <cstdint>
 
 #include "common/simd.hpp"
 
@@ -27,14 +31,34 @@ using BlackscholesBatchFn = void (*)(const double* spot, const double* strike,
 using BinomialInductFn = void (*)(double* values, int steps, double discount, double p_up,
                                   double p_down);
 
+/// Index of the centroid nearest to `point` (length `dims`): the first
+/// cluster, in ascending order, whose squared distance is strictly
+/// smallest. `centroids_t` is the centroids transposed to dims x clusters
+/// (coordinate j of cluster c at `centroids_t[j * clusters + c]`).
+using KMeansAssignFn = int (*)(const double* point, const double* centroids_t, int dims,
+                               int clusters);
+
+/// Lloyd centroid sums over `n` row-major points: for every point with
+/// `membership[i] >= 0`, in point order, bump `counts[c]` and add the
+/// point to row `c` of `sums` (clusters x dims).
+using KMeansAccumulateFn = void (*)(const double* points, const int* membership,
+                                    std::uint64_t n, int dims, double* sums,
+                                    std::uint64_t* counts);
+
 /// Kernel for the current `simd::active_level()`; nullptr → scalar path.
 BlackscholesBatchFn blackscholes_batch_fn();
 BinomialInductFn binomial_induct_fn();
+KMeansAssignFn kmeans_assign_fn();
+KMeansAccumulateFn kmeans_accumulate_fn();
 
 /// Per-ISA entry points (nullptr when that ISA is not compiled in).
 BlackscholesBatchFn blackscholes_batch_sse2();
 BlackscholesBatchFn blackscholes_batch_avx2();
 BinomialInductFn binomial_induct_sse2();
 BinomialInductFn binomial_induct_avx2();
+KMeansAssignFn kmeans_assign_sse2();
+KMeansAssignFn kmeans_assign_avx2();
+KMeansAccumulateFn kmeans_accumulate_sse2();
+KMeansAccumulateFn kmeans_accumulate_avx2();
 
 }  // namespace hpac::apps::kernels

@@ -62,9 +62,7 @@ approx::ExecTuning serial_audit(AuditMode mode, bool differential) {
 approx::ExecTuning sharded_audit(AuditMode mode, bool differential) {
   approx::ExecTuning tuning;
   tuning.max_threads = 4;
-  tuning.min_teams = 1;
   tuning.min_items = 0;
-  tuning.min_teams_per_shard = 1;
   tuning.audit_mode = mode;
   tuning.audit_differential = differential;
   return tuning;

@@ -275,9 +275,7 @@ approx::ExecTuning serial_tuning() {
 approx::ExecTuning forced_shard_tuning() {
   approx::ExecTuning tuning;
   tuning.max_threads = 4;  // force sharding even on small launches
-  tuning.min_teams = 1;
   tuning.min_items = 0;
-  tuning.min_teams_per_shard = 1;
   return tuning;
 }
 

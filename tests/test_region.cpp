@@ -487,9 +487,7 @@ namespace {
 ExecTuning forced_shards(std::size_t threads) {
   ExecTuning tuning;
   tuning.max_threads = threads;
-  tuning.min_teams = 1;
   tuning.min_items = 0;
-  tuning.min_teams_per_shard = 1;
   return tuning;
 }
 
@@ -511,11 +509,14 @@ EngineRun run_with_tuning(TestRegion& region, RegionBinding binding, const char*
 
 void expect_identical(const EngineRun& a, const EngineRun& b, const char* what) {
   EXPECT_EQ(a.out, b.out) << what;
+  EXPECT_EQ(a.report.stats.region_invocations, b.report.stats.region_invocations) << what;
   EXPECT_EQ(a.report.stats.accurate_items, b.report.stats.accurate_items) << what;
   EXPECT_EQ(a.report.stats.approx_items, b.report.stats.approx_items) << what;
   EXPECT_EQ(a.report.stats.skipped_items, b.report.stats.skipped_items) << what;
   EXPECT_EQ(a.report.stats.iact_hits, b.report.stats.iact_hits) << what;
   EXPECT_EQ(a.report.stats.taf_stable_entries, b.report.stats.taf_stable_entries) << what;
+  EXPECT_EQ(a.report.stats.forced_approx, b.report.stats.forced_approx) << what;
+  EXPECT_EQ(a.report.stats.forced_accurate, b.report.stats.forced_accurate) << what;
   // Bit-identical timing, not approximately-equal timing: the merge is
   // deterministic and every charge is computed in the same order.
   EXPECT_EQ(a.report.timing.seconds, b.report.timing.seconds) << what;
@@ -573,6 +574,29 @@ TEST(RegionParallel, ComposedShardingIsBitIdenticalToSerial) {
   TestRegion sharded_region;
   const EngineRun sharded = run_composed(sharded_region, forced_shards(4));
   expect_identical(reference, sharded, "composed");
+}
+
+TEST(RegionParallel, FewTeamLaunchesShardByDefault) {
+  // The items-per-thread axis (kmeans at ipt 64) produces big launches with
+  // only a few teams. Under the default tuning they shard on item count
+  // alone: 32,768 items at ipt 64 and 128 threads per team is 4 teams, so
+  // 4 shards on 4 threads — bit-identical to the serial engine.
+  ExecTuning four_threads;
+  four_threads.max_threads = 4;
+  ExecTuning serial;
+  serial.max_threads = 1;
+  for (const char* clause : kEngineClauses) {
+    TestRegion serial_region;
+    serial_region.n = 1 << 15;
+    const EngineRun reference =
+        run_with_tuning(serial_region, serial_region.binding(), clause, serial, 64);
+    EXPECT_EQ(reference.report.stats.host_shards, 1u) << clause;
+    TestRegion region;
+    region.n = 1 << 15;
+    const EngineRun sharded = run_with_tuning(region, region.binding(), clause, four_threads, 64);
+    EXPECT_EQ(sharded.report.stats.host_shards, 4u) << clause;
+    expect_identical(reference, sharded, clause);
+  }
 }
 
 TEST(RegionParallel, NonIndependentBindingStaysSerial) {

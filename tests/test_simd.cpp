@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "apps/simd_kernels.hpp"
 #include "apps/support.hpp"
 #include "approx/region.hpp"
+#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "harness/explorer.hpp"
 #include "pragma/parser.hpp"
@@ -82,10 +84,84 @@ TEST(Simd, KernelDispatchFollowsLevel) {
   simd::set_level(simd::Level::kOff);
   EXPECT_EQ(apps::kernels::blackscholes_batch_fn(), nullptr);
   EXPECT_EQ(apps::kernels::binomial_induct_fn(), nullptr);
+  EXPECT_EQ(apps::kernels::kmeans_assign_fn(), nullptr);
+  EXPECT_EQ(apps::kernels::kmeans_accumulate_fn(), nullptr);
   const simd::Level best = simd::set_level(simd::max_runtime_level());
   if (best >= simd::Level::kSse2) {
     EXPECT_NE(apps::kernels::blackscholes_batch_fn(), nullptr);
     EXPECT_NE(apps::kernels::binomial_induct_fn(), nullptr);
+    EXPECT_NE(apps::kernels::kmeans_assign_fn(), nullptr);
+    EXPECT_NE(apps::kernels::kmeans_accumulate_fn(), nullptr);
+  }
+}
+
+TEST(Simd, KMeansKernelsMatchScalarLoopsAtEveryShape) {
+  // kmeans itself runs 8 clusters x 8 dims, which both vector widths
+  // divide; these shapes also reach the scalar remainders. Duplicate
+  // centroids make exact distance ties, which must resolve to the lowest
+  // cluster index as in the scalar argmin.
+  SimdLevelGuard guard;
+  Xoshiro256 rng(7);
+  for (const simd::Level level : reachable_levels()) {
+    if (level == simd::Level::kOff) continue;
+    simd::set_level(level);
+    const apps::kernels::KMeansAssignFn assign = apps::kernels::kmeans_assign_fn();
+    const apps::kernels::KMeansAccumulateFn accumulate = apps::kernels::kmeans_accumulate_fn();
+    ASSERT_NE(assign, nullptr);
+    ASSERT_NE(accumulate, nullptr);
+    for (int k = 1; k <= 9; ++k) {
+      for (int d = 1; d <= 9; ++d) {
+        constexpr std::uint64_t kPoints = 64;
+        std::vector<double> points(kPoints * d);
+        for (double& x : points) x = rng.uniform(-4.0, 4.0);
+        std::vector<double> centroids(static_cast<std::size_t>(k) * d);
+        for (int c = 0; c < k; ++c) {
+          for (int j = 0; j < d; ++j) {
+            centroids[c * d + j] = c >= 3 && c % 3 == 0 ? centroids[(c - 3) * d + j]
+                                                        : rng.uniform(-4.0, 4.0);
+          }
+        }
+        std::vector<double> centroids_t(centroids.size());
+        for (int c = 0; c < k; ++c) {
+          for (int j = 0; j < d; ++j) centroids_t[j * k + c] = centroids[c * d + j];
+        }
+        std::vector<int> membership(kPoints);
+        for (std::uint64_t i = 0; i < kPoints; ++i) {
+          const double* point = points.data() + i * d;
+          int best = 0;
+          double best_dist = std::numeric_limits<double>::infinity();
+          for (int c = 0; c < k; ++c) {
+            double dist = 0;
+            for (int j = 0; j < d; ++j) {
+              const double diff = point[j] - centroids[c * d + j];
+              dist += diff * diff;
+            }
+            if (dist < best_dist) {
+              best_dist = dist;
+              best = c;
+            }
+          }
+          ASSERT_EQ(assign(point, centroids_t.data(), d, k), best)
+              << simd::level_name(level) << " k=" << k << " d=" << d << " i=" << i;
+          membership[i] = i % 5 == 0 ? -1 : best;
+        }
+        std::vector<double> sums(centroids.size(), 0.0);
+        std::vector<std::uint64_t> counts(static_cast<std::size_t>(k), 0);
+        for (std::uint64_t i = 0; i < kPoints; ++i) {
+          const int c = membership[i];
+          if (c < 0) continue;
+          ++counts[c];
+          for (int j = 0; j < d; ++j) sums[c * d + j] += points[i * d + j];
+        }
+        std::vector<double> vec_sums(centroids.size(), 0.0);
+        std::vector<std::uint64_t> vec_counts(static_cast<std::size_t>(k), 0);
+        accumulate(points.data(), membership.data(), kPoints, d, vec_sums.data(),
+                   vec_counts.data());
+        EXPECT_EQ(vec_counts, counts) << simd::level_name(level) << " k=" << k << " d=" << d;
+        EXPECT_EQ(0, std::memcmp(vec_sums.data(), sums.data(), sums.size() * sizeof(double)))
+            << simd::level_name(level) << " k=" << k << " d=" << d;
+      }
+    }
   }
 }
 
@@ -114,30 +190,35 @@ TEST(Simd, ExecStatsReportTheActiveDispatchLevel) {
 
 namespace {
 
-/// QoI of one full app run at the given dispatch level. Apps resolve
-/// their kernels per run(), so flipping the level between runs is enough.
-std::vector<double> qoi_at_level(const std::string& app_name, const char* clause,
-                                 simd::Level level) {
+/// One full app run at the given dispatch level. Apps resolve their
+/// kernels per run(), so flipping the level between runs is enough.
+harness::RunOutput run_at_level(const std::string& app_name, const char* clause,
+                                simd::Level level) {
   simd::set_level(level);
   auto app = apps::make_benchmark(app_name);
-  return app->run(pragma::parse_approx(clause), 8, sim::v100()).qoi;
+  return app->run(pragma::parse_approx(clause), 8, sim::v100());
 }
 
 }  // namespace
 
 TEST(SimdParity, AppQoiBitIdenticalAcrossDispatchLevels) {
   SimdLevelGuard guard;
-  // The two apps with vector batch kernels, under both the plain accurate
-  // path and the memo techniques that mix approximate answers in.
-  for (const char* app : {"blackscholes", "binomial_options"}) {
+  // The three apps with vector kernels, under both the plain accurate path
+  // and the memo techniques that mix approximate answers in. kmeans' QoI
+  // is its labels; its iteration count pins the convergence path too.
+  for (const char* app : {"blackscholes", "binomial_options", "kmeans"}) {
     for (const char* clause : {"none", "memo(out:3:8:0.5) level(warp)"}) {
-      const std::vector<double> reference = qoi_at_level(app, clause, simd::Level::kOff);
+      const harness::RunOutput reference = run_at_level(app, clause, simd::Level::kOff);
       for (const simd::Level level : reachable_levels()) {
         if (level == simd::Level::kOff) continue;
-        const std::vector<double> vectored = qoi_at_level(app, clause, level);
-        ASSERT_EQ(reference.size(), vectored.size());
-        ASSERT_EQ(0, std::memcmp(reference.data(), vectored.data(),
-                                 reference.size() * sizeof(double)))
+        const harness::RunOutput vectored = run_at_level(app, clause, level);
+        ASSERT_EQ(reference.qoi.size(), vectored.qoi.size());
+        ASSERT_EQ(0, std::memcmp(reference.qoi.data(), vectored.qoi.data(),
+                                 reference.qoi.size() * sizeof(double)))
+            << app << " '" << clause << "' at " << simd::level_name(level);
+        EXPECT_EQ(reference.qoi_labels, vectored.qoi_labels)
+            << app << " '" << clause << "' at " << simd::level_name(level);
+        EXPECT_EQ(reference.iterations, vectored.iterations)
             << app << " '" << clause << "' at " << simd::level_name(level);
       }
     }
@@ -153,7 +234,7 @@ namespace {
 std::string sweep_csv_at_level(simd::Level level) {
   simd::set_level(level);
   harness::ResultDb db;
-  for (const char* name : {"blackscholes", "binomial_options", "lavamd"}) {
+  for (const char* name : {"blackscholes", "binomial_options", "kmeans", "lavamd"}) {
     auto app = apps::make_benchmark(name);
     harness::Explorer explorer(*app, sim::v100());
     for (const char* clause :
