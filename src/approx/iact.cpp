@@ -11,17 +11,8 @@ namespace hpac::approx {
 namespace detail {
 void throw_probe_mismatch() { throw Error("probe dimensionality mismatch"); }
 
-ScanFn select_iact_scan(int in_dims, simd::Level level) {
-  // Widest-first with fall-through: a level whose TU was not compiled
-  // (or a non-x86 host) degrades to the next narrower ISA, and kOff
-  // always dispatches the scalar reference scan.
-  if (level >= simd::Level::kAvx2) {
-    if (ScanFn fn = iact_scan_fn_avx2(in_dims)) return fn;
-  }
-  if (level >= simd::Level::kSse2) {
-    if (ScanFn fn = iact_scan_fn_sse2(in_dims)) return fn;
-  }
-  return nullptr;
+ScanFn select_iact_scan(int in_dims) {
+  return simd::active_level() == simd::Level::kAvx2 ? iact_scan_fn_avx2(in_dims) : nullptr;
 }
 }  // namespace detail
 
@@ -49,7 +40,7 @@ IactTable::IactTable(int table_size, int in_dims, int out_dims, Replacement poli
   HPAC_REQUIRE(out_dims >= 1, "iACT requires at least one output dimension");
   HPAC_REQUIRE(storage.size() >= storage_doubles(table_size, in_dims, out_dims),
                "iACT storage span too small");
-  scan_fn_ = detail::select_iact_scan(in_dims_, simd::active_level());
+  scan_fn_ = detail::select_iact_scan(in_dims_);
   if (scan_fn_ != nullptr) {
     soa_.assign(static_cast<std::size_t>(table_size) * static_cast<std::size_t>(in_dims), 0.0);
   }

@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "common/simd.hpp"
-
 namespace hpac::approx::detail {
 
 /// Inputs of one vectorized nearest-entry scan over an iACT table.
@@ -30,15 +28,13 @@ struct ScanResult {
 
 using ScanFn = ScanResult (*)(const ScanArgs&);
 
-/// Per-ISA kernel lookup: a specialized kernel for small `in_dims`
+/// AVX2 kernel lookup: a specialized kernel for small `in_dims`
 /// (compile-time unrolled dimension loop), a generic kernel otherwise.
-/// Returns nullptr when that ISA is not compiled into this binary.
-ScanFn iact_scan_fn_sse2(int in_dims);
+/// Returns nullptr when AVX2 is not compiled into this binary.
 ScanFn iact_scan_fn_avx2(int in_dims);
 
-/// The kernel (or nullptr → use the scalar path) for an `in_dims`-wide
-/// table under dispatch `level`, falling back to narrower ISAs when the
-/// requested one is unavailable.
-ScanFn select_iact_scan(int in_dims, simd::Level level);
+/// The AVX2 kernel for an `in_dims`-wide table when `simd::active_level()`
+/// is kAvx2, else nullptr → use the scalar path.
+ScanFn select_iact_scan(int in_dims);
 
 }  // namespace hpac::approx::detail

@@ -1,10 +1,9 @@
 #pragma once
 
 // Shared body of the vectorized iACT table scans, included ONLY by the
-// per-ISA translation units (iact_scan_sse2.cpp / iact_scan_avx2.cpp),
-// each of which instantiates it with its own vector-ops traits. Kept out
-// of iact_scan.hpp so the template never leaks into TUs compiled without
-// the matching ISA flags.
+// vector translation unit (iact_scan_avx2.cpp), which instantiates it
+// with its vector-ops traits. Kept out of iact_scan.hpp so the template
+// never leaks into TUs compiled without the matching ISA flags.
 //
 // Bit-identity contract (what makes HPAC_SIMD a pure perf knob):
 //  * lanes are table ROWS — each row's squared distance accumulates

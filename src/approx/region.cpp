@@ -161,7 +161,7 @@ struct IactPolicy {
 /// the launch-invariant hoisting half of the fast path.
 class RunContext {
  public:
-  RunContext(const sim::DeviceConfig& dev, Replacement replacement, const RuntimeCosts& costs,
+  RunContext(const sim::DeviceConfig& dev, const RuntimeCosts& costs,
              const ApproxSpec& spec, const RegionBinding& binding, std::uint64_t n,
              const sim::LaunchConfig& launch, std::size_t ac_bytes,
              const pragma::PerfoParams* composed_perfo, std::uint64_t team_begin,
@@ -176,7 +176,6 @@ class RunContext {
         // per-iteration.
         herded_(perfo_ != nullptr && perfo_->herded && perfo_->kind != pragma::PerfoKind::kIni &&
                 perfo_->kind != pragma::PerfoKind::kFini),
-        replacement_(replacement),
         costs_(costs),
         spec_(spec),
         binding_(binding),
@@ -479,7 +478,7 @@ class RunContext {
     const std::size_t per_table =
         IactTable::storage_doubles(iact.table_size, binding_.in_dims, binding_.out_dims);
     const Replacement replacement =
-        iact.clock_replacement ? Replacement::kClock : replacement_;
+        iact.clock_replacement ? Replacement::kClock : Replacement::kRoundRobin;
     const std::uint32_t table_count = warps_per_team_ * static_cast<std::uint32_t>(tpw);
     policy.tables.reserve(table_count);
     for (std::uint32_t i = 0; i < table_count; ++i) {
@@ -576,7 +575,6 @@ class RunContext {
   const sim::DeviceConfig& dev_;
   const pragma::PerfoParams* perfo_;  ///< the spec's own or the composed one; null if none
   bool herded_;                       ///< perforation drops whole grid-stride steps
-  Replacement replacement_;
   const RuntimeCosts& costs_;
   const ApproxSpec& spec_;
   const RegionBinding& binding_;
@@ -608,18 +606,6 @@ class RunContext {
   FunctionRef<double(std::uint64_t, LaneMask)> cost_;
   FunctionRef<void(std::uint64_t, LaneMask, std::span<const double>)> commit_;
 };
-
-/// Deterministic fold of shard counters (all commutative integer sums).
-void merge_stats(ExecStats& total, const ExecStats& shard) {
-  total.region_invocations += shard.region_invocations;
-  total.accurate_items += shard.accurate_items;
-  total.approx_items += shard.approx_items;
-  total.skipped_items += shard.skipped_items;
-  total.forced_approx += shard.forced_approx;
-  total.forced_accurate += shard.forced_accurate;
-  total.iact_hits += shard.iact_hits;
-  total.taf_stable_entries += shard.taf_stable_entries;
-}
 
 /// Team range [begin, end) of shard `s` when `teams` are cut into `shards`
 /// contiguous, near-equal ranges: shard s gets one extra team while the
@@ -670,11 +656,8 @@ std::size_t validate_launch(const RegionExecutor& executor, const ApproxSpec& sp
 
 }  // namespace
 
-RegionExecutor::RegionExecutor(sim::DeviceConfig dev, Replacement replacement, RuntimeCosts costs)
-    : dev_(std::move(dev)),
-      replacement_(replacement),
-      costs_(costs),
-      tuning_(default_tuning()) {}
+RegionExecutor::RegionExecutor(sim::DeviceConfig dev, RuntimeCosts costs)
+    : dev_(std::move(dev)), costs_(costs), tuning_(default_tuning()) {}
 
 void RegionExecutor::set_default_tuning(const ExecTuning& tuning) {
   common::MutexLock lock(tuning_mutex());
@@ -757,8 +740,8 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
 
   RegionReport report;
   if (shards <= 1) {
-    RunContext ctx(dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes,
-                   composed_perfo, 0, teams, shard_log(0));
+    RunContext ctx(dev_, costs_, spec, binding, n, launch, ac_bytes, composed_perfo, 0, teams,
+                   shard_log(0));
     ctx.execute_body();
     report = ctx.finalize_report();
     report.stats.host_shards = 1;
@@ -767,9 +750,9 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
     shard_ctxs.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
       const auto [begin, end] = shard_team_range(teams, shards, s);
-      shard_ctxs.push_back(std::make_unique<RunContext>(dev_, replacement_, costs_, spec,
-                                                        binding, n, launch, ac_bytes,
-                                                        composed_perfo, begin, end, shard_log(s)));
+      shard_ctxs.push_back(std::make_unique<RunContext>(dev_, costs_, spec, binding, n, launch,
+                                                        ac_bytes, composed_perfo, begin, end,
+                                                        shard_log(s)));
     }
     Scheduler::shared().parallel_for(
         shard_ctxs.size(),
@@ -785,7 +768,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
     stats.shared_bytes_per_block = ac_bytes;
     for (const auto& ctx : shard_ctxs) {
       total.merge(ctx->tracker());
-      merge_stats(stats, ctx->stats());
+      stats.add_counters(ctx->stats());
     }
     stats.host_shards = shards;
     report.timing = total.finalize();
@@ -809,8 +792,8 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
           std::min<std::uint64_t>(teams, audit::LaunchAudit::kDifferentialShards);
       for (std::uint64_t s = diff_shards; s-- > 0;) {
         const auto [begin, end] = shard_team_range(teams, diff_shards, s);
-        RunContext ctx(dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes,
-                       composed_perfo, begin, end);
+        RunContext ctx(dev_, costs_, spec, binding, n, launch, ac_bytes, composed_perfo, begin,
+                       end);
         ctx.execute_body();
       }
       auditor->compare_with(after);

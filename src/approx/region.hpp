@@ -148,6 +148,20 @@ struct ExecStats {
   /// or the launch audited clean.
   std::vector<audit::ConflictReport> conflicts;
 
+  /// Add `other`'s eight event counters (region_invocations through
+  /// taf_stable_entries) to this one's. Integer sums, so folding shards or
+  /// launches in any order gives the same totals.
+  void add_counters(const ExecStats& other) {
+    region_invocations += other.region_invocations;
+    accurate_items += other.accurate_items;
+    approx_items += other.approx_items;
+    skipped_items += other.skipped_items;
+    forced_approx += other.forced_approx;
+    forced_accurate += other.forced_accurate;
+    iact_hits += other.iact_hits;
+    taf_stable_entries += other.taf_stable_entries;
+  }
+
   /// Fraction of covered items answered approximately (memo) or skipped
   /// (perforation) — the color scale of Figure 8c.
   double approx_ratio() const {
@@ -232,9 +246,7 @@ struct ExecTuning {
 /// bit-identical to serial execution either way.
 class RegionExecutor {
  public:
-  explicit RegionExecutor(sim::DeviceConfig dev,
-                          Replacement replacement = Replacement::kRoundRobin,
-                          RuntimeCosts costs = RuntimeCosts{});
+  explicit RegionExecutor(sim::DeviceConfig dev, RuntimeCosts costs = RuntimeCosts{});
 
   /// Run the region over items [0, n) with the given launch geometry.
   /// Throws hpac::ConfigError when the configuration cannot run (AC state
@@ -297,7 +309,6 @@ class RegionExecutor {
                         std::size_t ac_bytes, const pragma::PerfoParams* composed_perfo) const;
 
   sim::DeviceConfig dev_;
-  Replacement replacement_;
   RuntimeCosts costs_;
   ExecTuning tuning_;
   /// Mutable because `run()` is const (launching does not change what the

@@ -1,11 +1,10 @@
 #pragma once
 
-// Shared templated bodies of the per-ISA application kernels. Included
-// ONLY by the per-ISA translation units (app_kernels_sse2.cpp /
-// app_kernels_avx2.cpp), which supply an `Ops` traits type over their
-// native vector register; everything here is written against that
-// abstract interface so there is exactly one copy of the math to keep
-// bit-identical with the scalar reference.
+// Shared templated bodies of the vectorized application kernels. Included
+// ONLY by the vector translation unit (app_kernels_avx2.cpp), which
+// supplies an `Ops` traits type over its native vector register;
+// everything here is written against that abstract interface so the math
+// stays in one place, kept bit-identical with the scalar reference.
 //
 // Bit-identity contract (the whole point): each lane executes the exact
 // operation sequence of `Blackscholes::call_price` / the binomial

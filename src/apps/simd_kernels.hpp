@@ -10,7 +10,9 @@
 // is bit-identical to its scalar reference — same per-lane operation
 // order, explicit mul/add (no FMA) — so QoI vectors, error metrics and
 // sweep CSVs are invariant across dispatch levels (enforced by the
-// `simd` tests and the CI matrix).
+// `simd` tests and the CI matrix). AVX2 is the only vector level; each
+// `*_fn()` dispatcher returns its AVX2 kernel when that level is active
+// and nullptr (the app's scalar path) otherwise.
 
 #include <cstdint>
 
@@ -51,14 +53,10 @@ BinomialInductFn binomial_induct_fn();
 KMeansAssignFn kmeans_assign_fn();
 KMeansAccumulateFn kmeans_accumulate_fn();
 
-/// Per-ISA entry points (nullptr when that ISA is not compiled in).
-BlackscholesBatchFn blackscholes_batch_sse2();
+/// AVX2 entry points (nullptr when AVX2 is not compiled in).
 BlackscholesBatchFn blackscholes_batch_avx2();
-BinomialInductFn binomial_induct_sse2();
 BinomialInductFn binomial_induct_avx2();
-KMeansAssignFn kmeans_assign_sse2();
 KMeansAssignFn kmeans_assign_avx2();
-KMeansAccumulateFn kmeans_accumulate_sse2();
 KMeansAccumulateFn kmeans_accumulate_avx2();
 
 }  // namespace hpac::apps::kernels

@@ -84,14 +84,7 @@ void bind_row_commit_extents(approx::RegionBinding& binding, const std::vector<T
 /// Accumulate the counters of one kernel launch into an aggregate (apps
 /// launch their approximated kernels many times per run).
 inline void accumulate_stats(approx::ExecStats& total, const approx::ExecStats& part) {
-  total.region_invocations += part.region_invocations;
-  total.accurate_items += part.accurate_items;
-  total.approx_items += part.approx_items;
-  total.skipped_items += part.skipped_items;
-  total.forced_approx += part.forced_approx;
-  total.forced_accurate += part.forced_accurate;
-  total.iact_hits += part.iact_hits;
-  total.taf_stable_entries += part.taf_stable_entries;
+  total.add_counters(part);
   if (part.shared_bytes_per_block > total.shared_bytes_per_block) {
     total.shared_bytes_per_block = part.shared_bytes_per_block;
   }

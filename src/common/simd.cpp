@@ -8,30 +8,20 @@ namespace hpac::simd {
 
 namespace {
 
-#if defined(__x86_64__) || defined(_M_X64)
-constexpr bool kHostIsX86 = true;
-#else
-constexpr bool kHostIsX86 = false;
-#endif
-
 Level compiled_level() {
-  if (!kHostIsX86) return Level::kOff;
-#if defined(HPAC_SIMD_COMPILED_AVX2)
+#if defined(HPAC_SIMD_COMPILED_AVX2) && (defined(__x86_64__) || defined(_M_X64))
   return Level::kAvx2;
 #else
-  return Level::kSse2;
+  return Level::kOff;
 #endif
 }
 
 Level runtime_level() {
-  const Level compiled = compiled_level();
-  if (compiled == Level::kOff) return Level::kOff;
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(_M_X64))
-  if (compiled >= Level::kAvx2 && __builtin_cpu_supports("avx2")) return Level::kAvx2;
+#if defined(HPAC_SIMD_COMPILED_AVX2) && defined(__GNUC__) && \
+    (defined(__x86_64__) || defined(_M_X64))
+  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
 #endif
-  // SSE2 is part of the x86-64 baseline: every CPU that runs this binary
-  // has it, so the floor among compiled levels is always usable.
-  return Level::kSse2;
+  return Level::kOff;
 }
 
 Level clamp_to_runtime(Level level) {
@@ -57,9 +47,6 @@ Resolution resolve_from_env() {
   if (text == "off" || text == "0" || text == "scalar") {
     r.level = Level::kOff;
     r.env_override = true;
-  } else if (text == "sse2") {
-    r.level = clamp_to_runtime(Level::kSse2);
-    r.env_override = true;
   } else if (text == "avx2") {
     r.level = clamp_to_runtime(Level::kAvx2);
     r.env_override = true;
@@ -81,8 +68,6 @@ std::atomic<Level>& active_slot() {
 
 const char* level_name(Level level) {
   switch (level) {
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
     case Level::kOff:

@@ -5,7 +5,9 @@
 namespace hpac::simd {
 
 /// Host vector-ISA dispatch level of the SIMD fast paths in the engine and
-/// the apps' accurate kernels.
+/// the apps' accurate kernels: AVX2 where the build compiled it and the CPU
+/// reports it, the scalar reference everywhere else (non-AVX2 x86 hosts
+/// included).
 ///
 /// Every SIMD kernel in the tree is *bit-identical* to its scalar
 /// reference: vectorization always runs across independent lanes (table
@@ -16,16 +18,15 @@ namespace hpac::simd {
 /// instead of a semantics knob, and it is enforced by the `simd`-labeled
 /// tests and the CI dispatch matrix.
 ///
-/// Ordering is meaningful: higher enumerators are wider ISAs, and a level
-/// is usable only when both the build compiled it and the CPU reports it.
+/// Ordering is meaningful: kAvx2 is the wider level, and it is usable only
+/// when both the build compiled it and the CPU reports it.
 enum class Level : std::uint8_t {
   kOff = 0,   ///< scalar reference paths only
-  kSse2 = 1,  ///< 128-bit lanes (x86-64 baseline, always compiled there)
-  kAvx2 = 2,  ///< 256-bit lanes (separate TUs, runtime cpuid-gated)
+  kAvx2 = 1,  ///< 256-bit lanes (separate TUs, runtime cpuid-gated)
 };
 
-/// Short lowercase name ("off", "sse2", "avx2") — the spelling accepted by
-/// the HPAC_SIMD environment override and printed by diagnostics.
+/// Short lowercase name ("off", "avx2") — the spelling accepted by the
+/// HPAC_SIMD environment override and printed by diagnostics.
 const char* level_name(Level level);
 
 /// Widest level this binary contains kernels for (compile-time fact).
@@ -35,9 +36,9 @@ Level max_compiled_level();
 Level max_runtime_level();
 
 /// The level SIMD-aware call sites dispatch on. Resolution order:
-///   1. `HPAC_SIMD=off|sse2|avx2` environment override, clamped to
-///      `max_runtime_level()` (asking for more than the host has degrades
-///      to the widest available rather than crashing);
+///   1. `HPAC_SIMD=off|avx2` environment override (`0` and `scalar` also
+///      mean off), clamped to `max_runtime_level()` (asking for AVX2 on a
+///      host without it runs the scalar reference rather than crashing);
 ///   2. otherwise `max_runtime_level()`.
 /// Resolved once at first use; `set_level()` changes it afterwards.
 Level active_level();

@@ -22,10 +22,6 @@ struct LaunchConfig {
     return (threads_per_team + dev.warp_size - 1) / static_cast<std::uint32_t>(dev.warp_size);
   }
 
-  std::uint64_t total_warps(const DeviceConfig& dev) const {
-    return num_teams * warps_per_team(dev);
-  }
-
   /// Grid-stride steps needed to cover `n` items.
   std::uint64_t steps_for(std::uint64_t n) const {
     const std::uint64_t t = total_threads();

@@ -53,17 +53,4 @@ class SharedMemoryArena {
   std::vector<std::vector<std::int32_t>> int_chunks_;
 };
 
-/// Bytes of shared memory the AC state of one block requires; helper used
-/// both by the region executor and by Figure-3-style accounting.
-struct AcStateFootprint {
-  std::size_t bytes_per_thread = 0;  ///< e.g. TAF window + bookkeeping
-  std::size_t bytes_per_table = 0;   ///< e.g. one shared iACT table
-  std::size_t tables_per_block = 0;
-  std::size_t threads_per_block = 0;
-
-  std::size_t total_bytes() const {
-    return bytes_per_thread * threads_per_block + bytes_per_table * tables_per_block;
-  }
-};
-
 }  // namespace hpac::sim

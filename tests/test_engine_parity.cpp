@@ -240,7 +240,7 @@ std::vector<std::string> run_region_paths(const approx::ExecTuning& tuning) {
   for (const auto& [device_name, platform] : devices) {
     sim::DeviceConfig device = platform;
     device.shared_mem_access_cycles = 1.3;
-    approx::RegionExecutor executor(device, approx::Replacement::kRoundRobin, fractional_costs());
+    approx::RegionExecutor executor(device, fractional_costs());
     executor.set_tuning(tuning);
     for (const Geometry& geometry : kGeometries) {
       const sim::LaunchConfig launch =

@@ -393,10 +393,7 @@ class SimdLevelGuard {
 
 std::vector<hpac::simd::Level> reachable_levels() {
   std::vector<hpac::simd::Level> levels{hpac::simd::Level::kOff};
-  if (hpac::simd::max_runtime_level() >= hpac::simd::Level::kSse2) {
-    levels.push_back(hpac::simd::Level::kSse2);
-  }
-  if (hpac::simd::max_runtime_level() >= hpac::simd::Level::kAvx2) {
+  if (hpac::simd::max_runtime_level() == hpac::simd::Level::kAvx2) {
     levels.push_back(hpac::simd::Level::kAvx2);
   }
   return levels;

@@ -424,7 +424,7 @@ TEST(Composed, ChargesPerfoCheckLikeStandalonePerforation) {
     for (int i = 0; i < 2; ++i) {
       RuntimeCosts costs;
       costs.perfo_check = i == 0 ? 1000.0 : 0.0;
-      RegionExecutor executor(sim::v100(), Replacement::kRoundRobin, costs);
+      RegionExecutor executor(sim::v100(), costs);
       TestRegion region;
       region.n = 16384;
       auto binding = region.binding();

@@ -179,14 +179,15 @@ void check_raw_threads(const std::string& file, const std::vector<std::string>& 
 // --- rule: simd-isolation ----------------------------------------------------
 
 bool simd_allowlisted(const std::string& file) {
-  // The shim (level probing) plus the per-ISA TUs that CMake compiles with
-  // their own -m flags. The templated *_impl.hpp bodies are deliberately
+  // The shim (level probing) plus the AVX2 TUs that CMake compiles with
+  // -mavx2. The templated *_impl.hpp bodies are deliberately
   // absent: they must stay expressed in Ops-traits calls, never raw
   // intrinsics, or including them from a scalar TU would break.
   static const std::vector<std::string> allowed = {
-      "common/simd.hpp",           "common/simd.cpp",
-      "approx/iact_scan_sse2.cpp", "approx/iact_scan_avx2.cpp",
-      "apps/app_kernels_sse2.cpp", "apps/app_kernels_avx2.cpp",
+      "common/simd.hpp",
+      "common/simd.cpp",
+      "approx/iact_scan_avx2.cpp",
+      "apps/app_kernels_avx2.cpp",
   };
   for (const std::string& suffix : allowed) {
     if (path_ends_with(file, suffix)) return true;
