@@ -1,27 +1,41 @@
-// hpac_repro: the paper's evaluation (Figures 3 and 6-12, Table 2) driven by
-// two tables. kSweeps says what each figure runs; every sweep writes
+// hpac_repro: the paper's evaluation (Figures 3 and 6-12, Table 2, the
+// §3.1.2 hierarchy and the footnote 3 replacement policy) driven by two
+// tables. kSweeps says what each figure runs; every sweep writes
 // <stem>_<device>.csv under --out-dir and prints its detail tables. kClaims
 // says what the paper reports about those records. The closing scorecard
 // prints every claim's modeled value and HOLDS/FAILS (with a diagnosis for
 // each failure), and <out-dir>/BENCH_repro.json records the same rows at
 // printed precision. Failing claims stay visible; the run exits 0.
-// Flags: see bench_common.hpp.
+//
+// Flags: --device=NAME picks a sim::device_by_name preset (repeatable;
+// default v100 and mi250x); --quick or --full sweeps the Table 2 grid at
+// that density instead of the curated configurations; --out-dir=DIR
+// (default bench_results) receives the CSVs and the record.
 
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <string>
+#include <vector>
 
+#include "approx/region.hpp"
 #include "apps/registry.hpp"
-#include "bench_common.hpp"
+#include "apps/support.hpp"
+#include "common/error.hpp"
 #include "common/stats.hpp"
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "harness/analysis.hpp"
 #include "harness/explorer.hpp"
+#include "harness/params.hpp"
 #include "pragma/parser.hpp"
+#include "sim/device.hpp"
 
 using namespace hpac;
 using namespace hpac::harness;
@@ -39,18 +53,82 @@ constexpr Technique kPerfo = Technique::kPerforation, kTaf = Technique::kTafMemo
                     kIact = Technique::kIactMemo;
 constexpr Technique kTechniques[] = {kPerfo, kTaf, kIact};
 
+// --- Options and output ---------------------------------------------------------
+
+struct Options {
+  std::vector<Dev> devices;  ///< platforms to evaluate
+  SweepDensity density = SweepDensity::kQuick;
+  bool curated_only = true;  ///< default fixed-budget sweep; --full widens
+  std::string out_dir = "bench_results";
+};
+
+Options parse_options(int argc, char** argv) {
+  Options opts;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--full") {
+      opts.density = SweepDensity::kFull;
+      opts.curated_only = false;
+    } else if (arg == "--quick") {
+      opts.density = SweepDensity::kQuick;
+      opts.curated_only = false;
+    } else if (arg.rfind("--device=", 0) == 0) {
+      // Aliases of an already-selected preset (--device=v100
+      // --device=nvidia) are deduplicated so a device is never swept — and
+      // its CSV never overwritten — twice.
+      try {
+        Dev device = sim::device_by_name(arg.substr(9));
+        bool duplicate = false;
+        for (const auto& existing : opts.devices) duplicate |= existing.name == device.name;
+        if (!duplicate) opts.devices.push_back(std::move(device));
+      } catch (const Error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(2);
+      }
+    } else if (arg.rfind("--out-dir=", 0) == 0) {
+      opts.out_dir = arg.substr(10);
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--full|--quick] [--device=v100|mi250x|a100]... [--out-dir=DIR]\n"
+                   "  default: curated fixed-budget sweep on the paper's two platforms\n",
+                   argv[0]);
+      std::exit(2);
+    }
+  }
+  if (opts.devices.empty()) {
+    opts.devices.push_back(sim::v100());
+    opts.devices.push_back(sim::mi250x());
+  }
+  return opts;
+}
+
+void save_db(const ResultDb& db, const Options& opts, const std::string& name) {
+  std::error_code ec;
+  std::filesystem::create_directories(opts.out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "warning: cannot create %s: %s\n", opts.out_dir.c_str(),
+                 ec.message().c_str());
+    return;
+  }
+  const std::string path = opts.out_dir + "/" + name + ".csv";
+  db.save(path);
+  std::printf("[saved %zu records to %s]\n\n", db.size(), path.c_str());
+}
+
+std::string fmt(double v, const char* format = "%.3g") { return strings::format(format, v); }
+
 // --- Spec generators ----------------------------------------------------------
 
-using SpecGen = std::vector<ApproxSpec> (*)(const bench::Options&, int warp_size);
+using SpecGen = std::vector<ApproxSpec> (*)(const Options&, int warp_size);
 
-std::vector<ApproxSpec> taf(const bench::Options& o, int) {
+std::vector<ApproxSpec> taf(const Options& o, int) {
   return o.curated_only ? curated_taf_specs(table2::hierarchies()) : taf_specs(o.density);
 }
-std::vector<ApproxSpec> iact(const bench::Options& o, int warp) {
+std::vector<ApproxSpec> iact(const Options& o, int warp) {
   return o.curated_only ? curated_iact_specs(warp, table2::hierarchies())
                         : iact_specs(o.density, warp);
 }
-std::vector<ApproxSpec> perfo(const bench::Options& o, int) {
+std::vector<ApproxSpec> perfo(const Options& o, int) {
   return o.curated_only ? curated_perfo_specs() : perfo_specs(o.density);
 }
 
@@ -66,19 +144,17 @@ std::vector<ApproxSpec> block_level(std::vector<ApproxSpec> specs) {
   }
   return out;
 }
-std::vector<ApproxSpec> block_taf(const bench::Options& o, int w) { return block_level(taf(o, w)); }
-std::vector<ApproxSpec> block_iact(const bench::Options& o, int w) {
-  return block_level(iact(o, w));
-}
-std::vector<ApproxSpec> binomial_fig8c(const bench::Options&, int) {
+std::vector<ApproxSpec> block_taf(const Options& o, int w) { return block_level(taf(o, w)); }
+std::vector<ApproxSpec> block_iact(const Options& o, int w) { return block_level(iact(o, w)); }
+std::vector<ApproxSpec> binomial_fig8c(const Options&, int) {
   return {pragma::parse_approx("memo(out:3:512:20) level(team) out(price[i])")};
 }
 // MiniFE's SpMV rows have no uniform input width, so this one is rejected.
-std::vector<ApproxSpec> minife_iact(const bench::Options&, int) {
+std::vector<ApproxSpec> minife_iact(const Options&, int) {
   return {pragma::parse_approx("memo(in:4:0.5:2) in(row[i]) out(y[i])")};
 }
 // Figure 11c pairs thread and warp decisions at every RSD threshold.
-std::vector<ApproxSpec> lavamd_taf(const bench::Options&, int) {
+std::vector<ApproxSpec> lavamd_taf(const Options&, int) {
   std::vector<ApproxSpec> specs;
   for (double thr : {0.3, 0.6, 0.9, 1.2, 1.5, 3.0, 5.0, 20.0}) {
     for (int p : {2, 4, 16, 128}) {
@@ -100,13 +176,24 @@ std::vector<ApproxSpec> grid(const char* clause, std::initializer_list<double> x
   return specs;
 }
 // Figure 12a's legend: K-Means history sizes 2..16.
-std::vector<ApproxSpec> kmeans_taf(const bench::Options&, int) {
+std::vector<ApproxSpec> kmeans_taf(const Options&, int) {
   return grid("memo(out:%g:64:%g) level(warp) out(membership[i])", {2, 3, 5, 8, 16},
               {0.3, 0.9, 1.5, 5.0});
 }
-std::vector<ApproxSpec> kmeans_iact(const bench::Options&, int) {
+std::vector<ApproxSpec> kmeans_iact(const Options&, int) {
   return grid("memo(in:%g:%g:2) in(obs[i]) out(membership[i])", {1, 2, 4, 8},
               {0.1, 0.3, 0.5, 0.9});
+}
+// Footnote 3: Blackscholes iACT at every (tSize, threshold), once with
+// round-robin and once with CLOCK replacement.
+std::vector<ApproxSpec> blackscholes_replacement(const Options&, int) {
+  auto specs = grid("memo(in:%g:%g:2) in(opt[i]) out(price[i])", {2, 4, 8}, {0.5, 0.9, 5.0});
+  const std::size_t rr = specs.size();
+  for (std::size_t i = 0; i < rr; ++i) {
+    specs.push_back(specs[i]);
+    specs.back().iact->clock_replacement = true;
+  }
+  return specs;
 }
 
 // --- Helpers over records -----------------------------------------------------
@@ -232,7 +319,7 @@ void print_error_distribution(const std::vector<Records>& per_device) {
           errors_under(where(rs, [&](const RunRecord& r) { return r.benchmark == name; }),
                        kMaxError);
       const auto pct = [&](double p) {
-        return errors.empty() ? std::string("-") : bench::fmt(stats::percentile(errors, p));
+        return errors.empty() ? std::string("-") : fmt(stats::percentile(errors, p));
       };
       dist.add_row({rs.front().device, name, std::to_string(errors.size()), pct(0), pct(50),
                     pct(100)});
@@ -260,9 +347,8 @@ void print_box_stats(const std::vector<Records>& per_device) {
            return strings::format("T=%-4g %s", r.threshold,
                                   pragma::hierarchy_name(r.level).c_str());
          })) {
-      boxes.add_row({rs.front().device, g.key, std::to_string(g.count), bench::fmt(g.box.min),
-                     bench::fmt(g.box.q1), bench::fmt(g.box.median), bench::fmt(g.box.q3),
-                     bench::fmt(g.box.max)});
+      boxes.add_row({rs.front().device, g.key, std::to_string(g.count), fmt(g.box.min),
+                     fmt(g.box.q1), fmt(g.box.median), fmt(g.box.q3), fmt(g.box.max)});
     }
   }
   std::printf("panel (c): TAF speedup by threshold x hierarchy\n%s\n", boxes.render().c_str());
@@ -299,9 +385,11 @@ const std::vector<Sweep> kSweeps = {
      {{lavamd_taf, {2, 4, 8}}, {iact, {2, 4}}}, print_box_stats},
     {"fig12_kmeans", "Figure 12: K-Means, TAF / iACT, convergence", {"kmeans"},
      {{kmeans_taf, {8, 32, 128, 256}}, {kmeans_iact, {8, 64}}}, print_regression},
+    {"fn3_replacement", "Footnote 3: Blackscholes iACT, round-robin vs CLOCK replacement",
+     {"blackscholes"}, {{blackscholes_replacement, {64}}}},
 };
 
-Records run_sweep(const Sweep& sweep, const bench::Options& opts, const Dev& device) {
+Records run_sweep(const Sweep& sweep, const Options& opts, const Dev& device) {
   ResultDb db;
   for (const std::string& name : sweep.apps) {
     auto app = apps::make_benchmark(name);
@@ -314,7 +402,7 @@ Records run_sweep(const Sweep& sweep, const bench::Options& opts, const Dev& dev
     }
     for (const auto& r : explorer.db().records()) db.add(r);
   }
-  bench::save_db(db, opts, std::string(sweep.stem) + "_" + device.name);
+  save_db(db, opts, std::string(sweep.stem) + "_" + device.name);
   return db.records();
 }
 
@@ -413,10 +501,10 @@ Records run_fig10c(const Dev& device) {
   const std::vector<double> exact = Explorer(*app, device).baseline().qoi;
   TextTable table({"threshold", "MAPE %", "mean price", "p5", "p50", "p95"});
   auto describe = [&](const std::string& label, const std::vector<double>& prices, double mape) {
-    table.add_row({label, strings::format("%.4f", mape), bench::fmt(stats::mean(prices), "%.4f"),
-                   bench::fmt(stats::percentile(prices, 5), "%.4f"),
-                   bench::fmt(stats::percentile(prices, 50), "%.4f"),
-                   bench::fmt(stats::percentile(prices, 95), "%.4f")});
+    table.add_row({label, strings::format("%.4f", mape), fmt(stats::mean(prices), "%.4f"),
+                   fmt(stats::percentile(prices, 5), "%.4f"),
+                   fmt(stats::percentile(prices, 50), "%.4f"),
+                   fmt(stats::percentile(prices, 95), "%.4f")});
   };
   describe("exact", exact, 0.0);
   Records out;
@@ -538,6 +626,47 @@ double convergence_r2(const Records& rs, const Dev&) {
 double table2_configs(const Records&, const Dev&) {
   return static_cast<double>(full_config_count(32) + full_config_count(64));
 }
+// Per iACT configuration, CLOCK's speedup over round-robin's; the ratio
+// farthest from 1.
+double clock_over_rr(const Records& rs, const Dev&) {
+  std::map<std::pair<int, double>, std::array<double, 2>> pairs;
+  for (const auto& r : rs) {
+    if (!r.feasible) return kNone;
+    const bool clock = r.spec_text.find("replacement(clock)") != std::string::npos;
+    pairs[{r.table_size, r.threshold}][clock] = r.speedup;
+  }
+  double farthest = 1;
+  for (const auto& [config, speedup] : pairs) {
+    const double ratio = speedup[1] / speedup[0];
+    if (!(std::fabs(ratio - 1) <= std::fabs(farthest - 1))) farthest = ratio;
+  }
+  return farthest;
+}
+// §3.1.2: divergent warp-regions of TAF memo(out:3:16:0.05) at `level` on a
+// region whose lanes disagree about stability. 60% of items are constant,
+// 40% oscillate; under grid-stride mapping every warp mixes both kinds.
+double divergent_regions(const Dev& device, HierarchyLevel level) {
+  constexpr std::uint64_t n = 1u << 16;
+  approx::RegionBinding binding;
+  binding.out_dims = 1;
+  apps::bind_accurate(binding, [](std::uint64_t i, double* out) {
+    out[0] = i % 5 < 3 ? 42.0 : 40.0 + 4.0 * std::sin(static_cast<double>(i));
+  });
+  apps::bind_constant_cost(binding, 300.0);
+  apps::bind_commit(binding, [](std::uint64_t, const double*) {});
+  ApproxSpec spec = pragma::parse_approx("memo(out:3:16:0.05) out(out[i])");
+  spec.level = level;
+  const auto report = approx::RegionExecutor(device).run(
+      spec, binding, n, sim::launch_for_items_per_thread(n, 64, 128));
+  return static_cast<double>(report.timing.divergent_regions);
+}
+double thread_divergence(const Records&, const Dev& d) {
+  return divergent_regions(d, HierarchyLevel::kThread);
+}
+double majority_divergence(const Records&, const Dev& d) {
+  return std::max(divergent_regions(d, HierarchyLevel::kWarp),
+                  divergent_regions(d, HierarchyLevel::kBlock));
+}
 
 // --- Claims ---------------------------------------------------------------------
 
@@ -556,9 +685,9 @@ struct Claim {
   const char* diagnosis;
 };
 
-// Every claim of the paper's Figures 3 and 6-12 and Table 2 that the
-// sweeps can test. Paper values are measured on a real V100 and MI250X;
-// the devices here are the simulated presets.
+// Every claim of the paper's Figures 3 and 6-12, Table 2, §3.1.2 and
+// footnote 3 that the simulator can test. Paper values are measured on a
+// real V100 and MI250X; the devices here are the simulated presets.
 const std::vector<Claim> kClaims = {
     {"fig03.fill", "", "v100", "log2 threads whose 5x36 B tables fill global memory",
      fill_log2, 27, Rel::kAtMost, 27, ""},
@@ -655,6 +784,12 @@ const std::vector<Claim> kClaims = {
     {"table2.configs", "", "v100+mi250x", "Table 2 grid, one benchmark, both platforms",
      table2_configs, 57288, Rel::kNear, 57288,
      "the Table 2 cross product is 7,042 + 7,490; the paper's count is 3.9x that, unexplained"},
+    {"fn3.clock_no_effect", "fn3_replacement", "each",
+     "CLOCK / round-robin iACT speedup farthest from 1", clock_over_rr, 1, Rel::kNear, 1, ""},
+    {"s312.thread_diverges", "", "each", "divergent warp-regions, thread-level TAF, mixed lanes",
+     thread_divergence, kNone, Rel::kAbove, 0, ""},
+    {"s312.majority_uniform", "", "each", "divergent warp-regions, warp/block-level (the larger)",
+     majority_divergence, 0, Rel::kEqual, 0, ""},
 };
 
 bool holds(Rel rel, double value, double bound) {
@@ -714,7 +849,7 @@ std::vector<Row> score(const std::map<std::pair<std::string, std::string>, Recor
   return rows;
 }
 
-void write_record(const std::vector<Row>& rows, const bench::Options& opts) {
+void write_record(const std::vector<Row>& rows, const Options& opts) {
   const std::string path = opts.out_dir + "/BENCH_repro.json";
   std::ofstream out(path);
   const char* density = opts.curated_only ? "curated"
@@ -745,7 +880,7 @@ void write_record(const std::vector<Row>& rows, const bench::Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Options opts = bench::parse_options(argc, argv);
+  const Options opts = parse_options(argc, argv);
   std::map<std::pair<std::string, std::string>, Records> data;  // (figure, device) -> records
 
   print_fig03(opts.devices);

@@ -12,8 +12,8 @@
 namespace hpac::approx {
 
 /// Cache replacement policy for iACT tables. The paper uses round-robin
-/// and notes (footnote 3) that CLOCK made no difference; we implement both
-/// so the ablation bench can reproduce that claim.
+/// and notes (footnote 3) that CLOCK made no difference; both are
+/// implemented so `hpac_repro`'s `fn3.clock_no_effect` claim can score it.
 enum class Replacement { kRoundRobin, kClock };
 
 /// An iACT (approximate input memoization) table (paper §2.3 and §3.1.4).

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 /// Clang thread-safety annotations (-Wthread-safety) over the standard
 /// synchronization types. The std types themselves carry no capability
@@ -37,53 +36,17 @@
 #ifndef GUARDED_BY
 #define GUARDED_BY(x) HPAC_TSA_(guarded_by(x))
 #endif
-#ifndef PT_GUARDED_BY
-#define PT_GUARDED_BY(x) HPAC_TSA_(pt_guarded_by(x))
-#endif
-#ifndef ACQUIRED_BEFORE
-#define ACQUIRED_BEFORE(...) HPAC_TSA_(acquired_before(__VA_ARGS__))
-#endif
-#ifndef ACQUIRED_AFTER
-#define ACQUIRED_AFTER(...) HPAC_TSA_(acquired_after(__VA_ARGS__))
-#endif
 #ifndef REQUIRES
 #define REQUIRES(...) HPAC_TSA_(requires_capability(__VA_ARGS__))
-#endif
-#ifndef REQUIRES_SHARED
-#define REQUIRES_SHARED(...) HPAC_TSA_(requires_shared_capability(__VA_ARGS__))
 #endif
 #ifndef ACQUIRE
 #define ACQUIRE(...) HPAC_TSA_(acquire_capability(__VA_ARGS__))
 #endif
-#ifndef ACQUIRE_SHARED
-#define ACQUIRE_SHARED(...) HPAC_TSA_(acquire_shared_capability(__VA_ARGS__))
-#endif
 #ifndef RELEASE
 #define RELEASE(...) HPAC_TSA_(release_capability(__VA_ARGS__))
 #endif
-#ifndef RELEASE_SHARED
-#define RELEASE_SHARED(...) HPAC_TSA_(release_shared_capability(__VA_ARGS__))
-#endif
-#ifndef RELEASE_GENERIC
-#define RELEASE_GENERIC(...) HPAC_TSA_(release_generic_capability(__VA_ARGS__))
-#endif
 #ifndef TRY_ACQUIRE
 #define TRY_ACQUIRE(...) HPAC_TSA_(try_acquire_capability(__VA_ARGS__))
-#endif
-#ifndef TRY_ACQUIRE_SHARED
-#define TRY_ACQUIRE_SHARED(...) HPAC_TSA_(try_acquire_shared_capability(__VA_ARGS__))
-#endif
-#ifndef EXCLUDES
-#define EXCLUDES(...) HPAC_TSA_(locks_excluded(__VA_ARGS__))
-#endif
-#ifndef ASSERT_CAPABILITY
-#define ASSERT_CAPABILITY(x) HPAC_TSA_(assert_capability(x))
-#endif
-#ifndef RETURN_CAPABILITY
-#define RETURN_CAPABILITY(x) HPAC_TSA_(lock_returned(x))
-#endif
-#ifndef NO_THREAD_SAFETY_ANALYSIS
-#define NO_THREAD_SAFETY_ANALYSIS HPAC_TSA_(no_thread_safety_analysis)
 #endif
 
 namespace hpac::common {
@@ -111,27 +74,6 @@ class CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-/// std::shared_mutex with the `capability` attribute: exclusive writers,
-/// shared readers.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() { m_.lock(); }
-  void unlock() RELEASE() { m_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return m_.try_lock(); }
-  void lock_shared() ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { m_.unlock_shared(); }
-  bool try_lock_shared() TRY_ACQUIRE_SHARED(true) { return m_.try_lock_shared(); }
-
- private:
-  friend class SharedLock;
-  friend class SharedMutexLock;
-  std::shared_mutex m_;
-};
-
 /// Scoped std::lock_guard equivalent over Mutex.
 class SCOPED_CAPABILITY MutexLock {
  public:
@@ -143,32 +85,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   std::lock_guard<std::mutex> lock_;
-};
-
-/// Scoped exclusive lock over SharedMutex.
-class SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mutex) ACQUIRE(mutex) : lock_(mutex.m_) {}
-  ~SharedMutexLock() RELEASE() {}
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  std::lock_guard<std::shared_mutex> lock_;
-};
-
-/// Scoped reader lock over SharedMutex.
-class SCOPED_CAPABILITY SharedLock {
- public:
-  explicit SharedLock(SharedMutex& mutex) ACQUIRE_SHARED(mutex) : lock_(mutex.m_) {}
-  ~SharedLock() RELEASE() {}
-
-  SharedLock(const SharedLock&) = delete;
-  SharedLock& operator=(const SharedLock&) = delete;
-
- private:
-  std::shared_lock<std::shared_mutex> lock_;
 };
 
 /// Scoped std::unique_lock equivalent over Mutex — the lock type CondVar

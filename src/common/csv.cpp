@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/fileops.hpp"
 #include "common/strings.hpp"
 
 namespace hpac {
@@ -164,9 +165,9 @@ void CsvTable::write(std::ostream& os) const {
 }
 
 void CsvTable::save(const std::string& path) const {
-  std::ofstream out(path);
-  HPAC_REQUIRE(out.good(), "cannot open CSV output file: " + path);
+  std::ostringstream out;
   write(out);
+  fileops::write_file_atomic(path, out.view());
 }
 
 CsvTable CsvTable::load(std::istream& is, bool drop_torn_tail) {

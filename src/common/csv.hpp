@@ -68,6 +68,8 @@ class CsvTable {
 
   /// Serialize with a header row. Quotes cells containing separators.
   void write(std::ostream& os) const;
+  /// `write` to `path` via fileops::write_file_atomic: readers see the old
+  /// file or the complete new one, and a failed write throws.
   void save(const std::string& path) const;
 
   /// Parse a table previously produced by `write`. Unquoted cells that

@@ -1,12 +1,8 @@
 #include "harness/analysis.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <functional>
 #include <map>
 #include <tuple>
-
-#include "common/error.hpp"
 
 namespace hpac::harness {
 
@@ -27,45 +23,6 @@ std::vector<double> errors_under(const std::vector<RunRecord>& records,
     if (r.feasible && r.error_percent < max_error_percent) out.push_back(r.error_percent);
   }
   return out;
-}
-
-std::vector<RunRecord> decimate_for_plot(const std::vector<RunRecord>& records, int intervals,
-                                         double keep_fraction) {
-  HPAC_REQUIRE(intervals > 0, "need at least one interval");
-  HPAC_REQUIRE(keep_fraction > 0.0 && keep_fraction <= 1.0, "keep fraction in (0,1]");
-  // A NaN or infinite error has no place on the error axis.
-  std::vector<RunRecord> feasible;
-  for (const auto& r : records) {
-    if (r.feasible && std::isfinite(r.error_percent)) feasible.push_back(r);
-  }
-  if (feasible.empty()) return {};
-  double lo = feasible.front().error_percent;
-  double hi = lo;
-  for (const auto& r : feasible) {
-    lo = std::min(lo, r.error_percent);
-    hi = std::max(hi, r.error_percent);
-  }
-  if (hi == lo) return feasible;
-
-  std::vector<std::vector<RunRecord>> bins(static_cast<std::size_t>(intervals));
-  for (const auto& r : feasible) {
-    auto bin = static_cast<std::size_t>((r.error_percent - lo) / (hi - lo) * intervals);
-    bin = std::min(bin, static_cast<std::size_t>(intervals - 1));
-    bins[bin].push_back(r);
-  }
-  std::vector<RunRecord> kept;
-  for (auto& bin : bins) {
-    if (bin.empty()) continue;
-    std::sort(bin.begin(), bin.end(),
-              [](const RunRecord& a, const RunRecord& b) { return a.speedup < b.speedup; });
-    const auto keep = std::max<std::size_t>(
-        1, static_cast<std::size_t>(static_cast<double>(bin.size()) * keep_fraction));
-    for (std::size_t i = 0; i < keep && i < bin.size(); ++i) kept.push_back(bin[i]);
-    for (std::size_t i = 0; i < keep && bin.size() > keep + i; ++i) {
-      kept.push_back(bin[bin.size() - 1 - i]);
-    }
-  }
-  return kept;
 }
 
 std::vector<GroupStats> group_box_stats(

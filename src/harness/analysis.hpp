@@ -22,13 +22,6 @@ std::optional<RunRecord> best_under_error(const std::vector<RunRecord>& records,
 std::vector<double> errors_under(const std::vector<RunRecord>& records,
                                  double max_error_percent);
 
-/// The overplotting-reduction rule of §4: divide the error range into
-/// `intervals` equal bins and keep, per bin, the fastest and slowest
-/// `keep_fraction` of configurations. Records with a non-finite error are
-/// dropped.
-std::vector<RunRecord> decimate_for_plot(const std::vector<RunRecord>& records, int intervals,
-                                         double keep_fraction);
-
 /// Speedups grouped by a key extractor, for paired comparisons such as
 /// Figure 11c (thread vs warp hierarchy per RSD threshold).
 struct GroupStats {

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
@@ -305,12 +304,7 @@ DistributedCampaign::FinalizeStats DistributedCampaign::finalize() const {
   ResultDb canonical;
   for (auto& record : chosen) canonical.add(std::move(*record));
   stats.merged = canonical.size();
-  const std::string tmp = results_path() + ".tmp." + std::to_string(::getpid());
-  canonical.save(tmp);
-  if (std::rename(tmp.c_str(), results_path().c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw Error("cannot publish " + results_path());
-  }
+  canonical.save(results_path());
   return stats;
 }
 

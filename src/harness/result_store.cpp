@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -212,10 +211,7 @@ void ResultStore::finalize(const ResultDb& canonical) {
   finalized_ = true;
   if (!persistent()) return;
   journal_.close();
-  const std::string tmp = path_ + ".tmp";
-  canonical.save(tmp);
-  HPAC_REQUIRE(std::rename(tmp.c_str(), path_.c_str()) == 0,
-               "cannot replace result store journal: " + path_);
+  canonical.save(path_);
 }
 
 }  // namespace hpac::harness

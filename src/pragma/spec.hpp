@@ -41,7 +41,7 @@ struct IactParams {
   int tables_per_warp = 0;   ///< 0 = default = warp size (private tables)
   /// `replacement(clock)` selects CLOCK eviction instead of the default
   /// round-robin (the paper implemented both and found no effect —
-  /// footnote 3; `bench/ablation_iact_replacement` reproduces that).
+  /// footnote 3; `hpac_repro`'s `fn3.clock_no_effect` claim scores that).
   bool clock_replacement = false;
 };
 

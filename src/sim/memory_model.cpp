@@ -19,27 +19,4 @@ std::uint32_t CoalescingModel::transactions(std::span<const std::uint64_t> lane_
   return static_cast<std::uint32_t>(segments.size());
 }
 
-std::uint32_t CoalescingModel::strided_transactions(std::uint32_t elem_bytes,
-                                                    std::uint32_t elems_per_lane,
-                                                    std::uint64_t stride_elems, LaneMask active,
-                                                    int warp_size) const {
-  if (active == 0) return 0;
-  std::vector<std::uint64_t> segments;
-  for (int lane = 0; lane < warp_size; ++lane) {
-    if (!lane_active(active, lane)) continue;
-    for (std::uint32_t e = 0; e < elems_per_lane; ++e) {
-      // Column-major layout: element e of lane's item lives at
-      // (lane + e * stride) — coalesced across lanes for each e.
-      const std::uint64_t addr =
-          (static_cast<std::uint64_t>(lane) + e * stride_elems) * elem_bytes;
-      const std::uint64_t first_seg = addr / segment_bytes_;
-      const std::uint64_t last_seg = (addr + elem_bytes - 1) / segment_bytes_;
-      for (std::uint64_t s = first_seg; s <= last_seg; ++s) segments.push_back(s);
-    }
-  }
-  std::sort(segments.begin(), segments.end());
-  segments.erase(std::unique(segments.begin(), segments.end()), segments.end());
-  return static_cast<std::uint32_t>(segments.size());
-}
-
 }  // namespace hpac::sim

@@ -38,13 +38,6 @@ class CoalescingModel {
   std::uint32_t unit_stride_transactions(std::uint64_t first_item, std::uint32_t elem_bytes,
                                          LaneMask active, int warp_size) const;
 
-  /// Transactions when each active lane accesses `elems_per_lane`
-  /// consecutive elements with a stride of `stride_elems` between lanes
-  /// (column-major layouts as in Figure 5's array sections).
-  std::uint32_t strided_transactions(std::uint32_t elem_bytes, std::uint32_t elems_per_lane,
-                                     std::uint64_t stride_elems, LaneMask active,
-                                     int warp_size) const;
-
   std::uint32_t segment_bytes() const { return segment_bytes_; }
 
  private:

@@ -253,24 +253,6 @@ TEST(Analysis, BestUnderErrorSkipsInfeasible) {
   EXPECT_TRUE(errors_under(records, 10.0).empty());
 }
 
-TEST(Analysis, DecimateKeepsExtremesPerBin) {
-  std::vector<RunRecord> records;
-  for (int i = 0; i < 100; ++i) {
-    RunRecord r;
-    r.error_percent = static_cast<double>(i % 10);
-    r.speedup = static_cast<double>(i);
-    records.push_back(r);
-  }
-  RunRecord unknown_error;  // the fastest record, but it cannot be binned
-  unknown_error.error_percent = std::nan("");
-  unknown_error.speedup = 1000.0;
-  records.push_back(unknown_error);
-  const auto kept = decimate_for_plot(records, 10, 0.10);
-  EXPECT_LT(kept.size(), records.size());
-  EXPECT_FALSE(kept.empty());
-  for (const auto& r : kept) EXPECT_LT(r.speedup, 1000.0);
-}
-
 TEST(Analysis, ConvergenceCorrelationPerfectLine) {
   std::vector<RunRecord> records;
   for (int i = 1; i <= 10; ++i) {
@@ -301,31 +283,6 @@ TEST(Analysis, GeomeanBestTakesPerTechniqueBest) {
   records[3].speedup = 100.0;  // fastest of all, with a NaN error
   records[3].error_percent = std::nan("");
   EXPECT_NEAR(geomean_best_speedup(records, 10.0), std::sqrt(4.0 * 1.0), 1e-12);
-}
-
-TEST(Analysis, DecimateEmptyInputYieldsEmpty) {
-  EXPECT_TRUE(decimate_for_plot({}, 10, 0.1).empty());
-  // All-infeasible input decimates to nothing as well.
-  std::vector<RunRecord> records(3);
-  for (auto& r : records) r.feasible = false;
-  EXPECT_TRUE(decimate_for_plot(records, 10, 0.1).empty());
-}
-
-TEST(Analysis, DecimateSingleRecordSurvives) {
-  std::vector<RunRecord> records(1);
-  records[0].error_percent = 2.5;
-  records[0].speedup = 1.2;
-  const auto kept = decimate_for_plot(records, 10, 0.1);
-  ASSERT_EQ(kept.size(), 1u);
-  EXPECT_DOUBLE_EQ(kept[0].speedup, 1.2);
-}
-
-TEST(Analysis, DecimateRejectsNonPositiveIntervals) {
-  std::vector<RunRecord> records(2);
-  EXPECT_THROW(decimate_for_plot(records, 0, 0.1), Error);
-  EXPECT_THROW(decimate_for_plot(records, -4, 0.1), Error);
-  EXPECT_THROW(decimate_for_plot(records, 10, 0.0), Error);
-  EXPECT_THROW(decimate_for_plot(records, 10, 1.5), Error);
 }
 
 TEST(Analysis, GeomeanBestWithNoFeasibleRecordIsZero) {

@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
+#include "approx/region.hpp"
 #include "apps/blackscholes.hpp"
 #include "apps/kmeans.hpp"
 #include "apps/lulesh.hpp"
 #include "apps/registry.hpp"
+#include "apps/support.hpp"
+#include "common/strings.hpp"
 #include "harness/analysis.hpp"
 #include "harness/explorer.hpp"
 #include "harness/params.hpp"
@@ -133,6 +137,33 @@ TEST(Integration, BinomialSpeedupPeaksAtSmallerIptOnAmd) {
            })->items_per_thread;
   };
   EXPECT_LT(peak_ipt(sim::mi250x()), peak_ipt(sim::v100()));
+}
+
+TEST(Integration, WarpAndBlockDecisionsRemoveDivergence) {
+  // §3.1.2: on a region whose lanes disagree about stability (60% of
+  // items constant, 40% oscillating, mixed in every warp), thread-level
+  // TAF decisions split warps across the accurate and approximate paths;
+  // warp- and block-level majority decisions keep every warp on one path.
+  constexpr std::uint64_t n = 1u << 16;
+  approx::RegionBinding binding;
+  binding.out_dims = 1;
+  apps::bind_accurate(binding, [](std::uint64_t i, double* out) {
+    out[0] = i % 5 < 3 ? 42.0 : 40.0 + 4.0 * std::sin(static_cast<double>(i));
+  });
+  apps::bind_constant_cost(binding, 300.0);
+  apps::bind_commit(binding, [](std::uint64_t, const double*) {});
+  for (const auto& device : {sim::v100(), sim::mi250x()}) {
+    const approx::RegionExecutor executor(device);
+    const auto divergent = [&](const char* level) {
+      const auto spec = pragma::parse_approx(
+          strings::format("memo(out:3:16:0.05) level(%s) out(out[i])", level));
+      return executor.run(spec, binding, n, sim::launch_for_items_per_thread(n, 64, 128))
+          .timing.divergent_regions;
+    };
+    EXPECT_GT(divergent("thread"), 0u) << device.name;
+    EXPECT_EQ(divergent("warp"), 0u) << device.name;
+    EXPECT_EQ(divergent("block"), 0u) << device.name;
+  }
 }
 
 TEST(Integration, KmeansTimeSpeedupTracksConvergence) {

@@ -204,14 +204,6 @@ TEST(Coalescing, ExplicitAddressesDeduplicateSegments) {
   EXPECT_EQ(model.transactions(addrs, full_mask(5)), 2u);
 }
 
-TEST(Coalescing, StridedColumnMajorAccess) {
-  CoalescingModel model(v100());
-  // Figure 5's array section: 5 elements per lane, stride N; each of the
-  // 5 "columns" coalesces across lanes.
-  const std::uint32_t tx = model.strided_transactions(8, 5, 4096, full_mask(32), 32);
-  EXPECT_EQ(tx, 5u * 8u);
-}
-
 namespace {
 KernelTracker make_tracker(const DeviceConfig& dev, std::uint64_t teams,
                            std::uint32_t tpt = 128, std::size_t shmem = 0) {
