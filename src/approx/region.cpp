@@ -4,7 +4,6 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -40,10 +39,10 @@ ExecTuning& default_tuning_storage() {
   return tuning;
 }
 
-// Team shards run on Scheduler::shared(): the same work-stealing workers
-// that drive Explorer sweeps and Campaign shards, so a nested launch's
-// shards can be stolen by whichever worker goes idle first instead of
-// being gated behind a dedicated pool.
+// Team shards run on Scheduler::shared(): the same workers that drive
+// Explorer sweeps and Campaign shards, so whichever worker goes idle first
+// joins a nested launch's shards instead of them being gated behind a
+// dedicated pool.
 
 // --- audit instrumentation ---------------------------------------------------
 //
@@ -705,17 +704,12 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   // to amortize the fan-out. The team count only caps the shard count, so
   // few-team launches (the items-per-thread axis) shard too. A launch
   // reached from inside an Explorer or Campaign worker shards as well —
-  // its shards become stealable tasks on the shared scheduler, picked up
-  // by whichever workers are idle, and the submitting thread executes the
+  // its shards become an open job on the shared scheduler, joined by
+  // whichever workers are idle, and the submitting thread executes the
   // remainder itself.
-  std::size_t threads =
-      tuning_.max_threads != 0 ? tuning_.max_threads : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  const std::size_t shards =
-      binding.independent_items && n >= tuning_.min_items
-          ? static_cast<std::size_t>(
-                std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), teams))
-          : 1;
+  const std::size_t shards = binding.independent_items && n >= tuning_.min_items
+                                 ? Scheduler::recommended_threads(tuning_.max_threads, teams)
+                                 : 1;
 
   // Commit-conflict auditing: validates the independent_items declaration
   // instead of assuming it. The auditor is constructed before the launch

@@ -238,12 +238,12 @@ struct ExecTuning {
 /// accounting.
 ///
 /// Large launches whose binding declares `independent_items` are split
-/// into contiguous team ranges submitted to the process-wide work-stealing
+/// into contiguous team ranges submitted as one job to the process-wide
 /// scheduler (`hpac::Scheduler`). The submitting thread executes shards
 /// itself while idle scheduler workers — including Explorer/Campaign
-/// workers whose own sweep shard finished early — steal the rest, so
-/// nested parallelism cooperates instead of serializing. Results are
-/// bit-identical to serial execution either way.
+/// workers whose own sweep shard finished early — join the job and take
+/// the rest, so nested parallelism cooperates instead of serializing.
+/// Results are bit-identical to serial execution either way.
 class RegionExecutor {
  public:
   explicit RegionExecutor(sim::DeviceConfig dev, RuntimeCosts costs = RuntimeCosts{});

@@ -3,68 +3,48 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <limits>
 
 namespace hpac {
 
-namespace {
-
-constexpr std::size_t kNotAWorker = std::numeric_limits<std::size_t>::max();
-
-/// Home deque index of the current thread within its owning scheduler,
-/// paired with that scheduler's identity: a worker of scheduler A that
-/// submits to scheduler B must use B's inbox, not deques_[its A-index]
-/// (which may not even exist in B). External threads keep kNotAWorker and
-/// always submit through the inbox deque.
-thread_local std::size_t t_worker_index = kNotAWorker;
-thread_local const void* t_worker_owner = nullptr;
-
-/// Depth of parallel_for bodies on this thread's stack (any scheduler,
-/// inline path included).
-thread_local int t_task_depth = 0;
-
-}  // namespace
-
-/// One fan-out job. Tickets in the deques are join offers, not work items:
-/// a thread that redeems a ticket becomes a *participant* and loops
+/// One fan-out job, owned by the `parallel_for` frame that opened it. A
+/// thread handed one of its `limit` slots becomes a *participant* and loops
 /// claiming indices from `next` until none remain, exactly like the
-/// submitting thread does. At most `limit` participants exist because only
-/// limit-1 tickets are published and the caller takes the remaining slot.
-/// The Job outlives `parallel_for` via shared_ptr (stale tickets may be
-/// popped long after the join completes); `body` is a borrowed pointer to
-/// the caller's stack, but it is only ever invoked for a successfully
-/// claimed index, and no index is claimable once the join has returned.
+/// submitting thread (slot 0) does. `slots`, `active` and `error` are
+/// guarded by the scheduler's mutex. The caller takes the job off the open
+/// list before waiting for `active == 0`, so no thread can reach the job
+/// once that wait returns.
 struct Scheduler::Job {
   const std::function<void(std::size_t, std::size_t)>* body = nullptr;
   std::size_t count = 0;
   std::size_t limit = 1;
-  std::atomic<std::size_t> next{0};   ///< next unclaimed index
-  std::atomic<std::size_t> slots{0};  ///< participant slot allocator
+  std::atomic<std::size_t> next{0};  ///< next unclaimed index
   std::atomic<bool> cancelled{false};
-  common::Mutex mutex;
+  std::size_t slots = 1;      ///< slots handed out; slot 0 is the caller's
+  std::size_t active = 1;     ///< participants inside the claim loop
+  std::exception_ptr error;   ///< first failure
   common::CondVar done_cv;
-  std::size_t active GUARDED_BY(mutex) = 0;  ///< participants inside the claim loop
-  std::exception_ptr error GUARDED_BY(mutex);  ///< first failure
+
+  bool exhausted() const {
+    return cancelled.load(std::memory_order_acquire) ||
+           next.load(std::memory_order_acquire) >= count;
+  }
 };
 
-Scheduler::Scheduler(std::size_t num_workers)
-    : deques_(num_workers + 1) {  // + the external-submitter inbox
+Scheduler::Scheduler(std::size_t num_workers) {
   workers_.reserve(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 Scheduler::~Scheduler() {
   {
-    common::MutexLock lock(sleep_mutex_);
+    common::MutexLock lock(mutex_);
     stop_ = true;
   }
   wake_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
-
-bool Scheduler::in_task() { return t_task_depth > 0; }
 
 Scheduler& Scheduler::shared() {
   static Scheduler scheduler(
@@ -78,100 +58,40 @@ std::size_t Scheduler::recommended_threads(std::size_t requested, std::size_t co
   return std::min(threads, std::max<std::size_t>(count, 1));
 }
 
-void Scheduler::participate(Job& job) {
-  // Stale-ticket fast path: a ticket redeemed after its job finished (or
-  // failed) must cost one atomic load, not a slot.
-  if (job.cancelled.load(std::memory_order_acquire) ||
-      job.next.load(std::memory_order_acquire) >= job.count) {
-    return;
-  }
-  const std::size_t slot = job.slots.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= job.limit) return;  // limit-1 tickets + the caller: cannot trip
-  {
-    common::MutexLock lock(job.mutex);
-    ++job.active;
-  }
+void Scheduler::claim(Job& job, std::size_t slot) {
   for (;;) {
     if (job.cancelled.load(std::memory_order_acquire)) break;
     const std::size_t index = job.next.fetch_add(1, std::memory_order_acq_rel);
     if (index >= job.count) break;
-    ++t_task_depth;
     try {
       (*job.body)(slot, index);
-      --t_task_depth;
     } catch (...) {
-      --t_task_depth;
-      common::MutexLock lock(job.mutex);
+      common::MutexLock lock(mutex_);
       if (!job.error) job.error = std::current_exception();
       job.cancelled.store(true, std::memory_order_release);
     }
   }
-  {
-    common::MutexLock lock(job.mutex);
-    --job.active;
-  }
-  job.done_cv.notify_all();
 }
 
-void Scheduler::push_tickets(const std::shared_ptr<Job>& job, std::size_t n) {
-  if (n == 0) return;
-  const std::size_t home =
-      t_worker_owner == this && t_worker_index != kNotAWorker ? t_worker_index
-                                                              : deques_.size() - 1;
-  {
-    common::MutexLock lock(deques_[home].mutex);
-    for (std::size_t i = 0; i < n; ++i) deques_[home].tickets.push_back(job);
-  }
-  {
-    common::MutexLock lock(sleep_mutex_);
-    unpopped_tickets_ += n;
-  }
-  wake_cv_.notify_all();
-}
-
-std::shared_ptr<Scheduler::Job> Scheduler::next_ticket(std::size_t home) {
-  std::shared_ptr<Job> job;
-  const std::size_t n = deques_.size();
-  {
-    // Own deque, newest first: nested jobs spawned here finish before the
-    // deque's older backlog grows a dependent.
-    TaskDeque& own = deques_[home];
-    common::MutexLock lock(own.mutex);
-    if (!own.tickets.empty()) {
-      job = std::move(own.tickets.back());
-      own.tickets.pop_back();
-    }
-  }
-  for (std::size_t k = 1; !job && k < n; ++k) {
-    // Victims round-robin from our right-hand neighbor; steal the oldest
-    // ticket so long-waiting fan-outs are helped first.
-    TaskDeque& victim = deques_[(home + k) % n];
-    common::MutexLock lock(victim.mutex);
-    if (!victim.tickets.empty()) {
-      job = std::move(victim.tickets.front());
-      victim.tickets.pop_front();
-    }
-  }
-  if (job) {
-    common::MutexLock lock(sleep_mutex_);
-    --unpopped_tickets_;
-  }
-  return job;
-}
-
-void Scheduler::worker_loop(std::size_t worker_index) {
-  t_worker_index = worker_index;
-  t_worker_owner = this;
-  for (;;) {
-    if (std::shared_ptr<Job> job = next_ticket(worker_index)) {
-      participate(*job);
+void Scheduler::worker_loop() {
+  common::UniqueMutexLock lock(mutex_);
+  while (!stop_) {
+    // Oldest job first; exhausted jobs are dropped where they are found.
+    while (!open_.empty() && open_.front()->exhausted()) open_.erase(open_.begin());
+    if (open_.empty()) {
+      wake_cv_.wait(lock);
       continue;
     }
-    // Explicit wait loop (not a predicate lambda) so the thread-safety
-    // analysis sees the guarded reads under sleep_mutex_.
-    common::UniqueMutexLock lock(sleep_mutex_);
-    while (!stop_ && unpopped_tickets_ == 0) wake_cv_.wait(lock);
-    if (stop_) return;
+    Job& job = *open_.front();
+    const std::size_t slot = job.slots++;
+    if (job.slots == job.limit) open_.erase(open_.begin());
+    ++job.active;
+    lock.unlock();
+    claim(job, slot);
+    lock.lock();
+    // Notify under the lock: the caller destroys the job (and done_cv)
+    // as soon as it observes active == 0.
+    if (--job.active == 0) job.done_cv.notify_all();
   }
 }
 
@@ -184,36 +104,26 @@ void Scheduler::parallel_for(
   if (limit <= 1 || workers_.empty()) {
     // Serial path: run inline, exceptions propagate directly and abandon
     // the remaining indices — the same contract the parallel path keeps.
-    ++t_task_depth;
-    try {
-      for (std::size_t index = 0; index < count; ++index) body(0, index);
-    } catch (...) {
-      --t_task_depth;
-      throw;
-    }
-    --t_task_depth;
+    for (std::size_t index = 0; index < count; ++index) body(0, index);
     return;
   }
 
-  auto job = std::make_shared<Job>();
-  job->body = &body;
-  job->count = count;
-  job->limit = limit;
-
-  push_tickets(job, limit - 1);
-  participate(*job);  // the caller claims indices too — it never idles
-
-  common::UniqueMutexLock lock(job->mutex);
-  while (!(job->active == 0 &&
-           (job->cancelled.load(std::memory_order_acquire) ||
-            job->next.load(std::memory_order_acquire) >= job->count))) {
-    job->done_cv.wait(lock);
+  Job job;
+  job.body = &body;
+  job.count = count;
+  job.limit = limit;
+  {
+    common::MutexLock lock(mutex_);
+    open_.push_back(&job);
   }
-  if (job->error) {
-    std::exception_ptr error = job->error;
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
+  wake_cv_.notify_all();
+  claim(job, 0);  // the caller claims indices too — it never idles
+
+  common::UniqueMutexLock lock(mutex_);
+  std::erase(open_, &job);
+  --job.active;
+  while (job.active != 0) job.done_cv.wait(lock);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace hpac

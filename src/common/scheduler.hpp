@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -11,31 +9,29 @@
 
 namespace hpac {
 
-/// Process-wide work-stealing task scheduler shared by every host-side
-/// fan-out in the harness: the Explorer's configuration sweep, the
-/// Campaign's (benchmark, device) shard fan-out and the region executor's
-/// team sharding all submit to one set of workers, so inner and outer
+/// Process-wide task scheduler shared by every host-side fan-out in the
+/// harness: the Explorer's configuration sweep, the Campaign's
+/// (benchmark, device) shard fan-out and the region executor's team
+/// sharding all submit to one set of workers, so inner and outer
 /// parallelism cooperate instead of carving up the cores per layer.
 ///
-/// Structure: each worker owns a Chase–Lev-style deque — the owner pushes
-/// and pops at the bottom (LIFO, so freshly spawned nested work stays
-/// hot), thieves take from the top (FIFO, so the oldest waiting fan-out is
-/// helped first). An extra "inbox" deque receives submissions from
-/// threads that are not scheduler workers. Tasks here are coarse (a
-/// benchmark configuration, a team range — milliseconds and up), so the
-/// deques are guarded by plain per-deque mutexes rather than lock-free
-/// buffers: contention is negligible at this granularity and every
-/// transition stays visible to ThreadSanitizer.
+/// Structure: one list of open jobs, oldest first, guarded by the
+/// scheduler's one mutex. An idle worker takes the next free participant
+/// slot of the oldest open job that still has unclaimed indices; a job
+/// leaves the list when its last slot is handed out, when its caller
+/// finishes claiming, or when a worker finds it exhausted. Tasks here are
+/// coarse (a benchmark configuration, a team range — milliseconds and up),
+/// so a plain mutex costs nothing measurable and every transition stays
+/// visible to ThreadSanitizer.
 ///
 /// `parallel_for` is a *blocking join in which the caller works*: the
 /// calling thread claims indices exactly like a worker instead of parking
-/// on a condition variable while the job runs (the pre-scheduler
-/// ThreadPool wasted a core per nesting level that way). Nesting is
-/// re-entrant by construction — a body may call `parallel_for` again; the
-/// nested job's join tickets go onto the current worker's deque, where any
-/// idle worker (including one whose outer shard finished early) can steal
-/// them. A thread only ever blocks waiting for indices that are actively
-/// executing on other threads, so nested joins cannot deadlock.
+/// on a condition variable while the job runs. Nesting is re-entrant by
+/// construction — a body may call `parallel_for` again; the nested job
+/// joins the open list, where any idle worker (including one whose outer
+/// shard finished early) can join it. A thread only ever blocks waiting for
+/// indices that are actively executing on other threads, so nested joins
+/// cannot deadlock.
 class Scheduler {
  public:
   /// Spawn `num_workers` workers. A scheduler with 0 workers is valid:
@@ -62,7 +58,7 @@ class Scheduler {
   ///
   /// If a body throws, unstarted indices are abandoned and the first
   /// exception is rethrown here once in-flight indices drain
-  /// (first-exception-wins across all participants, stolen or not).
+  /// (first-exception-wins across all participants).
   ///
   /// `max_participants` bounds the number of threads that may execute
   /// bodies concurrently (0 = no bound beyond parallelism()). It is an
@@ -72,7 +68,7 @@ class Scheduler {
                     std::size_t max_participants = 0);
 
   /// The process-wide instance every harness layer shares. Sized
-  /// max(2, hardware_concurrency) so stealing is exercisable even on
+  /// max(2, hardware_concurrency) so joining is exercisable even on
   /// one-core machines.
   static Scheduler& shared();
 
@@ -81,33 +77,17 @@ class Scheduler {
   /// to `count` and never less than 1.
   static std::size_t recommended_threads(std::size_t requested, std::size_t count);
 
-  /// True while the calling thread is inside a `parallel_for` body (of any
-  /// Scheduler, inline or not). Diagnostic only — unlike the retired
-  /// `ThreadPool::on_worker_thread()`, nothing gates nested fan-out on it.
-  static bool in_task();
-
  private:
   struct Job;
 
-  /// One Chase–Lev-style deque: owner bottom, thieves top.
-  struct TaskDeque {
-    common::Mutex mutex;
-    std::deque<std::shared_ptr<Job>> tickets GUARDED_BY(mutex);
-  };
+  void worker_loop();
+  void claim(Job& job, std::size_t slot);
 
-  void worker_loop(std::size_t worker_index);
-  std::shared_ptr<Job> next_ticket(std::size_t home);
-  void push_tickets(const std::shared_ptr<Job>& job, std::size_t n);
-  static void participate(Job& job);
-
-  /// One deque per worker plus the external-submitter inbox at index
-  /// workers().
-  std::vector<TaskDeque> deques_;
-  std::vector<std::thread> workers_;
-  common::Mutex sleep_mutex_;
+  common::Mutex mutex_;
   common::CondVar wake_cv_;
-  std::size_t unpopped_tickets_ GUARDED_BY(sleep_mutex_) = 0;
-  bool stop_ GUARDED_BY(sleep_mutex_) = false;
+  std::vector<Job*> open_ GUARDED_BY(mutex_);  ///< oldest first
+  bool stop_ GUARDED_BY(mutex_) = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace hpac

@@ -75,13 +75,13 @@ struct CampaignResult {
 /// Work is sharded at (benchmark, device) granularity: each shard gets its
 /// own TupleEvaluator, so the accurate baseline is computed once per pair
 /// (and never for pairs whose tuples are all restored from the
-/// checkpoint). Shards run concurrently on the process-wide
-/// work-stealing scheduler (`hpac::Scheduler`) — a worker
-/// whose shard finishes early steals team shards that nested
-/// `independent_items` region launches publish, instead of idling. Every
-/// tuple is deterministic, so the assembled database — and the final CSV —
-/// is identical regardless of worker count, and a resumed campaign ends
-/// with a CSV byte-identical to an uninterrupted one.
+/// checkpoint). Shards run concurrently on the process-wide scheduler
+/// (`hpac::Scheduler`) — a worker whose shard finishes early joins the
+/// team-shard jobs that nested `independent_items` region launches open,
+/// instead of idling. Every tuple is deterministic, so the assembled
+/// database — and the final CSV — is identical regardless of worker count,
+/// and a resumed campaign ends with a CSV byte-identical to an
+/// uninterrupted one.
 class Campaign {
  public:
   /// Validates the plan eagerly (unknown benchmark or device names,

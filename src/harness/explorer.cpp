@@ -122,7 +122,7 @@ std::vector<RunRecord> Explorer::measure_configs(
   // Per-slot forks are created lazily: slot 0 (the calling thread always
   // participates) doubles as the forkability probe, and every other slot
   // forks on first use — a batch whose indices are all claimed before any
-  // worker steals pays for exactly one clone. Slots are exclusive to one
+  // worker joins pays for exactly one clone. Slots are exclusive to one
   // thread for the whole job, so the lazy init needs no synchronization;
   // concurrent forks on different slots are const reads of the source
   // benchmark.
@@ -144,7 +144,7 @@ std::vector<RunRecord> Explorer::measure_configs(
     for (std::size_t index = 0; index < total; ++index) eval_at(benchmark_, index);
   } else {
     // One fork per participant slot; the calling thread claims indices
-    // alongside the stealing workers, so `workers` is an upper bound on
+    // alongside the joining workers, so `workers` is an upper bound on
     // concurrency, not a thread spawn count. Records land at their index,
     // which keeps the result order — and any CSV built from it — identical
     // to a serial evaluation.

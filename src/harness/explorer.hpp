@@ -66,7 +66,7 @@ class Explorer {
   /// When the benchmark is forkable (Benchmark::fork) and more than one
   /// worker is available, configurations are evaluated concurrently on the
   /// shared scheduler — each participant slot drives its own fork (created
-  /// lazily on the slot's first index, so slots that never steal cost no
+  /// lazily on the slot's first index, so slots that never join cost no
   /// clone), the baseline is computed eagerly before the fan-out, and the
   /// resulting ResultDb (and its CSV) is byte-identical to a serial sweep.
   /// `num_threads == 0` means "use the hardware concurrency"; pass 1 to

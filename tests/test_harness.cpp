@@ -489,7 +489,7 @@ TEST(Explorer, LazyForkingNeverExceedsParticipantsOnOneSpecSweep) {
   // One spec x two ipt values = two tasks. Forks are created lazily per
   // participant slot, so at most min(participants, tasks) = 2 clones can
   // ever exist — and when the calling thread claims both indices before a
-  // worker steals, exactly 1 (the slot-0 probe). The eager scheme forked
+  // worker joins, exactly 1 (the slot-0 probe). The eager scheme forked
   // one per slot up front unconditionally.
   ForkCountingBenchmark bench;
   Explorer explorer(bench, sim::v100());

@@ -622,8 +622,8 @@ TEST(RegionParallel, NestedLaunchInsideSchedulerTaskStillShards) {
   // PR 3's engine forced shards = 1 whenever the caller was a pool worker
   // (the binary on_worker_thread gate), so a region launched from an
   // Explorer/Campaign worker silently ran serial. On the shared
-  // work-stealing scheduler the nested launch fans out: its shards are
-  // stealable tasks and the submitting worker executes its share. The
+  // scheduler the nested launch fans out: its shards are an open job that
+  // idle workers join and the submitting worker executes its share. The
   // shard decision is observable via stats.host_shards; results stay
   // bit-identical to the serial engine.
   ExecTuning serial;
@@ -635,7 +635,6 @@ TEST(RegionParallel, NestedLaunchInsideSchedulerTaskStillShards) {
 
   EngineRun nested;
   Scheduler::shared().parallel_for(1, [&](std::size_t, std::size_t) {
-    ASSERT_TRUE(Scheduler::in_task());
     TestRegion region;
     nested = run_with_tuning(region, region.binding(), "memo(out:3:8:0.5)",
                              forced_shards(4));
@@ -667,10 +666,10 @@ TEST(RegionParallel, ConcurrentIndependentLaunchesAllShard) {
 }
 
 TEST(RegionParallel, ShardMergeStress) {
-  // TSan target: many concurrent launches publishing shard tasks onto the
-  // shared work-stealing scheduler at once. Every launch fans out (no
-  // pool gate to lose anymore) — results must be identical regardless of
-  // which thread steals which shard.
+  // TSan target: many concurrent launches opening shard jobs on the
+  // shared scheduler at once. Every launch fans out (no pool gate to lose
+  // anymore) — results must be identical regardless of which thread runs
+  // which shard.
   ExecTuning serial;
   serial.max_threads = 1;
   TestRegion golden_region;

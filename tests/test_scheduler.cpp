@@ -1,10 +1,11 @@
-// The work-stealing scheduler: coverage, slot exclusivity, caller
-// participation, re-entrant nesting with stealing, determinism against
-// the serial path, and first-exception-wins propagation. The stress tests
-// double as the ThreadSanitizer targets for the steal paths.
+// The open-job scheduler: coverage, slot exclusivity, caller
+// participation, re-entrant nesting joined by idle workers, determinism
+// against the serial path, and first-exception-wins propagation. The
+// stress tests double as the ThreadSanitizer targets for the join path.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -124,7 +125,7 @@ TEST(Scheduler, CallerClaimsIndicesInsteadOfParking) {
         /*max_participants=*/2);
   });
   // Both blocker indices running: one on the occupant thread, one on the
-  // worker (proving the worker stole the occupant's published ticket).
+  // worker (proving the worker joined the occupant's open job).
   ASSERT_TRUE(spin_until([&] { return blockers_started.load() == 2; }));
 
   const auto caller = std::this_thread::get_id();
@@ -151,8 +152,8 @@ TEST(Scheduler, NestedParallelForCompletes) {
 
 TEST(Scheduler, NestedTicketsAreStolenByIdleWorkers) {
   // An inner job whose two indices each wait for the other to start can
-  // only finish if a second thread joins — i.e. if an idle worker steals
-  // the nested ticket. Under the old binary worker gate this pattern was
+  // only finish if a second thread joins — i.e. if an idle worker joins
+  // the nested job. Under the old binary worker gate this pattern was
   // impossible: nested fan-out from a task ran serial, full stop.
   Scheduler scheduler(2);
   std::atomic<int> started{0};
@@ -163,19 +164,38 @@ TEST(Scheduler, NestedTicketsAreStolenByIdleWorkers) {
       if (spin_until([&] { return started.load() == 2; })) saw_both.fetch_add(1);
     });
   });
-  // BOTH bodies must observe the other one running. If nothing steals the
-  // nested ticket the two indices run sequentially on one thread: the
+  // BOTH bodies must observe the other one running. If nothing joins the
+  // nested job the two indices run sequentially on one thread: the
   // first body's spin times out at started == 1, so saw_both stays at 1
   // and the regression fails loudly instead of passing after a slow spin.
   EXPECT_EQ(saw_both.load(), 2);
 }
 
+TEST(Scheduler, ConcurrentNestedJobsAreEachJoined) {
+  // Two outer indices run at once (caller + one worker) and each opens an
+  // inner job whose two indices wait for each other. Both inner jobs are
+  // open at the same time, so both can only finish if the two remaining
+  // idle workers join two different open jobs.
+  Scheduler scheduler(3);
+  std::atomic<int> outer_started{0};
+  std::array<std::atomic<int>, 2> started{};
+  std::atomic<int> saw_both{0};
+  scheduler.parallel_for(2, [&](std::size_t, std::size_t o) {
+    outer_started.fetch_add(1);
+    ASSERT_TRUE(spin_until([&] { return outer_started.load() == 2; }));
+    scheduler.parallel_for(2, [&](std::size_t, std::size_t) {
+      started[o].fetch_add(1);
+      if (spin_until([&] { return started[o].load() == 2; })) saw_both.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(saw_both.load(), 4);
+}
+
 TEST(Scheduler, CrossSchedulerSubmissionGoesThroughTheInbox) {
-  // A worker of one scheduler submitting to *another* scheduler must not
-  // index the target's deques with its own worker index (worker 3 of a
-  // 4-worker scheduler would address past the end of a 1-worker
-  // scheduler's deque array). The submission lands in the target's inbox
-  // and completes normally.
+  // A worker of one scheduler submitting to *another* scheduler opens its
+  // job on the target's list, where the target's own worker joins it;
+  // nothing about the submitting thread's home scheduler is consulted.
+  // The submission completes normally.
   Scheduler outer(4);
   Scheduler inner(1);
   std::atomic<int> leaves{0};
@@ -264,7 +284,7 @@ TEST(Scheduler, StressRepeatedThrowingJobsDoNotDeadlock) {
 }
 
 TEST(Scheduler, StressConcurrentThrowsKeepFirstException) {
-  // First-exception-wins across participants, stolen tickets included:
+  // First-exception-wins across participants, joined workers included:
   // every task throws, exactly one exception must surface per job.
   Scheduler scheduler(8);
   for (int iteration = 0; iteration < 25; ++iteration) {
@@ -277,9 +297,9 @@ TEST(Scheduler, StressConcurrentThrowsKeepFirstException) {
 }
 
 TEST(Scheduler, ShutdownAfterJobsDoesNotHang) {
-  // Construct, run work whose stale tickets may still sit in the deques as
-  // the join returns, and destroy immediately — repeatedly. A lost stop
-  // notification or a worker stuck on a dead ticket would deadlock here.
+  // Construct, run work, and destroy immediately as the join returns —
+  // repeatedly. A lost stop notification or a worker stuck on a finished
+  // job would deadlock here.
   for (int iteration = 0; iteration < 40; ++iteration) {
     Scheduler scheduler(4);
     std::atomic<int> executed{0};
@@ -291,8 +311,8 @@ TEST(Scheduler, ShutdownAfterJobsDoesNotHang) {
 }
 
 TEST(Scheduler, StealStressManySubmittersWithNesting) {
-  // TSan target: external submitters racing through the shared inbox while
-  // their nested jobs publish stealable tickets onto worker deques.
+  // TSan target: external submitters racing to open jobs on the one list
+  // while their nested jobs are opened, joined and dropped by workers.
   Scheduler scheduler(4);
   constexpr int kThreads = 4;
   constexpr int kRounds = 10;
@@ -313,24 +333,6 @@ TEST(Scheduler, StealStressManySubmittersWithNesting) {
   EXPECT_EQ(leaves.load(), static_cast<long long>(kThreads) * kRounds * 8 * 4);
 }
 
-TEST(Scheduler, InTaskReflectsBodyExecution) {
-  EXPECT_FALSE(Scheduler::in_task());
-  Scheduler scheduler(2);
-  std::atomic<int> inside{0};
-  scheduler.parallel_for(8, [&](std::size_t, std::size_t) {
-    if (Scheduler::in_task()) inside.fetch_add(1);
-  });
-  EXPECT_EQ(inside.load(), 8);
-  EXPECT_FALSE(Scheduler::in_task());
-  // The inline path counts too: in_task means "inside a parallel_for
-  // body", not "on a worker thread" — nothing gates on it anymore.
-  bool inline_inside = false;
-  Scheduler zero(0);
-  zero.parallel_for(1, [&](std::size_t, std::size_t) { inline_inside = Scheduler::in_task(); });
-  EXPECT_TRUE(inline_inside);
-  EXPECT_FALSE(Scheduler::in_task());
-}
-
 TEST(Scheduler, RecommendedThreadsClamps) {
   EXPECT_EQ(Scheduler::recommended_threads(8, 3), 3u);
   EXPECT_EQ(Scheduler::recommended_threads(2, 100), 2u);
@@ -339,7 +341,7 @@ TEST(Scheduler, RecommendedThreadsClamps) {
 }
 
 TEST(Scheduler, SharedInstanceIsStealReady) {
-  // The process-wide instance must keep stealing exercisable even on
+  // The process-wide instance must keep joining exercisable even on
   // one-core machines — every layer of the harness relies on it.
   EXPECT_GE(Scheduler::shared().workers(), 2u);
   EXPECT_EQ(Scheduler::shared().parallelism(), Scheduler::shared().workers() + 1);
