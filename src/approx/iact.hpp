@@ -30,7 +30,9 @@ enum class Replacement { kRoundRobin, kClock };
 /// cache-improving candidate). `RegionExecutor` orchestrates the phases;
 /// this class provides the storage and the per-operation semantics.
 ///
-/// Storage lives in block shared memory via `SharedMemoryArena`.
+/// Storage models block shared memory; `footprint_bytes` is what
+/// `RegionExecutor::ac_state_bytes_per_block` charges against the device's
+/// per-block budget before a launch runs.
 class IactTable {
  public:
   IactTable(int table_size, int in_dims, int out_dims, Replacement policy,

@@ -28,13 +28,15 @@ struct ScanResult {
 
 using ScanFn = ScanResult (*)(const ScanArgs&);
 
-/// AVX2 kernel lookup: a specialized kernel for small `in_dims`
+/// AVX2 kernel lookup (iact_scan_avx2.cpp, written on `__m256d` and the
+/// only TU built with -mavx2): a specialized kernel for small `in_dims`
 /// (compile-time unrolled dimension loop), a generic kernel otherwise.
 /// Returns nullptr when AVX2 is not compiled into this binary.
 ScanFn iact_scan_fn_avx2(int in_dims);
 
 /// The AVX2 kernel for an `in_dims`-wide table when `simd::active_level()`
-/// is kAvx2, else nullptr → use the scalar path.
+/// is kAvx2, else nullptr → use the scalar path. Defined in the
+/// baseline-ISA iact.cpp, so the check itself runs on any x86-64 host.
 ScanFn select_iact_scan(int in_dims);
 
 }  // namespace hpac::approx::detail

@@ -3,6 +3,19 @@
 // HPAC_SIMD_COMPILED_AVX2); callers reach it through select_iact_scan,
 // which consults the runtime cpuid gate in hpac::simd. Deliberately no
 // -mfma: the kernels must round exactly like the scalar build's mul+add.
+//
+// Bit-identity contract (what makes HPAC_SIMD a pure perf knob):
+//  * lanes are table ROWS — each row's squared distance accumulates
+//    `sq += diff * diff` in ascending-dimension order, the scalar scan's
+//    exact sequence, with explicit mul/add vector ops (never FMA, which
+//    would round differently from the scalar build's mul+add);
+//  * block results are folded in ascending row order through the same
+//    strict `sq < best_sq` / `sqrt(sq) < best_distance` comparisons the
+//    scalar scan performs, preserving the first-strictly-nearer-in-the-
+//    sqrt-domain tie-break;
+//  * the early-abandon check (whole block's partial sums already above
+//    the best squared distance) only skips rows that could never win —
+//    partial squared sums are monotone — so it changes work, not results.
 
 #include "approx/iact_scan.hpp"
 
@@ -10,30 +23,101 @@
 
 #include <immintrin.h>
 
-#include "approx/iact_scan_impl.hpp"
+#include <cmath>
 
 namespace hpac::approx::detail {
 
 namespace {
 
-struct Avx2Ops {
-  static constexpr int kWidth = 4;
-  using V = __m256d;
-  static V zero() { return _mm256_setzero_pd(); }
-  static V broadcast(double x) { return _mm256_set1_pd(x); }
-  static V loadu(const double* p) { return _mm256_loadu_pd(p); }
-  static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
-  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
-  static V add(V a, V b) { return _mm256_add_pd(a, b); }
-  static bool all_gt(V a, V b) {
-    return _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ)) == 0xF;
+constexpr int kW = 4;  // doubles per __m256d
+
+/// `kDims > 0`: compile-time dimension count (loop fully unrolled).
+/// `kDims == 0`: generic runtime-dimension kernel.
+template <int kDims>
+ScanResult scan(const ScanArgs& args) {
+  const int dims = kDims > 0 ? kDims : args.in_dims;
+  const int cap = args.capacity;
+  const double* soa = args.soa;
+  const double* probe = args.probe;
+
+  ScanResult best;
+  double best_sq = std::numeric_limits<double>::infinity();
+
+  int row = 0;
+  for (; row + kW <= args.valid_count; row += kW) {
+    const __m256d best_sq_v = _mm256_set1_pd(best_sq);
+    __m256d sq_v = _mm256_setzero_pd();
+    bool abandoned = false;
+    for (int d = 0; d < dims; ++d) {
+      const __m256d diff =
+          _mm256_sub_pd(_mm256_set1_pd(probe[d]), _mm256_loadu_pd(soa + d * cap + row));
+      sq_v = _mm256_add_pd(sq_v, _mm256_mul_pd(diff, diff));
+      if (_mm256_movemask_pd(_mm256_cmp_pd(sq_v, best_sq_v, _CMP_GT_OQ)) == 0xF) {
+        abandoned = true;
+        break;
+      }
+    }
+    if (abandoned) continue;
+    double lane_sq[kW];
+    _mm256_storeu_pd(lane_sq, sq_v);
+    for (int lane = 0; lane < kW; ++lane) {
+      const double sq = lane_sq[lane];
+      if (sq < best_sq) {
+        best_sq = sq;
+        const double distance = std::sqrt(sq);
+        if (distance < best.distance) {
+          best.distance = distance;
+          best.index = row + lane;
+        }
+      }
+    }
   }
-  static void store(double* p, V a) { _mm256_storeu_pd(p, a); }
-};
+
+  // Remainder rows: the scalar scan verbatim, reading through the mirror
+  // (same values bit-for-bit as the row-major storage).
+  for (; row < args.valid_count; ++row) {
+    double sq = 0.0;
+    for (int d = 0; d < dims; ++d) {
+      const double diff = probe[d] - soa[d * cap + row];
+      sq += diff * diff;
+      if (sq > best_sq) break;
+    }
+    if (sq < best_sq) {
+      best_sq = sq;
+      const double distance = std::sqrt(sq);
+      if (distance < best.distance) {
+        best.distance = distance;
+        best.index = row;
+      }
+    }
+  }
+  return best;
+}
 
 }  // namespace
 
-ScanFn iact_scan_fn_avx2(int in_dims) { return select_scan_impl<Avx2Ops>(in_dims); }
+ScanFn iact_scan_fn_avx2(int in_dims) {
+  switch (in_dims) {
+    case 1:
+      return &scan<1>;
+    case 2:
+      return &scan<2>;
+    case 3:
+      return &scan<3>;
+    case 4:
+      return &scan<4>;
+    case 5:
+      return &scan<5>;
+    case 6:
+      return &scan<6>;
+    case 7:
+      return &scan<7>;
+    case 8:
+      return &scan<8>;
+    default:
+      return &scan<0>;
+  }
+}
 
 }  // namespace hpac::approx::detail
 

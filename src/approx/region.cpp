@@ -16,7 +16,6 @@
 #include "common/scheduler.hpp"
 #include "common/strings.hpp"
 #include "sim/memory_model.hpp"
-#include "sim/shared_memory.hpp"
 
 namespace hpac::approx {
 
@@ -128,6 +127,7 @@ struct TafPolicy {
   static constexpr bool kMemoizes = true;
   static constexpr bool kGathers = false;
   const pragma::TafParams& params;
+  std::vector<double> storage;   ///< every state's window, zero-filled, one block
   std::vector<TafState> states;  ///< indexed by thread within the team
   void reset() {
     for (auto& state : states) state.reset();
@@ -143,6 +143,7 @@ struct IactPolicy {
   const pragma::IactParams& params;
   int tables_per_warp;
   int lanes_per_table;
+  std::vector<double> storage;    ///< every table's entries, zero-filled, one block
   std::vector<IactTable> tables;  ///< `tables_per_warp` per warp of the team
   void reset() {
     for (auto& table : tables) table.reset();
@@ -155,9 +156,11 @@ struct IactPolicy {
 /// A context executes teams [team_begin, team_end) of the launch against
 /// its own `KernelTracker` shard and its own AC state, so several contexts
 /// can run concurrently and be merged deterministically afterwards. AC
-/// state (TAF windows, iACT tables, the shared-memory arena) is allocated
-/// once per context and `reset()` between teams instead of reallocated —
-/// the launch-invariant hoisting half of the fast path.
+/// state (TAF windows, iACT tables) is allocated once per context, as one
+/// block per policy, and `reset()` between teams instead of reallocated —
+/// the launch-invariant hoisting half of the fast path. Whether that state
+/// fits the block's shared memory was decided by `validate_launch` before
+/// any context exists, so nothing here can fail on it.
 class RunContext {
  public:
   RunContext(const sim::DeviceConfig& dev, const RuntimeCosts& costs,
@@ -183,7 +186,6 @@ class RunContext {
         team_end_(team_end),
         tracker_(dev, launch, ac_bytes, team_begin, team_end),
         coalesce_(dev),
-        arena_(dev),
         warp_size_(dev.warp_size),
         threads_per_team_(launch.threads_per_team),
         warps_per_team_(launch.warps_per_team(dev)),
@@ -411,13 +413,14 @@ class RunContext {
   // --- TAF policy ------------------------------------------------------------
 
   TafPolicy taf_policy() {
-    TafPolicy policy{*spec_.taf, {}};
     const std::size_t per_thread =
-        TafState::storage_doubles(policy.params.history_size, binding_.out_dims);
+        TafState::storage_doubles(spec_.taf->history_size, binding_.out_dims);
+    TafPolicy policy{*spec_.taf, std::vector<double>(per_thread * threads_per_team_), {}};
+    const std::span<double> storage(policy.storage);
     policy.states.reserve(threads_per_team_);
     for (std::uint32_t t = 0; t < threads_per_team_; ++t) {
       policy.states.emplace_back(policy.params, binding_.out_dims,
-                                 arena_.alloc_doubles(per_thread));
+                                 storage.subspan(t * per_thread, per_thread));
     }
     return policy;
   }
@@ -473,16 +476,18 @@ class RunContext {
   IactPolicy iact_policy() {
     const pragma::IactParams& iact = *spec_.iact;
     const int tpw = tables_per_warp(iact, warp_size_);
-    IactPolicy policy{iact, tpw, warp_size_ / tpw, {}};
     const std::size_t per_table =
         IactTable::storage_doubles(iact.table_size, binding_.in_dims, binding_.out_dims);
     const Replacement replacement =
         iact.clock_replacement ? Replacement::kClock : Replacement::kRoundRobin;
     const std::uint32_t table_count = warps_per_team_ * static_cast<std::uint32_t>(tpw);
+    IactPolicy policy{iact, tpw, warp_size_ / tpw, std::vector<double>(per_table * table_count),
+                      {}};
+    const std::span<double> storage(policy.storage);
     policy.tables.reserve(table_count);
     for (std::uint32_t i = 0; i < table_count; ++i) {
       policy.tables.emplace_back(iact.table_size, binding_.in_dims, binding_.out_dims,
-                                 replacement, arena_.alloc_doubles(per_table));
+                                 replacement, storage.subspan(i * per_table, per_table));
     }
     return policy;
   }
@@ -582,7 +587,6 @@ class RunContext {
   std::uint64_t team_end_;
   sim::KernelTracker tracker_;
   sim::CoalescingModel coalesce_;
-  sim::SharedMemoryArena arena_;
   int warp_size_;
   std::uint32_t threads_per_team_;
   std::uint32_t warps_per_team_;

@@ -21,11 +21,13 @@ namespace hpac::approx {
 /// threshold the thread enters a *stable regime* and answers the next
 /// `pSize` invocations with its most recent output instead of computing.
 ///
-/// Storage lives in the block's shared memory (`SharedMemoryArena`), which
-/// is the paper's key memory design: state is sized by resident threads,
-/// not total threads. Multi-dimensional outputs keep one window per output
-/// dimension; the activation criterion is the *maximum* RSD across
-/// dimensions (the conservative choice: every output must look stable).
+/// Storage models the block's shared memory, which is the paper's key
+/// memory design: state is sized by resident threads, not total threads,
+/// and `RegionExecutor::ac_state_bytes_per_block` charges it against the
+/// device's per-block budget before a launch runs. Multi-dimensional
+/// outputs keep one window per output dimension; the activation criterion
+/// is the *maximum* RSD across dimensions (the conservative choice: every
+/// output must look stable).
 ///
 /// RSD uses a sign-robust denominator (mean |value| instead of |mean|): it
 /// coincides with the paper's sigma/mu whenever the window shares a sign,

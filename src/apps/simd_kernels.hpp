@@ -10,8 +10,10 @@
 // is bit-identical to its scalar reference — same per-lane operation
 // order, explicit mul/add (no FMA) — so QoI vectors, error metrics and
 // sweep CSVs are invariant across dispatch levels (enforced by the
-// `simd` tests and the CI matrix). AVX2 is the only vector level; each
-// `*_fn()` dispatcher returns its AVX2 kernel when that level is active
+// `simd` tests and the CI matrix). AVX2 is the only vector level: the
+// kernels are written on `__m256d` in app_kernels_avx2.cpp, the one TU
+// built with -mavx2. Each `*_fn()` dispatcher lives in the baseline-ISA
+// simd_kernels.cpp and returns its AVX2 kernel when that level is active
 // and nullptr (the app's scalar path) otherwise.
 
 #include <cstdint>
@@ -21,7 +23,7 @@
 namespace hpac::apps::kernels {
 
 /// Price `n` packed call options; all six arrays have length `n`.
-/// Processes lanes of `W` contracts with a scalar remainder that calls
+/// Processes four contracts per vector with a scalar remainder that calls
 /// `Blackscholes::call_price` verbatim.
 using BlackscholesBatchFn = void (*)(const double* spot, const double* strike,
                                      const double* rate, const double* volatility,

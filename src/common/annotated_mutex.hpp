@@ -45,9 +45,6 @@
 #ifndef RELEASE
 #define RELEASE(...) HPAC_TSA_(release_capability(__VA_ARGS__))
 #endif
-#ifndef TRY_ACQUIRE
-#define TRY_ACQUIRE(...) HPAC_TSA_(try_acquire_capability(__VA_ARGS__))
-#endif
 
 namespace hpac::common {
 
@@ -65,7 +62,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { m_.lock(); }
   void unlock() RELEASE() { m_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -115,7 +111,6 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
   void wait(UniqueMutexLock& lock) { cv_.wait(lock.lock_); }

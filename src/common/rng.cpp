@@ -71,8 +71,4 @@ double Xoshiro256::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Xoshiro256::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
-}
-
 }  // namespace hpac

@@ -46,8 +46,6 @@ class Xoshiro256 {
   double normal();
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
-  /// Lognormal: exp(normal(mu, sigma)).
-  double lognormal(double mu, double sigma);
 
  private:
   std::array<std::uint64_t, 4> s_{};

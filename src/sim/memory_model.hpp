@@ -1,7 +1,7 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <span>
 
 #include "sim/device.hpp"
 #include "sim/warp.hpp"
@@ -24,10 +24,6 @@ class CoalescingModel {
     while ((1u << (segment_shift_ + 1)) <= segment_bytes_) ++segment_shift_;
     if ((1u << segment_shift_) != segment_bytes_) segment_shift_ = -1;
   }
-
-  /// Transactions for explicit lane byte-addresses under an active mask.
-  std::uint32_t transactions(std::span<const std::uint64_t> lane_addresses,
-                             LaneMask active) const;
 
   /// Transactions for the common pattern "active lane l accesses
   /// base + (item_of_lane l) * elem_bytes" where items are consecutive for

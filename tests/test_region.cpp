@@ -282,6 +282,52 @@ TEST(Region, IncompleteBindingsAreRejectedBeforeAnyWork) {
   }
 }
 
+TEST(Region, AcStateOverSharedMemoryIsRejectedBeforeAnyWork) {
+  // `validate_launch` is the one shared-memory budget: a TAF history too
+  // deep or an iACT table too large for the block is a ConfigError from
+  // both entry points, raised before a single item is committed.
+  const char* const over_budget[] = {
+      "memo(out:94:8:0.5)",                // 128 threads x 776 B > 96 KB
+      "memo(in:4096:0.5:2) in(x) out(y)",  // 4 warps x 2 tables x 72 KB
+  };
+  RegionExecutor executor(sim::v100());
+  for (const char* memo : over_budget) {
+    TestRegion region;
+    const RegionBinding binding = region.binding();
+    const std::vector<double> untouched = region.out;
+    const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 16, 128);
+    const pragma::ApproxSpec spec = pragma::parse_approx(memo);
+    EXPECT_GT(executor.ac_state_bytes_per_block(spec, binding, launch),
+              executor.device().shared_mem_per_block)
+        << memo;
+    EXPECT_THROW(executor.run(spec, binding, region.n, launch), ConfigError) << memo;
+    EXPECT_EQ(region.out, untouched) << memo;
+    EXPECT_THROW(executor.run_composed(pragma::parse_approx("perfo(small:4)"), spec, binding,
+                                       region.n, launch),
+                 ConfigError)
+        << memo;
+    EXPECT_EQ(region.out, untouched) << memo;
+  }
+}
+
+TEST(Region, AcStateFillingSharedMemoryExactlyRuns) {
+  // 128 threads x (93 + 1) doubles + 16 B of bookkeeping is 96 KB, the
+  // V100's whole per-block budget: the boundary is inclusive.
+  TestRegion region;
+  const RegionBinding binding = region.binding();
+  RegionExecutor executor(sim::v100());
+  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 16, 128);
+  const pragma::ApproxSpec spec = pragma::parse_approx("memo(out:93:8:0.5)");
+  ASSERT_EQ(executor.ac_state_bytes_per_block(spec, binding, launch),
+            executor.device().shared_mem_per_block);
+  const RegionReport report = executor.run(spec, binding, region.n, launch);
+  EXPECT_EQ(report.stats.region_invocations, region.n);
+  EXPECT_EQ(report.stats.shared_bytes_per_block, executor.device().shared_mem_per_block);
+  const RegionReport composed = executor.run_composed(pragma::parse_approx("perfo(small:4)"), spec,
+                                                      binding, region.n, launch);
+  EXPECT_EQ(composed.stats.region_invocations, region.n);
+}
+
 TEST(Region, PartialTailWarpHandled) {
   TestRegion region;
   region.n = 1000;  // not a multiple of warp or team sizes

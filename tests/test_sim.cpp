@@ -12,7 +12,6 @@
 #include "sim/device.hpp"
 #include "sim/launch.hpp"
 #include "sim/memory_model.hpp"
-#include "sim/shared_memory.hpp"
 #include "sim/timing.hpp"
 #include "sim/warp.hpp"
 
@@ -124,33 +123,6 @@ TEST(Launch, ValidationRejectsBadGeometry) {
   EXPECT_THROW(cfg.validate(dev), ConfigError);
 }
 
-TEST(SharedMemory, AllocatesAndTracksPeak) {
-  SharedMemoryArena arena(v100());
-  auto a = arena.alloc_doubles(100);
-  EXPECT_EQ(a.size(), 100u);
-  EXPECT_EQ(arena.bytes_used(), 800u);
-  arena.alloc_ints(10);
-  EXPECT_EQ(arena.bytes_used(), 840u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.peak_bytes(), 840u);
-}
-
-TEST(SharedMemory, OverflowThrowsConfigError) {
-  SharedMemoryArena arena(v100());
-  EXPECT_THROW(arena.alloc_doubles((96u << 10) / 8 + 1), ConfigError);
-}
-
-TEST(SharedMemory, KernelLifetimeScoping) {
-  // Paper §3.1.1: state is destroyed when the kernel completes.
-  SharedMemoryArena arena(v100());
-  auto span = arena.alloc_doubles(4);
-  span[0] = 42.0;
-  arena.reset();
-  auto fresh = arena.alloc_doubles(4);
-  EXPECT_EQ(fresh[0], 0.0);
-}
-
 TEST(Warp, FullMaskAndLaneOps) {
   EXPECT_EQ(full_mask(32), 0xFFFFFFFFull);
   EXPECT_EQ(full_mask(64), ~0ull);
@@ -196,12 +168,6 @@ TEST(Coalescing, SparseMaskStillTouchesMostSegments) {
 TEST(Coalescing, EmptyMaskIsFree) {
   CoalescingModel model(v100());
   EXPECT_EQ(model.unit_stride_transactions(0, 8, 0, 32), 0u);
-}
-
-TEST(Coalescing, ExplicitAddressesDeduplicateSegments) {
-  CoalescingModel model(v100());
-  std::vector<std::uint64_t> addrs{0, 8, 16, 24, 1024};
-  EXPECT_EQ(model.transactions(addrs, full_mask(5)), 2u);
 }
 
 namespace {

@@ -179,10 +179,11 @@ void check_raw_threads(const std::string& file, const std::vector<std::string>& 
 // --- rule: simd-isolation ----------------------------------------------------
 
 bool simd_allowlisted(const std::string& file) {
-  // The shim (level probing) plus the AVX2 TUs that CMake compiles with
-  // -mavx2. The templated *_impl.hpp bodies are deliberately
-  // absent: they must stay expressed in Ops-traits calls, never raw
-  // intrinsics, or including them from a scalar TU would break.
+  // The shim (level probing) plus the two AVX2 TUs that CMake compiles
+  // with -mavx2, where the kernels are written directly on `__m256d`.
+  // No kernel header is listed: an intrinsic in a header could be
+  // included into a baseline-ISA TU, such as the dispatchers in iact.cpp
+  // and simd_kernels.cpp, and put VEX code on a non-AVX2 host's path.
   static const std::vector<std::string> allowed = {
       "common/simd.hpp",
       "common/simd.cpp",
