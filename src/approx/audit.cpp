@@ -87,14 +87,22 @@ void ExtentSink::reads(const void* ptr, std::size_t len) { put(reads_, ptr, len)
 
 // --- ShardLog ----------------------------------------------------------------
 
-void ShardLog::record_commit(const RegionBinding& binding, std::uint64_t item) {
-  ExtentSink sink(&writes_, nullptr, nullptr, item);
-  binding.commit_extents(item, sink);
+void ShardLog::record_commits(const RegionBinding& binding, std::uint64_t first_item,
+                              sim::LaneMask lanes) {
+  sim::for_each_lane(lanes, [&](int lane) {
+    const std::uint64_t item = first_item + static_cast<std::uint64_t>(lane);
+    ExtentSink sink(&writes_, nullptr, nullptr, item);
+    binding.commit_extents(item, sink);
+  });
 }
 
-void ShardLog::record_read(const RegionBinding& binding, std::uint64_t item) {
-  ExtentSink sink(nullptr, nullptr, &reads_, item);
-  binding.read_extents(item, sink);
+void ShardLog::record_reads(const RegionBinding& binding, std::uint64_t first_item,
+                            sim::LaneMask lanes) {
+  sim::for_each_lane(lanes, [&](int lane) {
+    const std::uint64_t item = first_item + static_cast<std::uint64_t>(lane);
+    ExtentSink sink(nullptr, nullptr, &reads_, item);
+    binding.read_extents(item, sink);
+  });
 }
 
 // --- LaunchAudit -------------------------------------------------------------

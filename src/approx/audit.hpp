@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/annotated_mutex.hpp"
+#include "sim/warp.hpp"
 
 namespace hpac::approx {
 
@@ -111,14 +112,17 @@ class ExtentSink {
 
 /// Per-shard append-only log of audited intervals. Each executor shard
 /// owns one log and records into it without synchronization (exactly like
-/// its KernelTracker shard); LaunchAudit folds the logs deterministically
-/// after the join.
+/// the ledgers of its own teams); LaunchAudit folds the logs
+/// deterministically after the join.
 class ShardLog {
  public:
-  /// Record the intervals `binding.commit_extents` declares for `item`.
-  void record_commit(const RegionBinding& binding, std::uint64_t item);
-  /// Record the intervals `binding.read_extents` declares for `item`.
-  void record_read(const RegionBinding& binding, std::uint64_t item);
+  /// Record the intervals `binding.commit_extents` declares for item
+  /// `first_item + lane` of every lane in `lanes`.
+  void record_commits(const RegionBinding& binding, std::uint64_t first_item,
+                      sim::LaneMask lanes);
+  /// Record the intervals `binding.read_extents` declares for item
+  /// `first_item + lane` of every lane in `lanes`.
+  void record_reads(const RegionBinding& binding, std::uint64_t first_item, sim::LaneMask lanes);
 
  private:
   friend class LaunchAudit;
@@ -217,8 +221,8 @@ class ExtentImageCache {
 
 /// Drives the audit of one region launch. Constructed before the launch
 /// executes (so the differential pre-image is the true initial state),
-/// handed one ShardLog per executor shard, and asked to `analyze()` after
-/// the shard merge. The executor owns the policy (throw vs. report and
+/// handed one ShardLog per executor shard, and asked to `analyze()` once
+/// every shard has finished. The executor owns the policy (throw vs. report and
 /// the differential re-run itself); this class owns the mechanism.
 class LaunchAudit {
  public:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "approx/taf.hpp"
 #include "common/annotated_mutex.hpp"
 #include "common/error.hpp"
-#include "common/function_ref.hpp"
 #include "common/scheduler.hpp"
 #include "common/strings.hpp"
 #include "sim/memory_model.hpp"
@@ -42,52 +40,6 @@ ExecTuning& default_tuning_storage() {
 // Explorer sweeps and Campaign shards, so whichever worker goes idle first
 // joins a nested launch's shards instead of them being gated behind a
 // dedicated pool.
-
-// --- audit instrumentation ---------------------------------------------------
-//
-// When the launch is audited (ExecTuning::audit_mode != kOff and the
-// binding declares independent_items), the bound dispatch is wrapped once
-// per launch with adapters that log each executed item's declared extents
-// into the context's shard log. The wrap happens at bind time, so the
-// audit-off path executes exactly the instructions it executed before the
-// auditor existed — there is no per-item branch.
-
-struct AuditCommitAdapter {
-  FunctionRef<void(std::uint64_t, LaneMask, std::span<const double>)> inner;
-  const RegionBinding* binding;
-  audit::ShardLog* log;
-  void operator()(std::uint64_t first_item, LaneMask lanes, std::span<const double> out) const {
-    inner(first_item, lanes, out);
-    sim::for_each_lane(lanes, [&](int lane) {
-      log->record_commit(*binding, first_item + static_cast<std::uint64_t>(lane));
-    });
-  }
-};
-
-struct AuditGatherAdapter {
-  FunctionRef<void(std::uint64_t, LaneMask, std::span<double>)> inner;
-  const RegionBinding* binding;
-  audit::ShardLog* log;
-  void operator()(std::uint64_t first_item, LaneMask lanes, std::span<double> in) const {
-    inner(first_item, lanes, in);
-    sim::for_each_lane(lanes, [&](int lane) {
-      log->record_read(*binding, first_item + static_cast<std::uint64_t>(lane));
-    });
-  }
-};
-
-struct AuditAccurateAdapter {
-  FunctionRef<void(std::uint64_t, LaneMask, std::span<const double>, std::span<double>)> inner;
-  const RegionBinding* binding;
-  audit::ShardLog* log;
-  void operator()(std::uint64_t first_item, LaneMask lanes, std::span<const double> in,
-                  std::span<double> out) const {
-    inner(first_item, lanes, in, out);
-    sim::for_each_lane(lanes, [&](int lane) {
-      log->record_read(*binding, first_item + static_cast<std::uint64_t>(lane));
-    });
-  }
-};
 
 /// Per-warp scratch carried between the decision phase and the execution
 /// phase of one grid-stride step (needed because block-level decisions
@@ -153,9 +105,12 @@ struct IactPolicy {
 /// Everything one region execution needs; avoids threading a dozen
 /// parameters through the walk and its policies.
 ///
-/// A context executes teams [team_begin, team_end) of the launch against
-/// its own `KernelTracker` shard and its own AC state, so several contexts
-/// can run concurrently and be merged deterministically afterwards. AC
+/// A context executes teams [team_begin, team_end) of the launch with its
+/// own AC state, charging only those teams' ledgers of the launch's shared
+/// `KernelTracker`, so several contexts over disjoint team ranges can run
+/// concurrently; their `ExecStats` are folded in shard order afterwards.
+/// An audited context logs each executed item's declared extents into its
+/// own shard log right after the binding call that touched them. AC
 /// state (TAF windows, iACT tables) is allocated once per context, as one
 /// block per policy, and `reset()` between teams instead of reallocated —
 /// the launch-invariant hoisting half of the fast path. Whether that state
@@ -163,12 +118,11 @@ struct IactPolicy {
 /// any context exists, so nothing here can fail on it.
 class RunContext {
  public:
-  RunContext(const sim::DeviceConfig& dev, const RuntimeCosts& costs,
-             const ApproxSpec& spec, const RegionBinding& binding, std::uint64_t n,
-             const sim::LaunchConfig& launch, std::size_t ac_bytes,
-             const pragma::PerfoParams* composed_perfo, std::uint64_t team_begin,
-             std::uint64_t team_end, audit::ShardLog* audit_log = nullptr)
-      : dev_(dev),
+  RunContext(const RuntimeCosts& costs, const ApproxSpec& spec, const RegionBinding& binding,
+             std::uint64_t n, const pragma::PerfoParams* composed_perfo,
+             sim::KernelTracker& tracker, std::uint64_t team_begin, std::uint64_t team_end,
+             audit::ShardLog* audit_log)
+      : dev_(tracker.device()),
         perfo_(composed_perfo != nullptr                   ? composed_perfo
                : spec.technique == Technique::kPerforation ? &*spec.perfo
                                                            : nullptr),
@@ -184,18 +138,15 @@ class RunContext {
         n_(n),
         team_begin_(team_begin),
         team_end_(team_end),
-        tracker_(dev, launch, ac_bytes, team_begin, team_end),
-        coalesce_(dev),
-        warp_size_(dev.warp_size),
-        threads_per_team_(launch.threads_per_team),
-        warps_per_team_(launch.warps_per_team(dev)),
-        total_threads_(launch.total_threads()),
-        steps_(launch.steps_for(n)),
-        gather_(binding.gather_batch),
-        accurate_(binding.accurate_batch),
-        cost_(binding.accurate_cost_batch),
-        commit_(binding.commit_batch) {
-    stats_.shared_bytes_per_block = ac_bytes;
+        tracker_(tracker),
+        commit_log_(audit_log),
+        read_log_(binding.read_extents ? audit_log : nullptr),
+        coalesce_(dev_),
+        warp_size_(dev_.warp_size),
+        threads_per_team_(tracker.launch().threads_per_team),
+        warps_per_team_(tracker.launch().warps_per_team(dev_)),
+        total_threads_(tracker.launch().total_threads()),
+        steps_(tracker.launch().steps_for(n)) {
     out_buf_.resize(static_cast<std::size_t>(warp_size_) *
                     static_cast<std::size_t>(binding.out_dims));
     scratch_.resize(warps_per_team_);
@@ -204,39 +155,21 @@ class RunContext {
                   static_cast<std::size_t>(std::max(1, binding.in_dims)));
       s.match.resize(static_cast<std::size_t>(warp_size_));
     }
-    // Audited launches wrap the bound dispatch once, here; the audit-off
-    // path never reaches these assignments. (`gather_` may refer to an
-    // empty `gather_batch`: only iACT calls it, and `validate_launch`
-    // requires it there.)
-    if (audit_log != nullptr) {
-      audit_commit_adapter_ = AuditCommitAdapter{commit_, &binding, audit_log};
-      commit_ = audit_commit_adapter_;
-      if (binding.read_extents) {
-        audit_gather_adapter_ = AuditGatherAdapter{gather_, &binding, audit_log};
-        gather_ = audit_gather_adapter_;
-        audit_accurate_adapter_ = AuditAccurateAdapter{accurate_, &binding, audit_log};
-        accurate_ = audit_accurate_adapter_;
-      }
+  }
+
+  /// Run the technique over this context's team range and return its
+  /// event counters. Timing is finalized once, by the launch, after every
+  /// shard has charged the tracker.
+  ExecStats execute() {
+    if (spec_.technique == Technique::kTafMemo) {
+      walk(taf_policy());
+    } else if (spec_.technique == Technique::kIactMemo) {
+      walk(iact_policy());
+    } else {
+      walk(AccuratePolicy{});  // none, perfo(...)
     }
+    return stats_;
   }
-
-  /// Run the technique over this context's team range. Does not finalize
-  /// timing — shards are merged first.
-  void execute_body() {
-    if (spec_.technique == Technique::kTafMemo) return walk(taf_policy());
-    if (spec_.technique == Technique::kIactMemo) return walk(iact_policy());
-    walk(AccuratePolicy{});  // none, perfo(...)
-  }
-
-  RegionReport finalize_report() {
-    RegionReport report;
-    report.timing = tracker_.finalize();
-    report.stats = stats_;
-    return report;
-  }
-
-  const sim::KernelTracker& tracker() const { return tracker_; }
-  const ExecStats& stats() const { return stats_; }
 
  private:
   // --- geometry helpers -------------------------------------------------
@@ -389,13 +322,15 @@ class RunContext {
           if (acc_mask != 0) {
             const auto in = Policy::kGathers ? std::span<const double>(s.in)
                                              : std::span<const double>();
-            accurate_(first_item, acc_mask, in, out);
+            binding_.accurate_batch(first_item, acc_mask, in, out);
+            if (read_log_ != nullptr) read_log_->record_reads(binding_, first_item, acc_mask);
           }
           std::array<double, 2> paths{0.0, 0.0};  // accurate, approximate
           if constexpr (Policy::kMemoizes) paths[1] = reuse(policy, w, s, approx_mask);
-          commit_(first_item, s.active, out);
+          binding_.commit_batch(first_item, s.active, out);
+          if (commit_log_ != nullptr) commit_log_->record_commits(binding_, first_item, s.active);
           if (acc_mask != 0) {
-            paths[0] = cost_(first_item, acc_mask);
+            paths[0] = binding_.accurate_cost_batch(first_item, acc_mask);
             if constexpr (Policy::kMemoizes) paths[0] += record(policy, w, s, acc_mask, ledger);
           }
           ledger.charge_paths(paths);
@@ -507,7 +442,8 @@ class RunContext {
     const int id = binding_.in_dims;
     IactTable* tables = warp_tables(policy, w);
     const int lanes_per_table = policy.lanes_per_table;
-    gather_(first_item, s.active, std::span<double>(s.in));
+    binding_.gather_batch(first_item, s.active, std::span<double>(s.in));
+    if (read_log_ != nullptr) read_log_->record_reads(binding_, first_item, s.active);
     LaneMask wishes = 0;
     LaneMask reusable = 0;
     sim::for_each_lane(s.active, [&](int lane) {
@@ -585,7 +521,9 @@ class RunContext {
   std::uint64_t n_;
   std::uint64_t team_begin_;
   std::uint64_t team_end_;
-  sim::KernelTracker tracker_;
+  sim::KernelTracker& tracker_;
+  audit::ShardLog* commit_log_;  ///< null unless the launch is audited
+  audit::ShardLog* read_log_;    ///< null unless audited and reads are declared
   sim::CoalescingModel coalesce_;
   int warp_size_;
   std::uint32_t threads_per_team_;
@@ -595,19 +533,6 @@ class RunContext {
   ExecStats stats_;
   std::vector<double> out_buf_;
   std::vector<WarpScratch> scratch_;
-
-  // Audit wrappers around the bound dispatch (inert unless the launch is
-  // audited; see the constructor).
-  AuditCommitAdapter audit_commit_adapter_;
-  AuditGatherAdapter audit_gather_adapter_;
-  AuditAccurateAdapter audit_accurate_adapter_;
-
-  // Hot-path dispatch, bound once per launch.
-  FunctionRef<void(std::uint64_t, LaneMask, std::span<double>)> gather_;
-  FunctionRef<void(std::uint64_t, LaneMask, std::span<const double>, std::span<double>)>
-      accurate_;
-  FunctionRef<double(std::uint64_t, LaneMask)> cost_;
-  FunctionRef<void(std::uint64_t, LaneMask, std::span<const double>)> commit_;
 };
 
 /// Team range [begin, end) of shard `s` when `teams` are cut into `shards`
@@ -702,8 +627,8 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   const std::uint64_t teams = launch.num_teams;
 
   // Decide the team-shard count. Sharding never changes results (each team
-  // is executed exactly as the serial engine would, and merges are
-  // deterministic), so this is purely a wall-clock decision: the binding
+  // is executed exactly as the serial engine would, and the counters fold
+  // in a fixed order), so this is purely a wall-clock decision: the binding
   // must declare independent items and the launch must cover enough items
   // to amortize the fan-out. The team count only caps the shard count, so
   // few-team launches (the items-per-thread axis) shard too. A launch
@@ -736,42 +661,28 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
     return auditor && auditor->instrumented() ? &auditor->log(s) : nullptr;
   };
 
-  RegionReport report;
-  if (shards <= 1) {
-    RunContext ctx(dev_, costs_, spec, binding, n, launch, ac_bytes, composed_perfo, 0, teams,
-                   shard_log(0));
-    ctx.execute_body();
-    report = ctx.finalize_report();
-    report.stats.host_shards = 1;
-  } else {
-    std::vector<std::unique_ptr<RunContext>> shard_ctxs;
-    shard_ctxs.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto [begin, end] = shard_team_range(teams, shards, s);
-      shard_ctxs.push_back(std::make_unique<RunContext>(dev_, costs_, spec, binding, n, launch,
-                                                        ac_bytes, composed_perfo, begin, end,
-                                                        shard_log(s)));
-    }
-    Scheduler::shared().parallel_for(
-        shard_ctxs.size(),
-        [&](std::size_t, std::size_t s) { shard_ctxs[s]->execute_body(); },
-        /*max_participants=*/shards);
+  // Every launch, sharded or not, charges one tracker: each shard owns a
+  // contiguous team range, so no ledger is written by two threads. The
+  // counters fold in shard index order — fixed when the ranges were cut —
+  // so every downstream CSV byte is independent of which thread executed
+  // which shard. One shard runs inline on the calling thread.
+  sim::KernelTracker tracker(dev_, launch, ac_bytes);
+  std::vector<ExecStats> shard_stats(shards);
+  Scheduler::shared().parallel_for(
+      shards,
+      [&](std::size_t, std::size_t s) {
+        const auto [begin, end] = shard_team_range(teams, shards, s);
+        shard_stats[s] = RunContext(costs_, spec, binding, n, composed_perfo, tracker, begin, end,
+                                    shard_log(s))
+                             .execute();
+      },
+      /*max_participants=*/shards);
 
-    // Shard merge order is the shard index order — fixed above when the
-    // contiguous team ranges were cut — so the folded ledgers, counters and
-    // therefore every downstream CSV byte are independent of which thread
-    // executed which shard.
-    sim::KernelTracker total(dev_, launch, ac_bytes);
-    ExecStats stats;
-    stats.shared_bytes_per_block = ac_bytes;
-    for (const auto& ctx : shard_ctxs) {
-      total.merge(ctx->tracker());
-      stats.add_counters(ctx->stats());
-    }
-    stats.host_shards = shards;
-    report.timing = total.finalize();
-    report.stats = stats;
-  }
+  RegionReport report;
+  report.timing = tracker.finalize();
+  report.stats.shared_bytes_per_block = ac_bytes;
+  report.stats.host_shards = shards;
+  for (const ExecStats& stats : shard_stats) report.stats.add_counters(stats);
 
   if (auditor) {
     auditor->analyze();
@@ -788,11 +699,11 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
       auditor->restore_pre();
       const std::uint64_t diff_shards =
           std::min<std::uint64_t>(teams, audit::LaunchAudit::kDifferentialShards);
+      sim::KernelTracker scratch(dev_, launch, ac_bytes);
       for (std::uint64_t s = diff_shards; s-- > 0;) {
         const auto [begin, end] = shard_team_range(teams, diff_shards, s);
-        RunContext ctx(dev_, costs_, spec, binding, n, launch, ac_bytes, composed_perfo, begin,
-                       end);
-        ctx.execute_body();
+        RunContext(costs_, spec, binding, n, composed_perfo, scratch, begin, end, nullptr)
+            .execute();
       }
       auditor->compare_with(after);
       auditor->restore(after);

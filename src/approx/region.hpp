@@ -197,9 +197,9 @@ struct RuntimeCosts {
 
 /// Knobs of the executor's team-sharded host parallelism. Sharding only
 /// ever changes wall-clock time, never results: a launch is split into
-/// contiguous team ranges, each executed exactly as the serial engine
-/// would, and the per-warp ledgers and counters are merged
-/// deterministically.
+/// contiguous team ranges of one KernelTracker, each executed exactly as
+/// the serial engine would and charging only its own teams' ledgers, and
+/// the shards' counters are folded in shard order.
 struct ExecTuning {
   /// Host threads a single launch may use. 0 = hardware concurrency;
   /// 1 disables team sharding.

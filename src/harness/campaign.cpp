@@ -216,15 +216,12 @@ CampaignResult Campaign::run(ResultStore& store) {
     }
   };
 
+  // One worker runs the shards inline, in plan order.
   const std::size_t workers =
       Scheduler::recommended_threads(plan_.num_threads, pending.size());
-  if (workers <= 1) {
-    for (const std::size_t shard_index : pending) run_shard(shard_index);
-  } else {
-    Scheduler::shared().parallel_for(
-        pending.size(), [&](std::size_t, std::size_t i) { run_shard(pending[i]); },
-        /*max_participants=*/workers);
-  }
+  Scheduler::shared().parallel_for(
+      pending.size(), [&](std::size_t, std::size_t i) { run_shard(pending[i]); },
+      /*max_participants=*/workers);
 
   // --- canonical assembly (plan order, independent of worker count) ---
   for (auto& record : records) {

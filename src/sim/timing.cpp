@@ -8,43 +8,22 @@ namespace hpac::sim {
 
 KernelTracker::KernelTracker(const DeviceConfig& dev, const LaunchConfig& launch,
                              std::size_t shared_bytes_per_block)
-    : KernelTracker(dev, launch, shared_bytes_per_block, 0, launch.num_teams) {}
-
-KernelTracker::KernelTracker(const DeviceConfig& dev, const LaunchConfig& launch,
-                             std::size_t shared_bytes_per_block, std::uint64_t team_begin,
-                             std::uint64_t team_end)
     : dev_(dev),
       launch_(launch),
       shared_bytes_per_block_(shared_bytes_per_block),
-      warps_per_team_(launch.warps_per_team(dev)),
-      team_begin_(team_begin),
-      team_end_(team_end) {
+      warps_per_team_(launch.warps_per_team(dev)) {
   launch.validate(dev);
   HPAC_REQUIRE(shared_bytes_per_block <= dev.shared_mem_per_block,
                "block shared memory exceeds device limit");
-  HPAC_REQUIRE(team_begin <= team_end && team_end <= launch.num_teams,
-               "tracker team range outside the launch grid");
-  ledgers_.resize((team_end - team_begin) * warps_per_team_);
+  ledgers_.resize(launch.num_teams * warps_per_team_);
 }
 
 WarpLedger& KernelTracker::warp(std::uint64_t team, std::uint32_t warp_in_team) {
-  return ledgers_[(team - team_begin_) * warps_per_team_ + warp_in_team];
+  return ledgers_[team * warps_per_team_ + warp_in_team];
 }
 
 const WarpLedger& KernelTracker::warp(std::uint64_t team, std::uint32_t warp_in_team) const {
-  return ledgers_[(team - team_begin_) * warps_per_team_ + warp_in_team];
-}
-
-void KernelTracker::merge(const KernelTracker& shard) {
-  HPAC_REQUIRE(shard.warps_per_team_ == warps_per_team_,
-               "merging trackers of different launch geometries");
-  HPAC_REQUIRE(team_begin_ <= shard.team_begin_ && shard.team_end_ <= team_end_,
-               "merging a shard outside this tracker's team range");
-  for (std::uint64_t team = shard.team_begin_; team < shard.team_end_; ++team) {
-    for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
-      warp(team, w).merge(shard.warp(team, w));
-    }
-  }
+  return ledgers_[team * warps_per_team_ + warp_in_team];
 }
 
 int KernelTracker::resident_blocks_per_sm() const {
@@ -59,8 +38,6 @@ int KernelTracker::resident_blocks_per_sm() const {
 }
 
 KernelTiming KernelTracker::finalize() const {
-  HPAC_REQUIRE(team_begin_ == 0 && team_end_ == launch_.num_teams,
-               "finalize() requires a full-range tracker; merge shards first");
   KernelTiming timing;
   const int resident_blocks = resident_blocks_per_sm();
   timing.resident_blocks_per_sm = resident_blocks;

@@ -44,35 +44,20 @@ class KernelTracker {
   KernelTracker(const DeviceConfig& dev, const LaunchConfig& launch,
                 std::size_t shared_bytes_per_block = 0);
 
-  /// Shard covering teams [team_begin, team_end) of the launch. The
-  /// team-parallel executor gives each worker its own shard so ledgers are
-  /// written without synchronization; `merge` folds shards back into a
-  /// full-range tracker deterministically.
-  KernelTracker(const DeviceConfig& dev, const LaunchConfig& launch,
-                std::size_t shared_bytes_per_block, std::uint64_t team_begin,
-                std::uint64_t team_end);
-
-  /// Ledger of warp `warp_in_team` of team `team` (must lie in this
-  /// tracker's team range).
+  /// Ledger of warp `warp_in_team` of team `team`. The team-parallel
+  /// executor's shards charge one tracker concurrently: each shard owns a
+  /// contiguous team range, so no ledger is written by two threads.
   WarpLedger& warp(std::uint64_t team, std::uint32_t warp_in_team);
   const WarpLedger& warp(std::uint64_t team, std::uint32_t warp_in_team) const;
 
   const DeviceConfig& device() const { return dev_; }
   const LaunchConfig& launch() const { return launch_; }
-  std::uint64_t team_begin() const { return team_begin_; }
-  std::uint64_t team_end() const { return team_end_; }
-
-  /// Fold a shard's ledgers into this tracker. Each warp is charged by
-  /// exactly one shard, so merging shards (in any order) reproduces the
-  /// serial tracker bit-for-bit.
-  void merge(const KernelTracker& shard);
 
   /// Blocks that fit concurrently on one SM given warp and shared-memory
   /// limits (>= 1: a launchable block always runs, possibly alone).
   int resident_blocks_per_sm() const;
 
-  /// Apply the SM/wave model and produce the kernel timing. Only valid on
-  /// a full-range tracker (shards feed `merge` instead).
+  /// Apply the SM/wave model and produce the kernel timing.
   KernelTiming finalize() const;
 
  private:
@@ -80,8 +65,6 @@ class KernelTracker {
   LaunchConfig launch_;
   std::size_t shared_bytes_per_block_;
   std::uint32_t warps_per_team_;
-  std::uint64_t team_begin_ = 0;
-  std::uint64_t team_end_ = 0;
   std::vector<WarpLedger> ledgers_;
 };
 

@@ -69,16 +69,6 @@ class WarpLedger {
   /// all warps in a block advance together in the wave model.
   void charge_barrier(double cycles = 20.0);
 
-  /// Fold another ledger's charges into this one. Used by the team-sharded
-  /// executor: every warp is charged by exactly one shard, so merging the
-  /// shard ledgers reproduces the serial ledger values exactly.
-  void merge(const WarpLedger& other) {
-    compute_cycles_ += other.compute_cycles_;
-    transactions_ += other.transactions_;
-    memory_rounds_ += other.memory_rounds_;
-    divergent_regions_ += other.divergent_regions_;
-  }
-
   double compute_cycles() const { return compute_cycles_; }
   std::uint64_t transactions() const { return transactions_; }
   std::uint64_t memory_rounds() const { return memory_rounds_; }

@@ -18,7 +18,6 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
-#include "common/function_ref.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
@@ -391,53 +390,6 @@ TEST(TextTable, AlignsColumns) {
 TEST(TextTable, RejectsWrongWidth) {
   TextTable t({"a"});
   EXPECT_THROW(t.add_row({"1", "2"}), Error);
-}
-
-// --- FunctionRef ----------------------------------------------------------
-
-TEST(FunctionRef, BindsLambdasAndForwardsArguments) {
-  int calls = 0;
-  auto add = [&calls](int a, int b) {
-    ++calls;
-    return a + b;
-  };
-  FunctionRef<int(int, int)> ref = add;
-  EXPECT_EQ(ref(2, 3), 5);
-  EXPECT_EQ(ref(10, -4), 6);
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(FunctionRef, DefaultConstructedIsEmpty) {
-  FunctionRef<void()> ref;
-  EXPECT_FALSE(static_cast<bool>(ref));
-}
-
-TEST(FunctionRef, ObservesMutationsOfTheReferencedCallable) {
-  // Non-owning: the ref sees the callable's *current* state, it holds no
-  // copy.
-  int factor = 2;
-  auto scale = [&factor](int v) { return v * factor; };
-  FunctionRef<int(int)> ref = scale;
-  EXPECT_EQ(ref(21), 42);
-  factor = 3;
-  EXPECT_EQ(ref(21), 63);
-}
-
-TEST(FunctionRef, BindsStdFunction) {
-  std::function<double(double)> doubler = [](double v) { return 2.0 * v; };
-  FunctionRef<double(double)> ref = doubler;
-  EXPECT_DOUBLE_EQ(ref(1.5), 3.0);
-  doubler = [](double v) { return 10.0 * v; };  // ref tracks the object
-  EXPECT_DOUBLE_EQ(ref(1.5), 15.0);
-}
-
-TEST(FunctionRef, RebindsByAssignment) {
-  auto one = [](int) { return 1; };
-  auto two = [](int) { return 2; };
-  FunctionRef<int(int)> ref = one;
-  EXPECT_EQ(ref(0), 1);
-  ref = two;
-  EXPECT_EQ(ref(0), 2);
 }
 
 // --- locale-independent parsing -------------------------------------------

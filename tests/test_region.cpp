@@ -563,8 +563,9 @@ void expect_identical(const EngineRun& a, const EngineRun& b, const char* what) 
   EXPECT_EQ(a.report.stats.taf_stable_entries, b.report.stats.taf_stable_entries) << what;
   EXPECT_EQ(a.report.stats.forced_approx, b.report.stats.forced_approx) << what;
   EXPECT_EQ(a.report.stats.forced_accurate, b.report.stats.forced_accurate) << what;
-  // Bit-identical timing, not approximately-equal timing: the merge is
-  // deterministic and every charge is computed in the same order.
+  // Bit-identical timing, not approximately-equal timing: each shard
+  // charges only its own teams' ledgers of one tracker, and every charge
+  // is computed in the same order.
   EXPECT_EQ(a.report.timing.seconds, b.report.timing.seconds) << what;
   EXPECT_EQ(a.report.timing.critical_path_cycles, b.report.timing.critical_path_cycles)
       << what;

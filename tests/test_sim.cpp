@@ -286,64 +286,3 @@ TEST(Warp, ForEachLaneVisitsSetBitsAscending) {
   EXPECT_EQ(lanes, (std::vector<int>{0, 1, 4, 6}));
   for_each_lane(0ull, [&](int) { FAIL() << "empty mask must not visit"; });
 }
-
-TEST(Warp, LedgerMergeSumsAllCharges) {
-  WarpLedger a;
-  a.charge_compute(10.0);
-  a.charge_memory(4, 2);
-  const std::array<double, 2> paths{5.0, 7.0};
-  a.charge_paths(paths);
-  WarpLedger b;
-  b.charge_compute(1.0);
-  b.charge_memory(1, 1);
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.compute_cycles(), 23.0);
-  EXPECT_EQ(b.transactions(), 5u);
-  EXPECT_EQ(b.memory_rounds(), 3u);
-  EXPECT_EQ(b.divergent_regions(), 1u);
-}
-
-TEST(Timing, ShardedTrackersMergeToTheSerialResult) {
-  const DeviceConfig dev = v100();
-  LaunchConfig cfg;
-  cfg.num_teams = 10;
-  cfg.threads_per_team = 128;
-
-  KernelTracker serial(dev, cfg);
-  KernelTracker full(dev, cfg);
-  KernelTracker shard_a(dev, cfg, 0, 0, 6);
-  KernelTracker shard_b(dev, cfg, 0, 6, 10);
-  for (std::uint64_t team = 0; team < 10; ++team) {
-    for (std::uint32_t w = 0; w < cfg.warps_per_team(dev); ++w) {
-      const double cycles = 100.0 + static_cast<double>(team * 7 + w);
-      serial.warp(team, w).charge_compute(cycles);
-      serial.warp(team, w).charge_memory(static_cast<std::uint32_t>(team + 1), 1);
-      KernelTracker& shard = team < 6 ? shard_a : shard_b;
-      shard.warp(team, w).charge_compute(cycles);
-      shard.warp(team, w).charge_memory(static_cast<std::uint32_t>(team + 1), 1);
-    }
-  }
-  full.merge(shard_a);
-  full.merge(shard_b);
-  const KernelTiming expected = serial.finalize();
-  const KernelTiming merged = full.finalize();
-  EXPECT_EQ(expected.seconds, merged.seconds);
-  EXPECT_EQ(expected.critical_path_cycles, merged.critical_path_cycles);
-  EXPECT_EQ(expected.total_transactions, merged.total_transactions);
-  EXPECT_EQ(expected.compute_cycles_total, merged.compute_cycles_total);
-  EXPECT_EQ(expected.occupancy, merged.occupancy);
-}
-
-TEST(Timing, ShardRangeIsValidated) {
-  const DeviceConfig dev = v100();
-  LaunchConfig cfg;
-  cfg.num_teams = 4;
-  cfg.threads_per_team = 128;
-  EXPECT_THROW(KernelTracker(dev, cfg, 0, 2, 6), Error);
-  KernelTracker full(dev, cfg);
-  KernelTracker outside(dev, cfg, 0, 1, 3);
-  EXPECT_NO_THROW(full.merge(outside));
-  KernelTracker narrow(dev, cfg, 0, 1, 3);
-  KernelTracker wider(dev, cfg, 0, 0, 4);
-  EXPECT_THROW(narrow.merge(wider), Error);
-}
