@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "approx/region.hpp"
+#include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace hpac::approx::audit {
@@ -31,6 +31,20 @@ const char* kind_name(ConflictReport::Kind kind) {
       return "missing extents";
   }
   return "?";
+}
+
+/// Digest of the first few conflicts (enforce-mode ConfigError text).
+std::string summarize(const std::vector<ConflictReport>& conflicts) {
+  std::string text;
+  const std::size_t shown = std::min<std::size_t>(conflicts.size(), 3);
+  for (std::size_t i = 0; i < shown; ++i) {
+    if (!text.empty()) text += "; ";
+    text += conflicts[i].to_string();
+  }
+  if (conflicts.size() > shown) {
+    text += strings::format(" (+%zu more)", conflicts.size() - shown);
+  }
+  return text;
 }
 
 }  // namespace
@@ -105,183 +119,74 @@ void ShardLog::record_reads(const RegionBinding& binding, std::uint64_t first_it
   });
 }
 
-// --- LaunchAudit -------------------------------------------------------------
-
-LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
-                         bool differential, ExtentImageCache* cache)
-    : binding_(&binding),
-      name_(binding.name.empty() ? std::string("<unnamed>") : binding.name),
-      differential_(differential) {
-  if (!binding.commit_extents) {
-    ConflictReport report;
-    report.kind = ConflictReport::Kind::kMissingExtents;
-    report.binding = name_;
-    conflicts_.push_back(std::move(report));
-    return;
-  }
-  instrumented_ = true;
-  logs_.resize(std::max<std::size_t>(1, shards));
-
-  if (!differential_) return;
-
-  // Cheap path first: a previous launch of this (binding, n) pair may have
-  // walk-validated the affine extent shape, in which case three endpoint
-  // probes replace the O(n) walk below.
-  if (cache != nullptr && cache->lookup(binding, n, exclusive_extents_, all_extents_)) {
-    pre_ = take_snapshot();
-    return;
-  }
-
-  // Union of every item's declared intervals: the byte image the
-  // differential re-run must be able to save, restore and compare. The
-  // walk costs one extent callback per item — audit-mode only, and cheap
-  // address arithmetic inside.
-  std::vector<Entry> exclusive;
-  std::vector<Entry> commuting;
-  // Fit the affine model alongside the walk so this full-price launch can
-  // seed the cache. Item 0 fixes bases and lengths, item 1 fixes strides,
-  // every further item only verifies — one comparison per logged entry.
-  std::optional<ExtentImageCache::Shape> shape;
-  if (cache != nullptr) shape.emplace();
-  const auto fit_channel = [](std::vector<ExtentImageCache::AffineEntry>& model,
-                              const std::vector<Entry>& log, std::size_t from,
-                              std::uint64_t item) {
-    const std::size_t count = log.size() - from;
-    if (item == 0) {
-      model.reserve(count);
-      for (std::size_t k = 0; k < count; ++k) {
-        const Entry& e = log[from + k];
-        model.push_back(ExtentImageCache::AffineEntry{
-            e.begin, 0, static_cast<std::size_t>(e.end - e.begin)});
-      }
-      return true;
-    }
-    if (count != model.size()) return false;
-    for (std::size_t k = 0; k < count; ++k) {
-      const Entry& e = log[from + k];
-      ExtentImageCache::AffineEntry& m = model[k];
-      if (static_cast<std::size_t>(e.end - e.begin) != m.len) return false;
-      if (item == 1) {
-        m.stride = e.begin - m.base;  // wrapping arithmetic: any direction
-      } else if (e.begin != m.base + static_cast<std::uintptr_t>(item) * m.stride) {
-        return false;
-      }
-    }
-    return true;
-  };
-  for (std::uint64_t item = 0; item < n; ++item) {
-    const std::size_t exclusive_from = exclusive.size();
-    const std::size_t commuting_from = commuting.size();
-    ExtentSink sink(&exclusive, &commuting, nullptr, item);
-    binding.commit_extents(item, sink);
-    if (shape && !(fit_channel(shape->exclusive, exclusive, exclusive_from, item) &&
-                   fit_channel(shape->commuting, commuting, commuting_from, item))) {
-      shape.reset();  // not affine: keep walking, skip caching
-    }
-  }
-  const auto merge = [](std::vector<Entry> entries) {
-    std::vector<Interval> merged;
-    std::sort(entries.begin(), entries.end(), entry_less);
-    for (const Entry& e : entries) {
-      if (!merged.empty() && e.begin <= merged.back().end) {
-        merged.back().end = std::max(merged.back().end, e.end);
-      } else {
-        merged.push_back(Interval{e.begin, e.end});
-      }
-    }
-    return merged;
-  };
-  exclusive_extents_ = merge(exclusive);
-  exclusive.insert(exclusive.end(), commuting.begin(), commuting.end());
-  all_extents_ = merge(std::move(exclusive));
-  if (cache != nullptr) {
-    cache->store(binding, n, std::move(shape), exclusive_extents_, all_extents_);
-  }
-  pre_ = take_snapshot();
-}
-
 // --- ExtentImageCache --------------------------------------------------------
 
-bool ExtentImageCache::lookup(const RegionBinding& binding, std::uint64_t n,
-                              std::vector<ByteInterval>& exclusive_extents,
-                              std::vector<ByteInterval>& all_extents) {
-  // Probe outside the lock — the extent callbacks are application code.
-  const auto probe = [&binding](std::uint64_t item) {
-    std::pair<std::vector<ExtentSink::Entry>, std::vector<ExtentSink::Entry>> channels;
+std::optional<ExtentImageCache::Shape> ExtentImageCache::probe(const RegionBinding& binding,
+                                                               std::uint64_t n) {
+  const auto extents_of = [&binding](std::uint64_t item) {
+    std::pair<std::vector<Entry>, std::vector<Entry>> channels;
     ExtentSink sink(&channels.first, &channels.second, nullptr, item);
     binding.commit_extents(item, sink);
     return channels;
   };
-  const auto fix_strides = [](std::vector<AffineEntry>& model,
-                              const std::vector<ExtentSink::Entry>& entries) {
-    if (entries.size() != model.size()) return false;
-    for (std::size_t k = 0; k < model.size(); ++k) {
-      if (static_cast<std::size_t>(entries[k].end - entries[k].begin) != model[k].len) {
-        return false;
-      }
-      model[k].stride = entries[k].begin - model[k].base;
+  const auto first = extents_of(0);
+  const auto second = n > 1 ? extents_of(1) : first;
+  // Bases and lengths from item 0, strides (wrapping, so any direction)
+  // from item 1; matching item 1 below then checks its lengths.
+  const auto fit = [](const std::vector<Entry>& at0, const std::vector<Entry>& at1,
+                      std::vector<AffineEntry>& model) {
+    if (at0.size() != at1.size()) return false;
+    for (std::size_t k = 0; k < at0.size(); ++k) {
+      model.push_back(AffineEntry{at0[k].begin, at1[k].begin - at0[k].begin,
+                                  static_cast<std::size_t>(at0[k].end - at0[k].begin)});
     }
     return true;
   };
-  const auto check_item = [](const std::vector<AffineEntry>& model,
-                             const std::vector<ExtentSink::Entry>& entries,
-                             std::uint64_t item) {
+  Shape shape;
+  if (!fit(first.first, second.first, shape.exclusive) ||
+      !fit(first.second, second.second, shape.commuting) ||
+      !matches(shape, second.first, second.second, n > 1 ? 1 : 0)) {
+    return std::nullopt;
+  }
+  if (n > 2) {
+    const auto last = extents_of(n - 1);
+    if (!matches(shape, last.first, last.second, n - 1)) return std::nullopt;
+  }
+  return shape;
+}
+
+bool ExtentImageCache::matches(const Shape& shape, std::span<const Entry> exclusive,
+                               std::span<const Entry> commuting, std::uint64_t item) {
+  const auto fits = [item](const std::vector<AffineEntry>& model, std::span<const Entry> entries) {
     if (entries.size() != model.size()) return false;
     for (std::size_t k = 0; k < model.size(); ++k) {
       if (static_cast<std::size_t>(entries[k].end - entries[k].begin) != model[k].len ||
-          entries[k].begin !=
-              model[k].base + static_cast<std::uintptr_t>(item) * model[k].stride) {
+          entries[k].begin != model[k].base + static_cast<std::uintptr_t>(item) * model[k].stride) {
         return false;
       }
     }
     return true;
   };
+  return fits(shape.exclusive, exclusive) && fits(shape.commuting, commuting);
+}
 
-  Shape shape;
-  {
-    const auto first = probe(0);
-    for (const ExtentSink::Entry& e : first.first) {
-      shape.exclusive.push_back(
-          AffineEntry{e.begin, 0, static_cast<std::size_t>(e.end - e.begin)});
-    }
-    for (const ExtentSink::Entry& e : first.second) {
-      shape.commuting.push_back(
-          AffineEntry{e.begin, 0, static_cast<std::size_t>(e.end - e.begin)});
-    }
-  }
-  if (n > 1) {
-    const auto second = probe(1);
-    if (!fix_strides(shape.exclusive, second.first) ||
-        !fix_strides(shape.commuting, second.second)) {
-      return false;
-    }
-  }
-  if (n > 2) {
-    const auto last = probe(n - 1);
-    if (!check_item(shape.exclusive, last.first, n - 1) ||
-        !check_item(shape.commuting, last.second, n - 1)) {
-      return false;
-    }
-  }
-
+std::optional<ExtentImageCache::Image> ExtentImageCache::lookup(const RegionBinding& binding,
+                                                                std::uint64_t n,
+                                                                const Shape& shape) {
   common::MutexLock lock(mutex_);
   const auto it = variants_.find(Key{&binding, n});
-  if (it == variants_.end()) return false;
+  if (it == variants_.end()) return std::nullopt;
   for (const Variant& variant : it->second) {
     if (variant.shape == shape) {
-      exclusive_extents = variant.exclusive_extents;
-      all_extents = variant.all_extents;
       ++stats_.hits;
-      return true;
+      return variant.image;
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 void ExtentImageCache::store(const RegionBinding& binding, std::uint64_t n,
-                             std::optional<Shape> shape,
-                             const std::vector<ByteInterval>& exclusive_extents,
-                             const std::vector<ByteInterval>& all_extents) {
+                             std::optional<Shape> shape, const Image& image) {
   common::MutexLock lock(mutex_);
   ++stats_.misses;
   if (!shape) {
@@ -293,7 +198,98 @@ void ExtentImageCache::store(const RegionBinding& binding, std::uint64_t n,
     if (variant.shape == *shape) return;  // raced with an identical walk
   }
   if (variants.size() >= kMaxVariants) variants.erase(variants.begin());
-  variants.push_back(Variant{std::move(*shape), exclusive_extents, all_extents});
+  variants.push_back(Variant{std::move(*shape), image});
+}
+
+// --- LaunchAudit -------------------------------------------------------------
+
+LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
+                         AuditMode mode, bool differential, ExtentImageCache* cache)
+    : name_(binding.name.empty() ? std::string("<unnamed>") : binding.name),
+      mode_(mode),
+      differential_(differential) {
+  if (!binding.commit_extents) {
+    if (mode_ == AuditMode::kEnforce) {
+      throw ConfigError(std::string(kConflictToken) + " audit: binding '" + name_ +
+                        "' declares independent_items but no commit_extents; the claim "
+                        "cannot be verified");
+    }
+    ConflictReport report;
+    report.kind = ConflictReport::Kind::kMissingExtents;
+    report.binding = name_;
+    conflicts_.push_back(std::move(report));
+    return;
+  }
+  logs_.resize(std::max<std::size_t>(1, shards));
+
+  if (!differential_) return;
+
+  // Cheap path first: three probes give the launch's affine shape, and a
+  // previous launch of this (binding, n) pair may have walk-validated it.
+  std::optional<ExtentImageCache::Shape> shape;
+  if (cache != nullptr) shape = ExtentImageCache::probe(binding, n);
+  std::optional<ExtentImageCache::Image> cached;
+  if (shape) cached = cache->lookup(binding, n, *shape);
+  if (cached) {
+    image_ = std::move(*cached);
+    pre_ = snapshot();
+    return;
+  }
+
+  // Union of every item's declared intervals: the byte image the
+  // differential re-run must be able to save, restore and compare. The
+  // walk costs one extent callback per item — audit-mode only, and cheap
+  // address arithmetic inside. Each item is checked against the probed
+  // shape, so a pattern that is affine only at the probes is not cached.
+  std::vector<Entry> exclusive;
+  std::vector<Entry> commuting;
+  for (std::uint64_t item = 0; item < n; ++item) {
+    const std::size_t exclusive_from = exclusive.size();
+    const std::size_t commuting_from = commuting.size();
+    ExtentSink sink(&exclusive, &commuting, nullptr, item);
+    binding.commit_extents(item, sink);
+    if (shape && !ExtentImageCache::matches(*shape,
+                                            std::span(exclusive).subspan(exclusive_from),
+                                            std::span(commuting).subspan(commuting_from), item)) {
+      shape.reset();
+    }
+  }
+  image_.exclusive = merge(exclusive);
+  exclusive.insert(exclusive.end(), commuting.begin(), commuting.end());
+  image_.all = merge(std::move(exclusive));
+  if (cache != nullptr) cache->store(binding, n, std::move(shape), image_);
+  pre_ = snapshot();
+}
+
+std::vector<ConflictReport> LaunchAudit::close(const std::function<void()>& rerun_reversed) {
+  if (!logs_.empty()) {
+    analyze();
+    if (differential_) {
+      const std::vector<unsigned char> after = snapshot();
+      restore(pre_);
+      rerun_reversed();
+      compare_with(after);
+      restore(after);
+    }
+  }
+  if (!conflicts_.empty() && mode_ == AuditMode::kEnforce) {
+    throw ConfigError(std::string(kConflictToken) + " audit failed for binding '" + name_ +
+                      "': " + summarize(conflicts_));
+  }
+  return std::move(conflicts_);
+}
+
+std::vector<LaunchAudit::Interval> LaunchAudit::merge(std::vector<Entry> entries) {
+  std::vector<Interval> merged;
+  std::sort(entries.begin(), entries.end(), entry_less);
+  for (const Entry& e : entries) {
+    if (!merged.empty() && e.begin <= merged.back().end) {
+      merged.back().end = std::max(merged.back().end, e.end);
+    } else {
+      merged.push_back(Interval{e.begin, e.end});
+    }
+  }
+  return merged;
 }
 
 void LaunchAudit::add_conflict(ConflictReport::Kind kind, std::uint64_t item_a,
@@ -330,8 +326,6 @@ std::uint64_t LaunchAudit::owner_of(std::uintptr_t addr) const {
 }
 
 void LaunchAudit::analyze() {
-  if (!instrumented_) return;
-
   std::vector<Entry> writes;
   std::vector<Entry> reads;
   for (const ShardLog& log : logs_) {
@@ -361,22 +355,12 @@ void LaunchAudit::analyze() {
   // report's byte range is expressed relative to its containing run, so
   // multi-array bindings produce the same offsets regardless of where the
   // allocator placed each array.
-  {
-    std::vector<Entry> all;
-    all.reserve(writes.size() + reads.size() + all_extents_.size());
-    all.insert(all.end(), writes.begin(), writes.end());
-    all.insert(all.end(), reads.begin(), reads.end());
-    for (const Interval& iv : all_extents_) all.push_back(Entry{iv.begin, iv.end, 0});
-    std::sort(all.begin(), all.end(), entry_less);
-    regions_.clear();
-    for (const Entry& e : all) {
-      if (!regions_.empty() && e.begin <= regions_.back().end) {
-        regions_.back().end = std::max(regions_.back().end, e.end);
-      } else {
-        regions_.push_back(Interval{e.begin, e.end});
-      }
-    }
-  }
+  std::vector<Entry> all;
+  all.reserve(writes.size() + reads.size() + image_.all.size());
+  all.insert(all.end(), writes.begin(), writes.end());
+  all.insert(all.end(), reads.begin(), reads.end());
+  for (const Interval& iv : image_.all) all.push_back(Entry{iv.begin, iv.end, 0});
+  regions_ = merge(std::move(all));
 
   // Write/write: each entry against the sorted tail it overlaps. The
   // inner scan ends at the first non-overlapping entry, so disjoint
@@ -410,46 +394,39 @@ void LaunchAudit::analyze() {
   folded_writes_ = std::move(writes);
 }
 
-Snapshot LaunchAudit::take_snapshot() const {
-  Snapshot snapshot;
-  std::size_t total = 0;
-  for (const Interval& iv : all_extents_) total += iv.end - iv.begin;
-  snapshot.bytes_.resize(total);
-  std::size_t offset = 0;
-  for (const Interval& iv : all_extents_) {
-    const std::size_t len = iv.end - iv.begin;
-    std::memcpy(snapshot.bytes_.data() + offset, reinterpret_cast<const void*>(iv.begin), len);
-    offset += len;
+std::vector<unsigned char> LaunchAudit::snapshot() const {
+  std::vector<unsigned char> bytes;
+  for (const Interval& iv : image_.all) {
+    const auto* begin = reinterpret_cast<const unsigned char*>(iv.begin);
+    bytes.insert(bytes.end(), begin, begin + (iv.end - iv.begin));
   }
-  return snapshot;
+  return bytes;
 }
 
-void LaunchAudit::restore(const Snapshot& snapshot) const {
+void LaunchAudit::restore(const std::vector<unsigned char>& bytes) const {
   std::size_t offset = 0;
-  for (const Interval& iv : all_extents_) {
+  for (const Interval& iv : image_.all) {
     const std::size_t len = iv.end - iv.begin;
-    std::memcpy(reinterpret_cast<void*>(iv.begin), snapshot.bytes_.data() + offset, len);
+    std::memcpy(reinterpret_cast<void*>(iv.begin), bytes.data() + offset, len);
     offset += len;
   }
 }
 
-void LaunchAudit::restore_pre() const { restore(pre_); }
-
-void LaunchAudit::compare_with(const Snapshot& reference) {
-  // Map each exclusive interval into the snapshot's all_extents_ layout.
+void LaunchAudit::compare_with(const std::vector<unsigned char>& reference) {
+  // Map each exclusive interval into the snapshot's image_.all layout.
   // Every exclusive interval lies inside exactly one merged all-interval
   // (the all set is a superset and both are merged).
   std::size_t all_index = 0;
   std::size_t all_offset = 0;
-  for (const Interval& iv : exclusive_extents_) {
-    while (all_index < all_extents_.size() && all_extents_[all_index].end <= iv.begin) {
-      all_offset += all_extents_[all_index].end - all_extents_[all_index].begin;
+  for (const Interval& iv : image_.exclusive) {
+    while (all_index < image_.all.size() && image_.all[all_index].end <= iv.begin) {
+      all_offset += image_.all[all_index].end - image_.all[all_index].begin;
       ++all_index;
     }
-    if (all_index >= all_extents_.size()) break;
-    const std::size_t start = all_offset + (iv.begin - all_extents_[all_index].begin);
+    if (all_index >= image_.all.size()) break;
+    const std::size_t start = all_offset + (iv.begin - image_.all[all_index].begin);
     const auto* live = reinterpret_cast<const unsigned char*>(iv.begin);
-    const unsigned char* ref = reference.bytes_.data() + start;
+    const unsigned char* ref = reference.data() + start;
     const std::size_t len = iv.end - iv.begin;
     std::size_t b = 0;
     while (b < len && conflicts_.size() < kMaxReports) {
@@ -466,19 +443,6 @@ void LaunchAudit::compare_with(const Snapshot& reference) {
     }
     if (conflicts_.size() >= kMaxReports) break;
   }
-}
-
-std::string LaunchAudit::summarize(const std::vector<ConflictReport>& conflicts) {
-  std::string text;
-  const std::size_t shown = std::min<std::size_t>(conflicts.size(), 3);
-  for (std::size_t i = 0; i < shown; ++i) {
-    if (!text.empty()) text += "; ";
-    text += conflicts[i].to_string();
-  }
-  if (conflicts.size() > shown) {
-    text += strings::format(" (+%zu more)", conflicts.size() - shown);
-  }
-  return text;
 }
 
 }  // namespace hpac::approx::audit

@@ -2,8 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -130,32 +132,20 @@ class ShardLog {
   std::vector<ExtentSink::Entry> reads_;
 };
 
-/// Opaque byte image of a launch's declared extents (see LaunchAudit).
-class Snapshot {
- private:
-  friend class LaunchAudit;
-  std::vector<unsigned char> bytes_;
-};
-
-/// A merged contiguous byte range of audited memory.
-struct ByteInterval {
-  std::uintptr_t begin = 0;
-  std::uintptr_t end = 0;
-};
-
 /// Memoizes the merged extent image a differential audit builds by walking
 /// every item through `commit_extents` — the dominant audit cost in a
 /// sweep, where the same binding launches hundreds of times with identical
-/// extents. The first differential launch of a (binding, n) pair still
-/// pays the full walk; while walking, the cache fits the *affine model*
-/// (entry k of item i lives at `base_k + i * stride_k` with a constant
-/// length — every `bind_row_commit_extents`-style binding). Later launches
-/// probe only items {0, 1, n-1}: when the probes reproduce a previously
-/// walk-validated shape, the cached merged intervals are reused and the
-/// O(n) walk is skipped entirely. The probe includes the base addresses,
-/// so a binding that commits into a different buffer each launch (ping-pong
-/// stencils) simply occupies one variant slot per buffer. Non-affine
-/// bindings are rebuilt exactly, per launch, as before.
+/// extents. Every differential launch first probes items {0, 1, n-1} into
+/// one *affine shape* (entry k of item i lives at `base_k + i * stride_k`
+/// with a constant length — every `bind_row_commit_extents`-style
+/// binding). When the shape equals a stored variant of the (binding, n)
+/// pair, the cached merged intervals are reused and the O(n) walk is
+/// skipped. Otherwise the launch walks every item, checks each against the
+/// same shape and stores it as a variant unless some item broke it. The
+/// shape includes the base addresses, so a binding that commits into a
+/// different buffer each launch (ping-pong stencils) simply occupies one
+/// variant slot per buffer. Non-affine bindings are rebuilt exactly, per
+/// launch.
 ///
 /// Thread-safe; owned by the RegionExecutor (one cache per executor, so
 /// binding addresses — the cache key — cannot collide across executors
@@ -179,7 +169,13 @@ class ExtentImageCache {
 
  private:
   friend class LaunchAudit;
+  using Entry = ExtentSink::Entry;
 
+  /// A merged contiguous byte range of audited memory.
+  struct Interval {
+    std::uintptr_t begin = 0;
+    std::uintptr_t end = 0;
+  };
   /// One extent-callback entry under the affine model. `stride` is the
   /// per-item displacement in wrapping address arithmetic, so "negative"
   /// strides work unchanged.
@@ -194,90 +190,90 @@ class ExtentImageCache {
     std::vector<AffineEntry> commuting;
     bool operator==(const Shape&) const = default;
   };
+  /// The merged intervals a differential audit snapshots and compares.
+  struct Image {
+    std::vector<Interval> exclusive;  ///< item-exclusive extents only
+    std::vector<Interval> all;        ///< exclusive and commuting
+  };
   struct Variant {
     Shape shape;
-    std::vector<ByteInterval> exclusive_extents;
-    std::vector<ByteInterval> all_extents;
+    Image image;
   };
   using Key = std::pair<const void*, std::uint64_t>;  ///< (binding, n)
 
-  /// Probe items {0, 1, n-1} and, on a shape match against a stored
-  /// variant, fill the interval vectors and return true.
-  bool lookup(const RegionBinding& binding, std::uint64_t n,
-              std::vector<ByteInterval>& exclusive_extents,
-              std::vector<ByteInterval>& all_extents);
+  /// The affine shape of items {0, 1, n-1}: item 0 fixes bases and
+  /// lengths, item 1 the strides, item n-1 must match. Nullopt when they
+  /// do not fit one shape.
+  static std::optional<Shape> probe(const RegionBinding& binding, std::uint64_t n);
+  /// Whether `item`'s logged entries are exactly what `shape` predicts.
+  static bool matches(const Shape& shape, std::span<const Entry> exclusive,
+                      std::span<const Entry> commuting, std::uint64_t item);
 
-  /// Record a walk-validated shape (missing shape = non-affine, counted
-  /// but not stored).
-  void store(const RegionBinding& binding, std::uint64_t n,
-             std::optional<Shape> shape,
-             const std::vector<ByteInterval>& exclusive_extents,
-             const std::vector<ByteInterval>& all_extents);
+  /// The image of the stored variant of (binding, n) with this shape.
+  std::optional<Image> lookup(const RegionBinding& binding, std::uint64_t n,
+                              const Shape& shape);
+  /// Count a full walk and keep its image under the shape that every
+  /// walked item matched (nullopt = non-affine, counted but not stored).
+  void store(const RegionBinding& binding, std::uint64_t n, std::optional<Shape> shape,
+             const Image& image);
 
   mutable common::Mutex mutex_;
   std::map<Key, std::vector<Variant>> variants_ GUARDED_BY(mutex_);
   Stats stats_ GUARDED_BY(mutex_);
 };
 
-/// Drives the audit of one region launch. Constructed before the launch
-/// executes (so the differential pre-image is the true initial state),
-/// handed one ShardLog per executor shard, and asked to `analyze()` once
-/// every shard has finished. The executor owns the policy (throw vs. report and
-/// the differential re-run itself); this class owns the mechanism.
+/// The audit of one region launch, opened before it executes and closed
+/// after its shards join:
+///
+///   LaunchAudit audit(binding, n, shards, mode, differential, cache);
+///   ... shard s logs its committed extents into audit.log(s) ...
+///   conflicts = audit.close(rerun_reversed);
+///
+/// Opening before the launch makes the differential pre-image the true
+/// initial state. Closing folds the shard logs, and with the differential
+/// pass re-executes the launch through `rerun_reversed` from the restored
+/// pre-image. Under kEnforce every finding becomes a ConfigError.
 class LaunchAudit {
  public:
-  /// `shards` is the launch's host-shard count (>= 1). When `differential`
-  /// is set the constructor walks items [0, n) through `commit_extents`
-  /// to build the union of declared intervals and snapshots its bytes —
-  /// unless `cache` (optional) serves the merged image from a previous
-  /// walk of the same (binding, n) shape, in which case only items
-  /// {0, 1, n-1} are probed.
+  /// `shards` is the launch's host-shard count (>= 1). Throws ConfigError
+  /// under kEnforce when the binding declares no `commit_extents` (the
+  /// independence claim cannot be verified); under kReport that launch is
+  /// not instrumented and closes with one kMissingExtents report. When
+  /// `differential` is set, builds the merged image of every item's
+  /// declared extents (served by `cache` when it holds this shape) and
+  /// snapshots its bytes.
   LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
-              bool differential, ExtentImageCache* cache = nullptr);
+              AuditMode mode, bool differential, ExtentImageCache* cache);
 
-  /// False when the binding lacks `commit_extents`: no logging happens and
-  /// `analyze()` yields a single kMissingExtents report instead.
-  bool instrumented() const { return instrumented_; }
-  bool missing_extents() const { return !instrumented_; }
+  /// Shard `shard`'s log; null when the launch is not instrumented.
+  ShardLog* log(std::size_t shard) { return logs_.empty() ? nullptr : &logs_[shard]; }
 
-  ShardLog& log(std::size_t shard) { return logs_[shard]; }
-
-  /// Fold the shard logs and detect write/write and read/write overlaps
-  /// between distinct items. Deterministic: the folded interval multiset
-  /// is independent of the shard decomposition, reports are emitted in
-  /// address order and capped at kMaxReports per kind.
-  void analyze();
-
-  /// Whether the executor should perform the differential re-run.
-  bool differential_ready() const { return differential_ && instrumented_; }
-
-  /// Byte image of every declared extent (exclusive and commuting).
-  Snapshot take_snapshot() const;
-  /// Write the pre-launch image (taken at construction) back into memory.
-  void restore_pre() const;
-  void restore(const Snapshot& snapshot) const;
-
-  /// Compare `reference` (the audited run's post-image) against live
-  /// memory (the re-run's post-image) over the item-exclusive extents;
-  /// differing ranges become kDifferential reports attributed to the
-  /// owning item via the folded write log.
-  void compare_with(const Snapshot& reference);
-
-  std::vector<ConflictReport> take_conflicts() { return std::move(conflicts_); }
-  const std::string& binding_name() const { return name_; }
-
-  /// Human-readable digest of the first few conflicts (ConfigError text).
-  static std::string summarize(const std::vector<ConflictReport>& conflicts);
-
-  static constexpr std::size_t kMaxReports = 8;
-  /// Shard count of the differential re-run's reversed schedule. A fixed
-  /// constant — never the machine's thread count — so findings are
-  /// deterministic across hosts.
-  static constexpr std::uint64_t kDifferentialShards = 4;
+  /// Close the audit once every shard has finished. Folds the shard logs
+  /// and detects write/write and read/write overlaps between distinct
+  /// items; the folded multiset is independent of the shard decomposition
+  /// and reports come out in address order, at most kMaxReports. With the
+  /// differential pass: snapshots the audited post-image, restores the
+  /// pre-image, calls `rerun_reversed` (which must re-execute the launch
+  /// on another legal schedule), byte-compares the item-exclusive extents
+  /// and restores the audited post-image, so the application observes the
+  /// audited run's bytes. Returns the findings (empty when clean); under
+  /// kEnforce any finding throws ConfigError instead.
+  std::vector<ConflictReport> close(const std::function<void()>& rerun_reversed);
 
  private:
-  using Interval = ByteInterval;
+  using Interval = ExtentImageCache::Interval;
+  using Entry = ExtentSink::Entry;
+  static constexpr std::size_t kMaxReports = 8;
 
+  /// Sort `entries` and merge overlapping or touching ones.
+  static std::vector<Interval> merge(std::vector<Entry> entries);
+  void analyze();
+  std::vector<unsigned char> snapshot() const;
+  void restore(const std::vector<unsigned char>& bytes) const;
+  /// Compare `reference` (the audited run's post-image) against live
+  /// memory over the item-exclusive extents; differing ranges become
+  /// kDifferential reports attributed to the owning item.
+  void compare_with(const std::vector<unsigned char>& reference);
   void add_conflict(ConflictReport::Kind kind, std::uint64_t item_a, std::uint64_t item_b,
                     std::uintptr_t begin, std::uintptr_t end);
   /// Item of the folded write entry covering `addr` (first in sort order).
@@ -286,17 +282,15 @@ class LaunchAudit {
   /// offset origin that keeps reports independent of heap layout.
   std::uintptr_t region_base_of(std::uintptr_t addr) const;
 
-  const RegionBinding* binding_;
   std::string name_;
-  bool instrumented_ = false;
-  bool differential_ = false;
-  std::vector<ShardLog> logs_;
+  AuditMode mode_;
+  bool differential_;
+  std::vector<ShardLog> logs_;  ///< empty when the launch is not instrumented
   std::vector<ConflictReport> conflicts_;
-  std::vector<ExtentSink::Entry> folded_writes_;  ///< sorted, kept by analyze()
-  std::vector<Interval> regions_;  ///< merged contiguous audited runs (offset origins)
-  std::vector<Interval> all_extents_;             ///< merged exclusive + commuting
-  std::vector<Interval> exclusive_extents_;       ///< merged exclusive only
-  Snapshot pre_;                                  ///< taken at construction
+  std::vector<Entry> folded_writes_;  ///< sorted, kept by analyze()
+  std::vector<Interval> regions_;     ///< merged contiguous audited runs (offset origins)
+  ExtentImageCache::Image image_;     ///< differential only
+  std::vector<unsigned char> pre_;    ///< image bytes taken at construction
 };
 
 }  // namespace audit

@@ -548,6 +548,9 @@ std::pair<std::uint64_t, std::uint64_t> shard_team_range(std::uint64_t teams,
   return {begin, begin + per_shard + (s < extra ? 1 : 0)};
 }
 
+/// Shard count of the differential audit's reversed schedule.
+constexpr std::uint64_t kDifferentialShards = 4;
+
 /// Binding and configuration checks shared by `run` and `run_composed`,
 /// all made before any work starts. Returns the per-block AC state bytes.
 std::size_t validate_launch(const RegionExecutor& executor, const ApproxSpec& spec,
@@ -641,25 +644,16 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
                                  : 1;
 
   // Commit-conflict auditing: validates the independent_items declaration
-  // instead of assuming it. The auditor is constructed before the launch
-  // runs (its differential pre-image must be the true initial state) and
+  // instead of assuming it. The audit is opened before the launch runs
+  // (its differential pre-image must be the true initial state) and
   // audits regardless of whether *this* launch actually sharded — a
   // mislabeled binding is a hazard on every machine, not just the one it
   // raced on. Fully inert when audit_mode == kOff: not even constructed.
   std::optional<audit::LaunchAudit> auditor;
   if (tuning_.audit_mode != audit::AuditMode::kOff && binding.independent_items && n > 0) {
-    auditor.emplace(binding, n, shards, tuning_.audit_differential,
+    auditor.emplace(binding, n, shards, tuning_.audit_mode, tuning_.audit_differential,
                     tuning_.audit_extent_cache ? &audit_extent_cache_ : nullptr);
-    if (auditor->missing_extents() && tuning_.audit_mode == audit::AuditMode::kEnforce) {
-      throw ConfigError(std::string(audit::kConflictToken) + " audit: binding '" +
-                        auditor->binding_name() +
-                        "' declares independent_items but no commit_extents; the claim "
-                        "cannot be verified");
-    }
   }
-  const auto shard_log = [&](std::size_t s) -> audit::ShardLog* {
-    return auditor && auditor->instrumented() ? &auditor->log(s) : nullptr;
-  };
 
   // Every launch, sharded or not, charges one tracker: each shard owns a
   // contiguous team range, so no ledger is written by two threads. The
@@ -673,7 +667,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
       [&](std::size_t, std::size_t s) {
         const auto [begin, end] = shard_team_range(teams, shards, s);
         shard_stats[s] = RunContext(costs_, spec, binding, n, composed_perfo, tracker, begin, end,
-                                    shard_log(s))
+                                    auditor ? auditor->log(s) : nullptr)
                              .execute();
       },
       /*max_participants=*/shards);
@@ -685,38 +679,21 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   for (const ExecStats& stats : shard_stats) report.stats.add_counters(stats);
 
   if (auditor) {
-    auditor->analyze();
-    if (auditor->differential_ready()) {
-      // Differential pass: re-execute the launch under a reversed-shard
-      // serial schedule — a legal schedule of the sharded run, since the
-      // engine's per-team state resets make results decomposition- and
-      // order-invariant *when items are independent* — and byte-compare
-      // the committed output. The shard count is a fixed constant (not
-      // the machine's), so findings are deterministic across hosts, and
-      // the application state is restored to the audited run's bytes
-      // afterwards, so auditing never changes what the app observes.
-      const audit::Snapshot after = auditor->take_snapshot();
-      auditor->restore_pre();
-      const std::uint64_t diff_shards =
-          std::min<std::uint64_t>(teams, audit::LaunchAudit::kDifferentialShards);
+    // The differential pass re-executes the launch under a reversed-shard
+    // serial schedule — a legal schedule of the sharded run, since the
+    // engine's per-team state resets make results decomposition- and
+    // order-invariant *when items are independent*. The shard count is a
+    // fixed constant (not the machine's), so findings are deterministic
+    // across hosts.
+    report.stats.conflicts = auditor->close([&] {
+      const std::uint64_t diff_shards = std::min(teams, kDifferentialShards);
       sim::KernelTracker scratch(dev_, launch, ac_bytes);
       for (std::uint64_t s = diff_shards; s-- > 0;) {
         const auto [begin, end] = shard_team_range(teams, diff_shards, s);
         RunContext(costs_, spec, binding, n, composed_perfo, scratch, begin, end, nullptr)
             .execute();
       }
-      auditor->compare_with(after);
-      auditor->restore(after);
-    }
-    std::vector<audit::ConflictReport> conflicts = auditor->take_conflicts();
-    if (!conflicts.empty()) {
-      if (tuning_.audit_mode == audit::AuditMode::kEnforce) {
-        throw ConfigError(std::string(audit::kConflictToken) + " audit failed for binding '" +
-                          auditor->binding_name() +
-                          "': " + audit::LaunchAudit::summarize(conflicts));
-      }
-      report.stats.conflicts = std::move(conflicts);
-    }
+    });
   }
   report.stats.simd_level = simd::active_level();
   return report;

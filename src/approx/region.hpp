@@ -209,20 +209,24 @@ struct ExecTuning {
   /// min(threads, teams) shards, however few teams they have.
   std::uint64_t min_items = 1u << 14;
   /// Commit-conflict auditing of `independent_items` bindings (see
-  /// `hpac::approx::audit`). `kOff` leaves the dispatch path untouched;
-  /// `kReport` collects findings into `ExecStats::conflicts`; `kEnforce`
-  /// throws `hpac::ConfigError` on the first conflicting launch.
+  /// `hpac::approx::audit`). `kOff` constructs no `audit::LaunchAudit`,
+  /// so no shard logs anything. Otherwise each such launch opens one
+  /// audit before it runs and closes it after its shards join: `kReport`
+  /// collects findings into `ExecStats::conflicts`; `kEnforce` throws
+  /// `hpac::ConfigError` on the first conflicting launch, and before the
+  /// launch runs when the binding declares no `commit_extents`.
   audit::AuditMode audit_mode = audit::AuditMode::kOff;
-  /// With auditing on, additionally re-execute every audited launch under
-  /// a reversed-shard serial schedule and byte-compare the committed
-  /// output — catches read-side dependences that address tagging cannot
-  /// see. Roughly doubles the cost of audited launches; application
-  /// state is restored afterwards, so results are unchanged.
+  /// With auditing on, the close additionally re-executes the launch
+  /// under a reversed-shard serial schedule and byte-compares the
+  /// committed output — catches read-side dependences that address
+  /// tagging cannot see. Roughly doubles the cost of audited launches;
+  /// application state is restored afterwards, so results are unchanged.
   bool audit_differential = false;
   /// Memoize the merged extent image differential audits build (see
-  /// `audit::ExtentImageCache`): repeated launches of the same (binding,
-  /// n) pair probe three items instead of walking all of them. Off →
-  /// every audited launch rebuilds its image exactly as before.
+  /// `audit::ExtentImageCache`): a launch whose three probed items give
+  /// the affine shape of a stored variant of the same (binding, n) pair
+  /// skips the walk over all items. Off → no probe; every audited launch
+  /// walks.
   bool audit_extent_cache = true;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -13,25 +12,6 @@ double mean(std::span<const double> xs) {
   double sum = 0.0;
   for (double x : xs) sum += x;
   return sum / static_cast<double>(xs.size());
-}
-
-double variance(std::span<const double> xs) {
-  if (xs.size() < 1) return 0.0;
-  const double mu = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - mu) * (x - mu);
-  return acc / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
-double rsd(std::span<const double> xs) {
-  const double mu = mean(xs);
-  const double sigma = stddev(xs);
-  if (mu == 0.0) {
-    return sigma == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-  }
-  return sigma / std::abs(mu);
 }
 
 double geomean(std::span<const double> xs) {
@@ -117,18 +97,5 @@ double mcr_percent(std::span<const int> accurate, std::span<const int> approx) {
   }
   return 100.0 * static_cast<double>(mismatches) / static_cast<double>(accurate.size());
 }
-
-void RunningStats::push(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace hpac::stats

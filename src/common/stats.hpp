@@ -9,17 +9,6 @@ namespace hpac::stats {
 /// Arithmetic mean; returns 0 for an empty range.
 double mean(std::span<const double> xs);
 
-/// Population variance (divides by N); returns 0 for fewer than 1 element.
-double variance(std::span<const double> xs);
-
-/// Population standard deviation.
-double stddev(std::span<const double> xs);
-
-/// Relative standard deviation sigma/|mu| as used by TAF's activation
-/// function (paper §2.3, footnote 1). Returns +inf when the mean is zero
-/// and the deviation is nonzero, and 0 when all values are zero.
-double rsd(std::span<const double> xs);
-
 /// Geometric mean of strictly positive values; returns 0 for empty input.
 /// Used for the paper's "geomean speedup 1.42x" style summaries.
 double geomean(std::span<const double> xs);
@@ -49,22 +38,5 @@ double mape_percent(std::span<const double> accurate, std::span<const double> ap
 
 /// Misclassification rate (paper Eq. 2), in percent.
 double mcr_percent(std::span<const int> accurate, std::span<const int> approx);
-
-/// Running one-pass mean/variance (Welford). The device-side TAF window
-/// uses a small fixed buffer instead, but the harness uses this for
-/// aggregating repeated trials.
-class RunningStats {
- public:
-  void push(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< population variance
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
-};
 
 }  // namespace hpac::stats

@@ -1,24 +1,6 @@
 #include "sim/warp.hpp"
 
-#include "common/error.hpp"
-
 namespace hpac::sim {
-
-LaneMask ballot(std::span<const bool> predicates, LaneMask active) {
-  HPAC_REQUIRE(predicates.size() <= 64, "warp size exceeds 64 lanes");
-  LaneMask result = 0;
-  for (std::size_t lane = 0; lane < predicates.size(); ++lane) {
-    if (lane_active(active, static_cast<int>(lane)) && predicates[lane]) {
-      result = with_lane(result, static_cast<int>(lane));
-    }
-  }
-  return result;
-}
-
-int first_lane(LaneMask mask) {
-  if (mask == 0) return -1;
-  return std::countr_zero(mask);
-}
 
 void WarpLedger::charge_paths(std::span<const double> path_cycles) {
   int taken = 0;

@@ -15,8 +15,6 @@ constexpr LaneMask full_mask(int warp_size) {
   return warp_size >= 64 ? ~0ull : ((1ull << warp_size) - 1);
 }
 
-constexpr bool lane_active(LaneMask mask, int lane) { return (mask >> lane) & 1ull; }
-
 constexpr LaneMask with_lane(LaneMask mask, int lane) { return mask | (1ull << lane); }
 
 /// Number of active lanes — the paper's `popcount` of a ballot result.
@@ -33,14 +31,6 @@ inline void for_each_lane(LaneMask mask, Fn&& fn) {
     fn(lane);
   }
 }
-
-/// The `ballot` warp intrinsic (paper §3.3): collects one predicate bit per
-/// lane into a mask. Only lanes in `active` contribute.
-LaneMask ballot(std::span<const bool> predicates, LaneMask active);
-
-/// Index of the lowest active lane, or -1 when the mask is empty. Used to
-/// pick the leader that performs a warp's single-writer operations.
-int first_lane(LaneMask mask);
 
 /// Per-warp cycle ledger for one kernel. The region executor charges
 /// compute work path-by-path: under SIMT, a warp whose lanes split between

@@ -2,7 +2,8 @@
 // that validates `independent_items` declarations at runtime instead of
 // trusting them. Coverage:
 //   * every registered app passes audit_mode=enforce (with differential
-//     re-runs) across TAF / iACT / perforation on both device presets;
+//     re-runs) across TAF / iACT / perforation on both device presets,
+//     one test entry per app;
 //   * the deliberately mislabeled fixture is detected in report and
 //     enforce modes, serially and under team sharding (the sharded cases
 //     run under ThreadSanitizer in CI — the fixture commits through
@@ -10,7 +11,9 @@
 //   * the differential re-run catches hidden read-side dependence that
 //     address tagging cannot see, and restores application state so
 //     auditing never changes results;
-//   * report determinism, missing-extents handling, off-mode inertness.
+//   * report determinism, missing-extents handling, off-mode inertness,
+//     the verbatim enforce-mode error texts;
+//   * the extent-image cache's hit, miss and non-affine accounting.
 
 #include <gtest/gtest.h>
 
@@ -192,6 +195,50 @@ TEST(Audit, MissingExtentsReportFlags) {
   EXPECT_EQ(output.stats.conflicts.front().kind, ConflictReport::Kind::kMissingExtents);
 }
 
+TEST(Audit, EnforceErrorTextsAreVerbatim) {
+  // Both texts land verbatim in record notes, so they are pinned byte for
+  // byte. Items 2k and 2k+1 commit the same cell.
+  std::vector<double> cells(64, -1.0);
+  std::uint64_t commits = 0;
+  approx::RegionBinding binding;
+  binding.name = "audit.text";
+  apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
+  apps::bind_constant_cost(binding, 16.0);
+  apps::bind_commit(binding, [&](std::uint64_t i, const double* o) {
+    ++commits;
+    cells[i / 2] = o[0];
+  });
+  binding.independent_items = true;
+  approx::RegionExecutor executor(sim::v100());
+  executor.set_tuning(serial_audit(AuditMode::kEnforce, false));
+  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(cells.size(), 1, 32);
+  const auto message = [&] {
+    try {
+      executor.run(pragma::parse_approx("none"), binding, cells.size(), launch);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no ConfigError");
+  };
+
+  // Without commit_extents the launch throws before any item commits.
+  EXPECT_EQ(message(),
+            "config error: commit-conflict audit: binding 'audit.text' declares "
+            "independent_items but no commit_extents; the claim cannot be verified");
+  EXPECT_EQ(commits, 0u);
+  EXPECT_EQ(cells, std::vector<double>(64, -1.0));
+
+  binding.commit_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
+    sink.writes(cells.data() + i / 2, sizeof(double));
+  };
+  EXPECT_EQ(message(),
+            "config error: commit-conflict audit failed for binding 'audit.text': "
+            "write/write overlap: items 0 and 1, bytes [0,8) of 'audit.text'; "
+            "write/write overlap: items 2 and 3, bytes [8,16) of 'audit.text'; "
+            "write/write overlap: items 4 and 5, bytes [16,24) of 'audit.text' (+5 more)");
+  EXPECT_EQ(commits, cells.size());
+}
+
 // --- team-sharded detection (runs under TSan in CI) -------------------------
 
 TEST(AuditSharded, SharedCellReportedUnderTeamSharding) {
@@ -280,29 +327,35 @@ TEST(AuditHarness, CampaignCountsCleanEnforceRunAsZeroFlagged) {
 
 // --- the seven registered apps audit clean -----------------------------------
 
-TEST(AuditApps, AllRegisteredAppsPassEnforceAcrossTechniquesAndDevices) {
+/// One entry per registered app, so `ctest -j` spreads the sweep.
+class AuditApps : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(AuditApps, PassesEnforceAcrossTechniquesAndDevices) {
   TuningGuard guard(serial_audit(AuditMode::kEnforce, true));
   const std::vector<std::string> clauses = {
       "memo(out:3:4:0.3) level(thread)",   // TAF
       "memo(in:8:0.5) level(thread) in(x) out(y)",  // iACT
       "perfo(small:2)",                    // perforation
   };
-  for (const auto& name : apps::benchmark_names()) {
-    for (const char* device : {"v100", "mi250x"}) {
-      auto app = apps::make_benchmark(name);
-      harness::Explorer explorer(*app, sim::device_by_name(device));
-      for (const auto& clause : clauses) {
-        const harness::RunRecord record =
-            explorer.run_config(pragma::parse_approx(clause), 8);
-        // Some (app, technique) pairs are legitimately infeasible (iACT
-        // without uniform inputs); what must never appear is an audit
-        // finding — every registered app's declarations hold up.
-        EXPECT_EQ(record.note.find("commit-conflict"), std::string::npos)
-            << name << " on " << device << " '" << clause << "': " << record.note;
-      }
+  const std::string& name = GetParam();
+  for (const char* device : {"v100", "mi250x"}) {
+    auto app = apps::make_benchmark(name);
+    harness::Explorer explorer(*app, sim::device_by_name(device));
+    for (const auto& clause : clauses) {
+      const harness::RunRecord record = explorer.run_config(pragma::parse_approx(clause), 8);
+      // Some (app, technique) pairs are legitimately infeasible (iACT
+      // without uniform inputs); what must never appear is an audit
+      // finding — every registered app's declarations hold up.
+      EXPECT_EQ(record.note.find("commit-conflict"), std::string::npos)
+          << name << " on " << device << " '" << clause << "': " << record.note;
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryApp, AuditApps, ::testing::ValuesIn(apps::benchmark_names()),
+                         [](const ::testing::TestParamInfo<std::string>& entry) {
+                           return entry.param;
+                         });
 
 // --- extent-image memoization (audit::ExtentImageCache) ----------------------
 
@@ -442,6 +495,24 @@ TEST(AuditExtentCache, NonAffinePatternIsNeverServedFromCache) {
   run_once(executor, region, binding);
   const auto stats = executor.audit_cache_stats();
   EXPECT_EQ(stats.misses, 2u);  // rebuilt exactly, per launch
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.non_affine, 2u);
+}
+
+TEST(AuditExtentCache, AffineOnlyAtTheProbesIsNeverServedFromCache) {
+  CacheRegion region;
+  approx::RegionExecutor executor(sim::v100());
+  executor.set_tuning(cache_tuning());
+  // Identity at the probed items 0, 1 and n-1, but items 2 and 3 swap
+  // cells: only the walk's per-item check can tell.
+  const approx::RegionBinding binding = region.binding([](std::uint64_t i) -> std::uint64_t {
+    return i == 2 ? 3 : i == 3 ? 2 : i;
+  });
+
+  run_once(executor, region, binding);
+  run_once(executor, region, binding);
+  const auto stats = executor.audit_cache_stats();
+  EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.non_affine, 2u);
 }

@@ -126,18 +126,8 @@ TEST(Launch, ValidationRejectsBadGeometry) {
 TEST(Warp, FullMaskAndLaneOps) {
   EXPECT_EQ(full_mask(32), 0xFFFFFFFFull);
   EXPECT_EQ(full_mask(64), ~0ull);
-  EXPECT_TRUE(lane_active(0b100, 2));
-  EXPECT_FALSE(lane_active(0b100, 1));
+  EXPECT_EQ(with_lane(0b001, 2), 0b101ull);
   EXPECT_EQ(popcount(0b1011ull), 3);
-  EXPECT_EQ(first_lane(0b1000), 3);
-  EXPECT_EQ(first_lane(0), -1);
-}
-
-TEST(Warp, BallotRespectsActiveMask) {
-  std::array<bool, 4> wishes{true, true, false, true};
-  const LaneMask mask =
-      ballot(std::span<const bool>(wishes.data(), wishes.size()), 0b0011);
-  EXPECT_EQ(mask, 0b0011ull);  // lane 3 wished but is inactive
 }
 
 TEST(Warp, LedgerSerializesDivergentPaths) {
@@ -260,7 +250,7 @@ TEST(Coalescing, NonPowerOfTwoSegmentsAndScatteredMasks) {
   const auto brute = [&](std::uint64_t first, std::uint32_t eb, LaneMask mask, int ws) {
     std::vector<std::uint64_t> segments;
     for (int lane = 0; lane < ws; ++lane) {
-      if (!lane_active(mask, lane)) continue;
+      if (((mask >> lane) & 1ull) == 0) continue;
       const std::uint64_t addr = (first + static_cast<std::uint64_t>(lane)) * eb;
       for (std::uint64_t s = addr / 24; s <= (addr + eb - 1) / 24; ++s) segments.push_back(s);
     }
