@@ -333,7 +333,7 @@ void LaunchAudit::analyze() {
     reads.insert(reads.end(), log.reads_.begin(), log.reads_.end());
   }
   // Sorting makes the folded multiset — and therefore every report —
-  // independent of which shard executed which team. Exact duplicates are
+  // independent of which shard executed which warp. Exact duplicates are
   // dropped: an item's reads are logged at both the gather and accurate
   // wrap points (whichever of the two its technique executes), and a
   // duplicate entry would re-report the same conflict, burning slots of

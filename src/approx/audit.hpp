@@ -22,7 +22,7 @@ struct RegionBinding;
 /// `independent_items` declaration (paper hazard class: silent errors from
 /// mislabeled approximation regions).
 ///
-/// The engine's team-sharded fast path is only sound when region
+/// The engine's warp-sharded fast path is only sound when region
 /// invocations of different items really touch disjoint state. Instead of
 /// trusting the app author, the auditor tags every committed item with the
 /// byte intervals its commit writes (declared by the binding's
@@ -114,7 +114,7 @@ class ExtentSink {
 
 /// Per-shard append-only log of audited intervals. Each executor shard
 /// owns one log and records into it without synchronization (exactly like
-/// the ledgers of its own teams); LaunchAudit folds the logs
+/// the ledgers of its own warps); LaunchAudit folds the logs
 /// deterministically after the join.
 class ShardLog {
  public:

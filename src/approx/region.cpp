@@ -36,7 +36,7 @@ ExecTuning& default_tuning_storage() {
   return tuning;
 }
 
-// Team shards run on Scheduler::shared(): the same workers that drive
+// Launch shards run on Scheduler::shared(): the same workers that drive
 // Explorer sweeps and Campaign shards, so whichever worker goes idle first
 // joins a nested launch's shards instead of them being gated behind a
 // dedicated pool.
@@ -105,22 +105,27 @@ struct IactPolicy {
 /// Everything one region execution needs; avoids threading a dozen
 /// parameters through the walk and its policies.
 ///
-/// A context executes teams [team_begin, team_end) of the launch with its
-/// own AC state, charging only those teams' ledgers of the launch's shared
-/// `KernelTracker`, so several contexts over disjoint team ranges can run
+/// A context executes the launch's global warps [warp_begin, warp_end)
+/// (warp `w` of team `t` is global warp `t * warps_per_team + w`) with its
+/// own AC state, charging only those warps' ledgers of the launch's shared
+/// `KernelTracker`, so several contexts over disjoint warp ranges can run
 /// concurrently; their `ExecStats` are folded in shard order afterwards.
-/// An audited context logs each executed item's declared extents into its
-/// own shard log right after the binding call that touched them. AC
-/// state (TAF windows, iACT tables) is allocated once per context, as one
-/// block per policy, and `reset()` between teams instead of reallocated —
-/// the launch-invariant hoisting half of the fast path. Whether that state
-/// fits the block's shared memory was decided by `validate_launch` before
-/// any context exists, so nothing here can fail on it.
+/// TAF states belong to one thread and iACT tables to one warp, so a
+/// context touches only the AC state of its own warps; a `level(block)`
+/// decision needs every warp of a team, so such launches are cut on team
+/// boundaries. An audited context logs each executed item's declared
+/// extents into its own shard log right after the binding call that
+/// touched them. AC state (TAF windows, iACT tables) is allocated once per
+/// context, as one block per policy, and `reset()` between teams instead
+/// of reallocated — the launch-invariant hoisting half of the fast path.
+/// Whether that state fits the block's shared memory was decided by
+/// `validate_launch` before any context exists, so nothing here can fail
+/// on it.
 class RunContext {
  public:
   RunContext(const RuntimeCosts& costs, const ApproxSpec& spec, const RegionBinding& binding,
              std::uint64_t n, const pragma::PerfoParams* composed_perfo,
-             sim::KernelTracker& tracker, std::uint64_t team_begin, std::uint64_t team_end,
+             sim::KernelTracker& tracker, std::uint64_t warp_begin, std::uint64_t warp_end,
              audit::ShardLog* audit_log)
       : dev_(tracker.device()),
         perfo_(composed_perfo != nullptr                   ? composed_perfo
@@ -136,8 +141,8 @@ class RunContext {
         spec_(spec),
         binding_(binding),
         n_(n),
-        team_begin_(team_begin),
-        team_end_(team_end),
+        warp_begin_(warp_begin),
+        warp_end_(warp_end),
         tracker_(tracker),
         commit_log_(audit_log),
         read_log_(binding.read_extents ? audit_log : nullptr),
@@ -157,7 +162,7 @@ class RunContext {
     }
   }
 
-  /// Run the technique over this context's team range and return its
+  /// Run the technique over this context's warp range and return its
   /// event counters. Timing is finalized once, by the launch, after every
   /// shard has charged the tracker.
   ExecStats execute() {
@@ -273,7 +278,8 @@ class RunContext {
 
   // --- the grid-stride walk ------------------------------------------------
 
-  /// The one loop every technique runs: team → step → warp. Per step,
+  /// The one loop every technique runs: team → step → warp, visiting only
+  /// the context's warps of each team it covers. Per step,
   /// Phase A builds each warp's active mask, perforates it and, for a
   /// memoizing policy, collects the lanes' wishes (and which lanes have
   /// something to reuse) and the block tally. Phase B resolves each warp's
@@ -285,12 +291,19 @@ class RunContext {
   /// accurate-path cost is queried after the commit.
   template <class Policy>
   void walk(Policy policy) {
-    for (std::uint64_t team = team_begin_; team < team_end_; ++team) {
-      if (team != team_begin_) policy.reset();
+    const std::uint64_t team_begin = warp_begin_ / warps_per_team_;
+    const std::uint64_t team_end = (warp_end_ + warps_per_team_ - 1) / warps_per_team_;
+    for (std::uint64_t team = team_begin; team < team_end; ++team) {
+      if (team != team_begin) policy.reset();
+      const std::uint64_t team_first = team * warps_per_team_;
+      const auto w_begin = static_cast<std::uint32_t>(std::max(warp_begin_, team_first) -
+                                                      team_first);
+      const auto w_end = static_cast<std::uint32_t>(
+          std::min(warp_end_, team_first + warps_per_team_) - team_first);
       for (std::uint64_t step = 0; step < steps_; ++step) {
         // Phase A: activation wishes and (for block level) the tally.
         BlockTally tally;
-        for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
+        for (std::uint32_t w = w_begin; w < w_end; ++w) {
           WarpScratch& s = scratch_[w];
           sim::WarpLedger& ledger = tracker_.warp(team, w);
           const std::uint64_t first_item = item_of(team, w, step);
@@ -306,7 +319,7 @@ class RunContext {
             spec_.level == HierarchyLevel::kBlock && tally.majority();
 
         // Phase B: execute the chosen path per warp.
-        for (std::uint32_t w = 0; w < warps_per_team_; ++w) {
+        for (std::uint32_t w = w_begin; w < w_end; ++w) {
           WarpScratch& s = scratch_[w];
           if (s.active == 0) continue;
           sim::WarpLedger& ledger = tracker_.warp(team, w);
@@ -519,8 +532,8 @@ class RunContext {
   const ApproxSpec& spec_;
   const RegionBinding& binding_;
   std::uint64_t n_;
-  std::uint64_t team_begin_;
-  std::uint64_t team_end_;
+  std::uint64_t warp_begin_;
+  std::uint64_t warp_end_;
   sim::KernelTracker& tracker_;
   audit::ShardLog* commit_log_;  ///< null unless the launch is audited
   audit::ShardLog* read_log_;    ///< null unless audited and reads are declared
@@ -535,15 +548,15 @@ class RunContext {
   std::vector<WarpScratch> scratch_;
 };
 
-/// Team range [begin, end) of shard `s` when `teams` are cut into `shards`
-/// contiguous, near-equal ranges: shard s gets one extra team while the
-/// remainder lasts. The live shards and the differential audit's
-/// reversed-shard pass both cut with this.
-std::pair<std::uint64_t, std::uint64_t> shard_team_range(std::uint64_t teams,
+/// Unit range [begin, end) of shard `s` when `units` (warps or teams) are
+/// cut into `shards` contiguous, near-equal ranges: shard s gets one extra
+/// unit while the remainder lasts. The live shards and the differential
+/// audit's reversed-shard pass both cut with this.
+std::pair<std::uint64_t, std::uint64_t> shard_unit_range(std::uint64_t units,
                                                          std::uint64_t shards,
                                                          std::uint64_t s) {
-  const std::uint64_t per_shard = teams / shards;
-  const std::uint64_t extra = teams % shards;
+  const std::uint64_t per_shard = units / shards;
+  const std::uint64_t extra = units % shards;
   const std::uint64_t begin = s * per_shard + std::min(s, extra);
   return {begin, begin + per_shard + (s < extra ? 1 : 0)};
 }
@@ -628,19 +641,27 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
                                       const sim::LaunchConfig& launch, std::size_t ac_bytes,
                                       const pragma::PerfoParams* composed_perfo) const {
   const std::uint64_t teams = launch.num_teams;
+  const std::uint64_t warps_per_team = launch.warps_per_team(dev_);
 
-  // Decide the team-shard count. Sharding never changes results (each team
-  // is executed exactly as the serial engine would, and the counters fold
-  // in a fixed order), so this is purely a wall-clock decision: the binding
+  // Decide the shard count. Sharding never changes results (each warp is
+  // executed exactly as the serial engine would, and the counters fold in
+  // a fixed order), so this is purely a wall-clock decision: the binding
   // must declare independent items and the launch must cover enough items
-  // to amortize the fan-out. The team count only caps the shard count, so
-  // few-team launches (the items-per-thread axis) shard too. A launch
-  // reached from inside an Explorer or Campaign worker shards as well —
-  // its shards become an open job on the shared scheduler, joined by
-  // whichever workers are idle, and the submitting thread executes the
-  // remainder itself.
+  // to amortize the fan-out. The shard unit is the warp, the GPU's
+  // independent unit, so even a one-team launch (the items-per-thread
+  // axis) shards. Only a `level(block)` memo decision tallies every warp
+  // of a team at each step, so its unit stays the team. A launch reached
+  // from inside an Explorer or Campaign worker shards as well — its shards
+  // become an open job on the shared scheduler, joined by whichever
+  // workers are idle, and the submitting thread executes the remainder
+  // itself.
+  const bool team_grain = spec.level == HierarchyLevel::kBlock &&
+                          (spec.technique == Technique::kTafMemo ||
+                           spec.technique == Technique::kIactMemo);
+  const std::uint64_t unit_warps = team_grain ? warps_per_team : 1;
+  const std::uint64_t units = teams * warps_per_team / unit_warps;
   const std::size_t shards = binding.independent_items && n >= tuning_.min_items
-                                 ? Scheduler::recommended_threads(tuning_.max_threads, teams)
+                                 ? Scheduler::recommended_threads(tuning_.max_threads, units)
                                  : 1;
 
   // Commit-conflict auditing: validates the independent_items declaration
@@ -656,7 +677,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   }
 
   // Every launch, sharded or not, charges one tracker: each shard owns a
-  // contiguous team range, so no ledger is written by two threads. The
+  // contiguous warp range, so no ledger is written by two threads. The
   // counters fold in shard index order — fixed when the ranges were cut —
   // so every downstream CSV byte is independent of which thread executed
   // which shard. One shard runs inline on the calling thread.
@@ -665,8 +686,9 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   Scheduler::shared().parallel_for(
       shards,
       [&](std::size_t, std::size_t s) {
-        const auto [begin, end] = shard_team_range(teams, shards, s);
-        shard_stats[s] = RunContext(costs_, spec, binding, n, composed_perfo, tracker, begin, end,
+        const auto [begin, end] = shard_unit_range(units, shards, s);
+        shard_stats[s] = RunContext(costs_, spec, binding, n, composed_perfo, tracker,
+                                    begin * unit_warps, end * unit_warps,
                                     auditor ? auditor->log(s) : nullptr)
                              .execute();
       },
@@ -679,18 +701,19 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   for (const ExecStats& stats : shard_stats) report.stats.add_counters(stats);
 
   if (auditor) {
-    // The differential pass re-executes the launch under a reversed-shard
-    // serial schedule — a legal schedule of the sharded run, since the
-    // engine's per-team state resets make results decomposition- and
-    // order-invariant *when items are independent*. The shard count is a
-    // fixed constant (not the machine's), so findings are deterministic
-    // across hosts.
+    // The differential pass re-executes the launch under a reversed
+    // team-shard serial schedule — a legal schedule of the sharded run,
+    // since per-warp AC state and per-team resets make results
+    // decomposition- and order-invariant *when items are independent*. The
+    // shard count is a fixed constant (not the machine's), so findings are
+    // deterministic across hosts.
     report.stats.conflicts = auditor->close([&] {
       const std::uint64_t diff_shards = std::min(teams, kDifferentialShards);
       sim::KernelTracker scratch(dev_, launch, ac_bytes);
       for (std::uint64_t s = diff_shards; s-- > 0;) {
-        const auto [begin, end] = shard_team_range(teams, diff_shards, s);
-        RunContext(costs_, spec, binding, n, composed_perfo, scratch, begin, end, nullptr)
+        const auto [begin, end] = shard_unit_range(teams, diff_shards, s);
+        RunContext(costs_, spec, binding, n, composed_perfo, scratch, begin * warps_per_team,
+                   end * warps_per_team, nullptr)
             .execute();
       }
     });

@@ -89,9 +89,9 @@ struct RegionBinding {
   /// Declares that the binding's callbacks touch only item-local state (or
   /// commute exactly, like integer counters), so region invocations of
   /// *different items* may run on different host threads. This is what
-  /// allows the executor to shard a large launch's teams across the host
+  /// allows the executor to shard a large launch's warps across the host
   /// thread pool; results stay bit-identical because every item is still
-  /// executed by exactly one thread in the same per-team order. Leave
+  /// executed by exactly one thread in the same per-warp order. Leave
   /// false (the default) for bindings that accumulate floating-point
   /// values across items (order-dependent rounding) or mutate shared
   /// non-atomic state.
@@ -133,10 +133,11 @@ struct ExecStats {
   std::uint64_t iact_hits = 0;        ///< probes whose distance beat the threshold
   std::uint64_t taf_stable_entries = 0;  ///< times a thread entered the stable regime
   std::size_t shared_bytes_per_block = 0;
-  /// Host-side team shards the launch was split into (1 = serial). Purely
-  /// diagnostic — results are bit-identical for every value — but it makes
-  /// the fan-out decision observable, e.g. to assert that a launch nested
-  /// inside a sweep worker is no longer forced serial.
+  /// Host-side shards the launch was split into (1 = serial); each shard
+  /// is a contiguous warp range, or team range under a `level(block)` memo
+  /// spec. Purely diagnostic — results are bit-identical for every value —
+  /// but it makes the fan-out decision observable, e.g. to assert that a
+  /// launch nested inside a sweep worker is no longer forced serial.
   std::size_t host_shards = 1;
   /// SIMD dispatch level active while this launch ran (see
   /// `hpac::simd::active_level`). Diagnostic like `host_shards`: results
@@ -195,19 +196,24 @@ struct RuntimeCosts {
   double perfo_check = 2.0;           ///< counter/modulo predicate
 };
 
-/// Knobs of the executor's team-sharded host parallelism. Sharding only
+/// Knobs of the executor's warp-sharded host parallelism. Sharding only
 /// ever changes wall-clock time, never results: a launch is split into
-/// contiguous team ranges of one KernelTracker, each executed exactly as
-/// the serial engine would and charging only its own teams' ledgers, and
-/// the shards' counters are folded in shard order.
+/// contiguous warp ranges of one KernelTracker (team ranges under a
+/// `level(block)` memo spec, whose decision needs a whole team), each
+/// executed exactly as the serial engine would and charging only its own
+/// warps' ledgers, and the shards' counters are folded in shard order.
 struct ExecTuning {
   /// Host threads a single launch may use. 0 = hardware concurrency;
-  /// 1 disables team sharding.
+  /// 1 disables sharding.
   std::size_t max_threads = 0;
   /// Launches covering fewer items than this run serially (sharding
   /// overhead would dominate). Larger launches split into
-  /// min(threads, teams) shards, however few teams they have.
-  std::uint64_t min_items = 1u << 14;
+  /// min(threads, units) shards, where a unit is a warp (a team under
+  /// `level(block)` memo), so even a one-team launch shards. 8,192 lets
+  /// lulesh's 8,192-element and leukocyte's 9,216-pixel launches shard;
+  /// at 4,096 minife's 4,096-row launches shard too and its sweeps get
+  /// slower (4 vCPUs, GCC 12 Release, AVX2; see README "Launch sharding").
+  std::uint64_t min_items = 1u << 13;
   /// Commit-conflict auditing of `independent_items` bindings (see
   /// `hpac::approx::audit`). `kOff` constructs no `audit::LaunchAudit`,
   /// so no shard logs anything. Otherwise each such launch opens one
@@ -242,7 +248,8 @@ struct ExecTuning {
 /// accounting.
 ///
 /// Large launches whose binding declares `independent_items` are split
-/// into contiguous team ranges submitted as one job to the process-wide
+/// into contiguous warp ranges (team ranges under a `level(block)` memo
+/// spec) submitted as one job to the process-wide
 /// scheduler (`hpac::Scheduler`). The submitting thread executes shards
 /// itself while idle scheduler workers — including Explorer/Campaign
 /// workers whose own sweep shard finished early — join the job and take
@@ -291,7 +298,7 @@ class RegionExecutor {
 
   /// Process-wide default tuning picked up by every subsequently
   /// constructed executor — the hook tests and benches use to force the
-  /// serial or team-parallel paths inside apps that construct their own
+  /// serial or sharded paths inside apps that construct their own
   /// executors.
   static void set_default_tuning(const ExecTuning& tuning);
   static ExecTuning default_tuning();

@@ -32,7 +32,9 @@ namespace hpac::approx {
 /// RSD uses a sign-robust denominator (mean |value| instead of |mean|): it
 /// coincides with the paper's sigma/mu whenever the window shares a sign,
 /// and avoids a division by ~zero for mean-zero outputs such as force
-/// components (see DESIGN.md, substitutions).
+/// components. This is a deliberate substitution for the paper's formula:
+/// with |mean| a window of LavaMD force components that cancel to ~0 would
+/// never look stable however small its spread.
 class TafState {
  public:
   /// `storage` must provide at least `storage_doubles(...)` doubles; the

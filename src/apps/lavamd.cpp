@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "apps/support.hpp"
 #include "common/rng.hpp"
@@ -162,17 +164,24 @@ harness::RunOutput LavaMd::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   bind_accurate(force_binding, force_one);
   // One neighbor box: ppb interactions of ~14 FLOPs (distance + exp).
   bind_constant_cost(force_binding, ppb * 14.0 + 8.0);
+  // Each item commits its 4 outputs into its own contribution row and
+  // marks itself committed (perforated items are never committed), so the
+  // launch is independent_items and shards. The rows are folded into the
+  // per-particle accumulators after the launch, in the serial walk's
+  // order. The flags are bytes, not vector<bool> bits: shards write
+  // neighboring flags concurrently.
+  std::vector<double> contribution(n_items * 4);
+  std::vector<unsigned char> committed(n_items, 0);
   const auto commit_one = [&](std::uint64_t item, const double* out) {
-    const std::uint64_t i = particle_of(item);
-    potential[i] += out[0];
-    force[i * 3 + 0] += out[1];
-    force[i * 3 + 1] += out[2];
-    force[i * 3 + 2] += out[3];
+    std::copy(out, out + 4, contribution.begin() + static_cast<std::ptrdiff_t>(item * 4));
+    committed[item] = 1;
   };
   bind_commit(force_binding, commit_one);
-  // NOT independent_items: a particle's 27 neighbor contributions +=
-  // into the same accumulators, and that floating-point order must match
-  // serial execution bit-for-bit.
+  force_binding.independent_items = true;
+  force_binding.commit_extents = [&](std::uint64_t item, approx::audit::ExtentSink& sink) {
+    sink.writes(contribution.data() + item * 4, 4 * sizeof(double));
+    sink.writes(committed.data() + item, 1);
+  };
 
   // `items_per_thread` counts particles per thread; every particle brings
   // 27 neighbor-box region invocations.
@@ -181,6 +190,20 @@ harness::RunOutput LavaMd::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   const sim::LaunchConfig launch = sim::launch_for_items_per_thread(
       n_items, n_items / threads_needed, threads_per_team());
   launch_kernel(dev, executor, spec, force_binding, n_items, launch, &output.stats);
+
+  // Fold the rows into each particle's accumulators in the order the
+  // serial walk commits them. Per particle that is not ascending neighbor
+  // index: when the thread count does not divide the particle count, a
+  // particle's later neighbors land on lower-numbered teams.
+  launch.for_each_in_walk_order(n_items, [&](std::uint64_t item) {
+    if (committed[item] == 0) return;
+    const std::uint64_t i = particle_of(item);
+    const double* row = contribution.data() + item * 4;
+    potential[i] += row[0];
+    force[i * 3 + 0] += row[1];
+    force[i * 3 + 1] += row[2];
+    force[i * 3 + 2] += row[3];
+  });
 
   // --- relocation kernel (always accurate) ------------------------------
   approx::RegionBinding move_binding;

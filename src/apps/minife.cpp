@@ -94,7 +94,7 @@ harness::RunOutput MiniFe::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   bind_constant_cost(dot_pap, 4.0);
   bind_commit(dot_pap, [&dot_acc](std::uint64_t, const double* out) { dot_acc += out[0]; });
   // NOT independent_items: the dot product accumulates in serial item
-  // order, which team sharding would reorder.
+  // order, which launch sharding would reorder.
 
   double alpha = 0.0;
   approx::RegionBinding update_x_r;

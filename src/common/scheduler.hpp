@@ -20,7 +20,7 @@ namespace hpac {
 /// slot of the oldest open job that still has unclaimed indices; a job
 /// leaves the list when its last slot is handed out, when its caller
 /// finishes claiming, or when a worker finds it exhausted. Tasks here are
-/// coarse (a benchmark configuration, a team range — milliseconds and up),
+/// coarse (a benchmark configuration, a launch's warp range — milliseconds and up),
 /// so a plain mutex costs nothing measurable and every transition stays
 /// visible to ThreadSanitizer.
 ///

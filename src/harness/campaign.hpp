@@ -77,7 +77,7 @@ struct CampaignResult {
 /// (and never for pairs whose tuples are all restored from the
 /// checkpoint). Shards run concurrently on the process-wide scheduler
 /// (`hpac::Scheduler`) — a worker whose shard finishes early joins the
-/// team-shard jobs that nested `independent_items` region launches open,
+/// shard jobs that nested `independent_items` region launches open,
 /// instead of idling. Every tuple is deterministic, so the assembled
 /// database — and the final CSV — is identical regardless of worker count,
 /// and a resumed campaign ends with a CSV byte-identical to an

@@ -17,7 +17,9 @@ DeviceConfig v100() {
   // which must run functionally on one host core, exercise the same
   // occupancy regimes (full device at items/thread ~ 1-8, starvation at
   // large items/thread) as paper-scale workloads did on the real parts.
-  // The NVIDIA:AMD SM ratio (80:220) is preserved; see DESIGN.md.
+  // The NVIDIA:AMD SM ratio (80:220) is preserved, so the AMD preset still
+  // needs proportionally more blocks to hide latency, which is the effect
+  // behind the paper's per-vendor Figure 8c curves.
   d.num_sms = 10;
   d.warp_size = 32;
   d.max_warps_per_sm = 64;

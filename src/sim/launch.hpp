@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/device.hpp"
@@ -26,6 +27,22 @@ struct LaunchConfig {
   std::uint64_t steps_for(std::uint64_t n) const {
     const std::uint64_t t = total_threads();
     return (n + t - 1) / t;
+  }
+
+  /// Call `fn(item)` for items [0, n) in the order the serial engine
+  /// commits them: team, then grid-stride step, then thread within the
+  /// team (warps ascending, lanes ascending within a warp). An app that
+  /// folds per-item contributions after a sharded launch walks this order
+  /// to reproduce the serial engine's floating-point order.
+  template <typename Fn>
+  void for_each_in_walk_order(std::uint64_t n, Fn&& fn) const {
+    const std::uint64_t stride = total_threads();
+    for (std::uint64_t team = 0; team < num_teams; ++team) {
+      for (std::uint64_t first = team * threads_per_team; first < n; first += stride) {
+        const std::uint64_t end = std::min<std::uint64_t>(first + threads_per_team, n);
+        for (std::uint64_t item = first; item < end; ++item) fn(item);
+      }
+    }
   }
 
   /// Throws hpac::ConfigError when the geometry is not launchable.

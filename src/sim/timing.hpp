@@ -44,9 +44,9 @@ class KernelTracker {
   KernelTracker(const DeviceConfig& dev, const LaunchConfig& launch,
                 std::size_t shared_bytes_per_block = 0);
 
-  /// Ledger of warp `warp_in_team` of team `team`. The team-parallel
-  /// executor's shards charge one tracker concurrently: each shard owns a
-  /// contiguous team range, so no ledger is written by two threads.
+  /// Ledger of warp `warp_in_team` of team `team`. The sharded executor's
+  /// shards charge one tracker concurrently: each shard owns a contiguous
+  /// range of (team, warp) ledgers, so no ledger is written by two threads.
   WarpLedger& warp(std::uint64_t team, std::uint32_t warp_in_team);
   const WarpLedger& warp(std::uint64_t team, std::uint32_t warp_in_team) const;
 

@@ -9,7 +9,7 @@
 //
 // The shared-cell variant commits through relaxed atomic stores: the
 // overlap is still a real commit conflict (last-writer-wins, order
-// dependent), but running it team-sharded stays free of C++ data races so
+// dependent), but running it sharded stays free of C++ data races so
 // the detection tests can run under ThreadSanitizer.
 
 #include <atomic>

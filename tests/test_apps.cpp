@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "apps/binomial.hpp"
 #include "apps/blackscholes.hpp"
@@ -14,9 +15,11 @@
 #include "apps/lulesh.hpp"
 #include "apps/minife.hpp"
 #include "apps/registry.hpp"
+#include "apps/support.hpp"
 #include "common/error.hpp"
 #include "pragma/parser.hpp"
 #include "sim/device.hpp"
+#include "sim/launch.hpp"
 
 using namespace hpac;
 using namespace hpac::apps;
@@ -194,6 +197,81 @@ TEST(LavaMd, LaunchGeometryDoesNotChangePhysics) {
   const auto b = app.run(kNone, 4, sim::mi250x());
   ASSERT_EQ(a.qoi.size(), b.qoi.size());
   for (std::size_t i = 0; i < a.qoi.size(); ++i) ASSERT_NEAR(a.qoi[i], b.qoi[i], 1e-12);
+}
+
+namespace {
+
+/// Installs a default executor tuning for the apps' own executors and
+/// restores the previous one on scope exit.
+class TuningGuard {
+ public:
+  explicit TuningGuard(const approx::ExecTuning& tuning)
+      : previous_(approx::RegionExecutor::default_tuning()) {
+    approx::RegionExecutor::set_default_tuning(tuning);
+  }
+  ~TuningGuard() { approx::RegionExecutor::set_default_tuning(previous_); }
+
+ private:
+  approx::ExecTuning previous_;
+};
+
+harness::RunOutput run_with_threads(LavaMd& app, const char* clause, std::uint64_t ipt,
+                                    std::size_t threads) {
+  approx::ExecTuning tuning;
+  tuning.max_threads = threads;
+  TuningGuard guard(tuning);
+  return app.run(pragma::parse_approx(clause), ipt, sim::v100());
+}
+
+}  // namespace
+
+TEST(LavaMd, ShardedForceFoldMatchesSerial) {
+  // The force kernel commits into per-item contribution rows and folds
+  // them per particle in the serial walk order, so sharding it leaves
+  // every QoI bit unchanged — accurate at every ipt, perforated and
+  // TAF-memoized alike.
+  LavaMd app;
+  const struct {
+    const char* clause;
+    std::uint64_t ipt;
+  } cases[] = {{"none", 1},           {"none", 2},
+               {"none", 4},           {"none", 8},
+               {"perfo(small:2)", 2}, {"memo(out:3:4:0.3) level(thread)", 4}};
+  for (const auto& c : cases) {
+    const harness::RunOutput serial = run_with_threads(app, c.clause, c.ipt, 1);
+    const harness::RunOutput sharded = run_with_threads(app, c.clause, c.ipt, 4);
+    EXPECT_EQ(serial.stats.host_shards, 1u) << c.clause << " ipt " << c.ipt;
+    // The relocation kernel (one item per particle) is under min_items,
+    // so a fan-out here is the force kernel's.
+    EXPECT_GT(sharded.stats.host_shards, 1u) << c.clause << " ipt " << c.ipt;
+    EXPECT_EQ(serial.qoi, sharded.qoi) << c.clause << " ipt " << c.ipt;
+    EXPECT_EQ(serial.stats.approx_items, sharded.stats.approx_items) << c.clause;
+    EXPECT_EQ(serial.stats.skipped_items, sharded.stats.skipped_items) << c.clause;
+  }
+}
+
+TEST(LavaMd, WalkOrderIsTheSerialCommitOrder) {
+  // LaunchConfig::for_each_in_walk_order is the order LavaMD folds its
+  // contribution rows in; pin it to the order the engine actually commits
+  // in, on geometries whose thread count does not divide n (288 and 240
+  // threads over 1,000 items, the second with a partial last warp per
+  // team).
+  const std::uint64_t n = 1000;
+  for (const sim::LaunchConfig launch : {sim::LaunchConfig{3, 96}, sim::LaunchConfig{3, 80}}) {
+    std::vector<std::uint64_t> committed;
+    approx::RegionBinding binding;
+    binding.out_dims = 1;
+    bind_accurate(binding, [](std::uint64_t, double* out) { out[0] = 0.0; });
+    bind_constant_cost(binding, 1.0);
+    bind_commit(binding,
+                [&committed](std::uint64_t item, const double*) { committed.push_back(item); });
+    approx::RegionExecutor executor(sim::v100());
+    executor.run(kNone, binding, n, launch);
+    std::vector<std::uint64_t> walked;
+    launch.for_each_in_walk_order(n, [&walked](std::uint64_t item) { walked.push_back(item); });
+    EXPECT_EQ(committed.size(), n);
+    EXPECT_EQ(walked, committed) << "threads_per_team " << launch.threads_per_team;
+  }
 }
 
 TEST(KMeans, BaselineConvergesAndLabelsEveryPoint) {

@@ -3,9 +3,9 @@
 // trusting them. Coverage:
 //   * every registered app passes audit_mode=enforce (with differential
 //     re-runs) across TAF / iACT / perforation on both device presets,
-//     one test entry per app;
+//     one test entry per app and device;
 //   * the deliberately mislabeled fixture is detected in report and
-//     enforce modes, serially and under team sharding (the sharded cases
+//     enforce modes, serially and under launch sharding (the sharded cases
 //     run under ThreadSanitizer in CI — the fixture commits through
 //     relaxed atomics so the only races left are semantic ones);
 //   * the differential re-run catches hidden read-side dependence that
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "approx/audit.hpp"
@@ -239,7 +240,7 @@ TEST(Audit, EnforceErrorTextsAreVerbatim) {
   EXPECT_EQ(commits, cells.size());
 }
 
-// --- team-sharded detection (runs under TSan in CI) -------------------------
+// --- sharded detection (runs under TSan in CI) ------------------------------
 
 TEST(AuditSharded, SharedCellReportedUnderTeamSharding) {
   const harness::RunOutput output =
@@ -327,35 +328,37 @@ TEST(AuditHarness, CampaignCountsCleanEnforceRunAsZeroFlagged) {
 
 // --- the seven registered apps audit clean -----------------------------------
 
-/// One entry per registered app, so `ctest -j` spreads the sweep.
-class AuditApps : public ::testing::TestWithParam<std::string> {};
+/// One entry per (registered app, device), so `ctest -j` spreads the
+/// sweep and no single entry sets the suite's wall time.
+class AuditApps : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
-TEST_P(AuditApps, PassesEnforceAcrossTechniquesAndDevices) {
+TEST_P(AuditApps, PassesEnforceAcrossTechniques) {
   TuningGuard guard(serial_audit(AuditMode::kEnforce, true));
   const std::vector<std::string> clauses = {
       "memo(out:3:4:0.3) level(thread)",   // TAF
       "memo(in:8:0.5) level(thread) in(x) out(y)",  // iACT
       "perfo(small:2)",                    // perforation
   };
-  const std::string& name = GetParam();
-  for (const char* device : {"v100", "mi250x"}) {
-    auto app = apps::make_benchmark(name);
-    harness::Explorer explorer(*app, sim::device_by_name(device));
-    for (const auto& clause : clauses) {
-      const harness::RunRecord record = explorer.run_config(pragma::parse_approx(clause), 8);
-      // Some (app, technique) pairs are legitimately infeasible (iACT
-      // without uniform inputs); what must never appear is an audit
-      // finding — every registered app's declarations hold up.
-      EXPECT_EQ(record.note.find("commit-conflict"), std::string::npos)
-          << name << " on " << device << " '" << clause << "': " << record.note;
-    }
+  const auto& [name, device] = GetParam();
+  auto app = apps::make_benchmark(name);
+  harness::Explorer explorer(*app, sim::device_by_name(device));
+  for (const auto& clause : clauses) {
+    const harness::RunRecord record = explorer.run_config(pragma::parse_approx(clause), 8);
+    // Some (app, technique) pairs are legitimately infeasible (iACT
+    // without uniform inputs); what must never appear is an audit
+    // finding — every registered app's declarations hold up.
+    EXPECT_EQ(record.note.find("commit-conflict"), std::string::npos)
+        << name << " on " << device << " '" << clause << "': " << record.note;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(EveryApp, AuditApps, ::testing::ValuesIn(apps::benchmark_names()),
-                         [](const ::testing::TestParamInfo<std::string>& entry) {
-                           return entry.param;
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    EveryApp, AuditApps,
+    ::testing::Combine(::testing::ValuesIn(apps::benchmark_names()),
+                       ::testing::Values(std::string("v100"), std::string("mi250x"))),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, std::string>>& entry) {
+      return std::get<0>(entry.param) + "_" + std::get<1>(entry.param);
+    });
 
 // --- extent-image memoization (audit::ExtentImageCache) ----------------------
 

@@ -525,7 +525,7 @@ TEST(Composed, SkippedItemsNeverTouchAcState) {
   EXPECT_GT(untouched, region.n / 2);
 }
 
-// --- team sharding ---------------------------------------------------------
+// --- launch sharding -------------------------------------------------------
 
 namespace {
 
@@ -563,8 +563,10 @@ void expect_identical(const EngineRun& a, const EngineRun& b, const char* what) 
   EXPECT_EQ(a.report.stats.taf_stable_entries, b.report.stats.taf_stable_entries) << what;
   EXPECT_EQ(a.report.stats.forced_approx, b.report.stats.forced_approx) << what;
   EXPECT_EQ(a.report.stats.forced_accurate, b.report.stats.forced_accurate) << what;
+  EXPECT_EQ(a.report.stats.shared_bytes_per_block, b.report.stats.shared_bytes_per_block)
+      << what;
   // Bit-identical timing, not approximately-equal timing: each shard
-  // charges only its own teams' ledgers of one tracker, and every charge
+  // charges only its own warps' ledgers of one tracker, and every charge
   // is computed in the same order.
   EXPECT_EQ(a.report.timing.seconds, b.report.timing.seconds) << what;
   EXPECT_EQ(a.report.timing.critical_path_cycles, b.report.timing.critical_path_cycles)
@@ -572,6 +574,9 @@ void expect_identical(const EngineRun& a, const EngineRun& b, const char* what) 
   EXPECT_EQ(a.report.timing.total_transactions, b.report.timing.total_transactions) << what;
   EXPECT_EQ(a.report.timing.divergent_regions, b.report.timing.divergent_regions) << what;
   EXPECT_EQ(a.report.timing.compute_cycles_total, b.report.timing.compute_cycles_total)
+      << what;
+  EXPECT_EQ(a.report.timing.occupancy, b.report.timing.occupancy) << what;
+  EXPECT_EQ(a.report.timing.resident_blocks_per_sm, b.report.timing.resident_blocks_per_sm)
       << what;
 }
 
@@ -643,6 +648,59 @@ TEST(RegionParallel, FewTeamLaunchesShardByDefault) {
     const EngineRun sharded = run_with_tuning(region, region.binding(), clause, four_threads, 64);
     EXPECT_EQ(sharded.report.stats.host_shards, 4u) << clause;
     expect_identical(reference, sharded, clause);
+  }
+}
+
+TEST(RegionParallel, SingleTeamLaunchShardsByWarp) {
+  // The shard unit is the warp: a one-team launch of 128 threads (4 v100
+  // warps) under the default min_items splits into 4 shards for thread-
+  // and warp-level TAF and iACT, bit-identical to the serial engine.
+  ExecTuning four_threads;
+  four_threads.max_threads = 4;
+  ExecTuning serial;
+  serial.max_threads = 1;
+  const std::uint64_t n = four_threads.min_items;
+  for (const char* clause :
+       {"memo(out:3:8:0.5)", "memo(out:3:8:0.5) level(warp)", "memo(in:4:0.5:2) in(x) out(y)",
+        "memo(in:4:0.5:2) level(warp) in(x) out(y)"}) {
+    TestRegion serial_region;
+    serial_region.n = n;
+    const EngineRun reference =
+        run_with_tuning(serial_region, serial_region.binding(), clause, serial, n / 128);
+    EXPECT_EQ(reference.report.stats.host_shards, 1u) << clause;
+    TestRegion region;
+    region.n = n;
+    const EngineRun sharded =
+        run_with_tuning(region, region.binding(), clause, four_threads, n / 128);
+    EXPECT_EQ(sharded.report.stats.host_shards, 4u) << clause;
+    expect_identical(reference, sharded, clause);
+  }
+}
+
+TEST(RegionParallel, BlockLevelMemoShardsByTeam) {
+  // A level(block) decision tallies every warp of a team at each step, so
+  // its shard unit stays the team: one team runs as one shard, four teams
+  // as four, and both match the serial engine bit for bit.
+  ExecTuning four_threads;
+  four_threads.max_threads = 4;
+  ExecTuning serial;
+  serial.max_threads = 1;
+  const std::uint64_t n = four_threads.min_items;
+  for (const char* clause :
+       {"memo(out:3:8:0.5) level(block)", "memo(in:4:0.5:2) level(block) in(x) out(y)"}) {
+    for (const std::uint64_t teams : {1u, 4u}) {
+      const std::uint64_t ipt = n / (128 * teams);
+      TestRegion serial_region;
+      serial_region.n = n;
+      const EngineRun reference =
+          run_with_tuning(serial_region, serial_region.binding(), clause, serial, ipt);
+      TestRegion region;
+      region.n = n;
+      const EngineRun sharded =
+          run_with_tuning(region, region.binding(), clause, four_threads, ipt);
+      EXPECT_EQ(sharded.report.stats.host_shards, teams) << clause;
+      expect_identical(reference, sharded, clause);
+    }
   }
 }
 
