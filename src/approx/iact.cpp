@@ -14,6 +14,10 @@ void throw_probe_mismatch() { throw Error("probe dimensionality mismatch"); }
 ScanFn select_iact_scan(int in_dims) {
   return simd::active_level() == simd::Level::kAvx2 ? iact_scan_fn_avx2(in_dims) : nullptr;
 }
+
+BatchScanFn select_iact_batch_scan(int in_dims) {
+  return simd::active_level() == simd::Level::kAvx2 ? iact_batch_scan_fn_avx2(in_dims) : nullptr;
+}
 }  // namespace detail
 
 double euclidean_distance(std::span<const double> a, std::span<const double> b) {
@@ -41,6 +45,7 @@ IactTable::IactTable(int table_size, int in_dims, int out_dims, Replacement poli
   HPAC_REQUIRE(storage.size() >= storage_doubles(table_size, in_dims, out_dims),
                "iACT storage span too small");
   scan_fn_ = detail::select_iact_scan(in_dims_);
+  batch_scan_fn_ = detail::select_iact_batch_scan(in_dims_);
   if (scan_fn_ != nullptr) {
     soa_.assign(static_cast<std::size_t>(table_size) * static_cast<std::size_t>(in_dims), 0.0);
   }
@@ -62,6 +67,32 @@ void IactTable::reset() {
   std::fill(referenced_.begin(), referenced_.end(), false);
   cursor_ = 0;
   valid_count_ = 0;
+}
+
+void IactTable::find_nearest_batch(std::span<const double* const> probes,
+                                   std::span<Match> out) const {
+  HPAC_REQUIRE(out.size() >= probes.size(), "find_nearest_batch output span too small");
+  std::size_t i = 0;
+  if (batch_scan_fn_ != nullptr) {
+    detail::BatchScanArgs args;
+    args.rows = storage_.data();
+    args.row_stride = in_dims_ + out_dims_;
+    args.valid_count = valid_count_;
+    args.in_dims = in_dims_;
+    while (probes.size() - i >= 2) {
+      args.count = static_cast<int>(std::min<std::size_t>(4, probes.size() - i));
+      std::copy_n(probes.begin() + static_cast<std::ptrdiff_t>(i), args.count, args.probes);
+      detail::ScanResult found[4];
+      batch_scan_fn_(args, found);
+      for (int lane = 0; lane < args.count; ++lane) {
+        out[i + static_cast<std::size_t>(lane)] = Match{found[lane].index, found[lane].distance};
+      }
+      i += static_cast<std::size_t>(args.count);
+    }
+  }
+  for (; i < probes.size(); ++i) {
+    out[i] = find_nearest(std::span<const double>(probes[i], static_cast<std::size_t>(in_dims_)));
+  }
 }
 
 void IactTable::mark_used(int index) {

@@ -61,6 +61,13 @@ class IactTable {
   /// per-lane loop.
   Match find_nearest(std::span<const double> in) const;
 
+  /// Reading phase for several lanes sharing this table: `out[i]` is
+  /// bit for bit `find_nearest` of the `in_dims()` doubles at `probes[i]`.
+  /// When the batched vector kernel is active, probes are scanned four at
+  /// a time (a last single probe takes the one-probe scan); otherwise
+  /// each probe takes `find_nearest`.
+  void find_nearest_batch(std::span<const double* const> probes, std::span<Match> out) const;
+
   /// Record a cache hit for CLOCK's reference bit. No-op for round-robin.
   void mark_used(int index);
 
@@ -93,6 +100,8 @@ class IactTable {
   /// Vector scan kernel chosen at construction from `simd::active_level()`
   /// and `in_dims`; nullptr dispatches the inline scalar scan.
   detail::ScanFn scan_fn_ = nullptr;
+  /// Batched kernel chosen the same way; nullptr → one scan per probe.
+  detail::BatchScanFn batch_scan_fn_ = nullptr;
   std::vector<bool> valid_;
   std::vector<bool> referenced_;  ///< CLOCK reference bits
   int cursor_ = 0;                ///< round-robin insert / CLOCK hand

@@ -447,8 +447,13 @@ class RunContext {
 
   /// Reading phase: gather the inputs and probe the tables. Every
   /// invocation pays the table scan — the cost iACT can never amortize
-  /// (paper insight 4). A forced lane with an empty table has nothing to
-  /// reuse; it falls back to the accurate path.
+  /// (paper insight 4). The host pays it once per group of lanes: the
+  /// active lanes of each table are collected (ascending lanes visit the
+  /// tables in order) and a table with two or more of them is probed
+  /// through `find_nearest_batch`, four lanes per scan; a lone lane takes
+  /// `find_nearest`. Either way each lane's match is bit-identical to its
+  /// own scan. A forced lane with an empty table has nothing to reuse; it
+  /// falls back to the accurate path.
   void decide(IactPolicy& policy, std::uint32_t w, WarpScratch& s, std::uint64_t first_item,
               sim::WarpLedger& ledger) {
     const pragma::IactParams& iact = policy.params;
@@ -457,11 +462,38 @@ class RunContext {
     const int lanes_per_table = policy.lanes_per_table;
     binding_.gather_batch(first_item, s.active, std::span<double>(s.in));
     if (read_log_ != nullptr) read_log_->record_reads(binding_, first_item, s.active);
+    std::array<const double*, 64> probes;
+    std::array<int, 64> probe_lane;
+    std::array<IactTable::Match, 64> found;
+    std::size_t count = 0;
+    int table = -1;
+    const auto probe_table = [&] {
+      if (count == 1) {
+        const int lane = probe_lane[0];
+        s.match[static_cast<std::size_t>(lane)] =
+            tables[table].find_nearest(lane_slice(s.in, lane, id));
+      } else if (count > 1) {
+        tables[table].find_nearest_batch(std::span(probes.data(), count),
+                                         std::span(found.data(), count));
+        for (std::size_t j = 0; j < count; ++j) {
+          s.match[static_cast<std::size_t>(probe_lane[j])] = found[j];
+        }
+      }
+      count = 0;
+    };
+    sim::for_each_lane(s.active, [&](int lane) {
+      if (lane / lanes_per_table != table) {
+        probe_table();
+        table = lane / lanes_per_table;
+      }
+      probes[count] = lane_slice(s.in, lane, id).data();
+      probe_lane[count++] = lane;
+    });
+    probe_table();
     LaneMask wishes = 0;
     LaneMask reusable = 0;
     sim::for_each_lane(s.active, [&](int lane) {
-      IactTable::Match& m = s.match[static_cast<std::size_t>(lane)];
-      m = tables[lane / lanes_per_table].find_nearest(lane_slice(s.in, lane, id));
+      const IactTable::Match& m = s.match[static_cast<std::size_t>(lane)];
       if (m.valid()) reusable = sim::with_lane(reusable, lane);
       if (m.valid() && m.distance < iact.threshold) {
         wishes = sim::with_lane(wishes, lane);

@@ -141,67 +141,147 @@ void binomial_induct(double* values, int steps, double discount, double p_up, do
   }
 }
 
-/// Nearest centroid with lanes = clusters. `centroids_t` is the dims x
-/// clusters transpose, so one load fetches coordinate j of four
-/// consecutive clusters. Each lane's distance starts at 0.0 and
-/// accumulates `diff * diff` in ascending j, exactly as the scalar loop
-/// does for its cluster, and the argmin visits clusters in ascending order
-/// with strict `<` from +inf — same distances, same ties, same winner.
-/// The cluster remainder is scalar.
-int kmeans_assign(const double* point, const double* centroids_t, int dims, int clusters) {
-  int best = 0;
-  double best_dist = std::numeric_limits<double>::infinity();
-  double dist[kW];
-  const auto scan = [&](int first, int count) {
-    for (int l = 0; l < count; ++l) {
-      if (dist[l] < best_dist) {
-        best_dist = dist[l];
-        best = first + l;
-      }
-    }
-  };
-  const auto column = [&](int j, int c) {
-    return centroids_t + static_cast<std::size_t>(j) * static_cast<std::size_t>(clusters) + c;
-  };
-  int c = 0;
-  for (; c + kW <= clusters; c += kW) {
-    __m256d acc = set1(0.0);
-    for (int j = 0; j < dims; ++j) {
-      const __m256d diff = _mm256_sub_pd(set1(point[j]), _mm256_loadu_pd(column(j, c)));
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
-    }
-    _mm256_storeu_pd(dist, acc);
-    scan(c, kW);
+/// Nearest centroid of up to four observations, lanes = observations.
+/// Lanes past `count` repeat point 0 and their labels are dropped. Each
+/// lane's distance to cluster c starts at 0.0 and accumulates
+/// `diff * diff` in ascending j, exactly as the scalar loop does, and
+/// clusters are folded in ascending order with a strict `<` from +inf —
+/// same distances, same ties, same winner. `kDims > 0` keeps the points'
+/// columns in registers; `kDims == 0` rebuilds a column per (cluster, j).
+template <int kDims>
+void assign_points(const double* const* points, int count, const double* centroids, int dims,
+                   int clusters, int* labels) {
+  if constexpr (kDims > 0) dims = kDims;
+  const double* p[kW];
+  for (int lane = 0; lane < kW; ++lane) p[lane] = points[lane < count ? lane : 0];
+  const auto column = [&](int j) { return _mm256_set_pd(p[3][j], p[2][j], p[1][j], p[0][j]); };
+  __m256d columns[kDims > 0 ? kDims : 1];
+  if constexpr (kDims > 0) {
+    for (int j = 0; j < kDims; ++j) columns[j] = column(j);
   }
-  for (; c < clusters; ++c) {
-    dist[0] = 0.0;
+  __m256d best_dist = set1(std::numeric_limits<double>::infinity());
+  __m256d best = _mm256_setzero_pd();
+  for (int c = 0; c < clusters; ++c) {
+    const double* centroid = centroids + static_cast<std::size_t>(c) * static_cast<std::size_t>(dims);
+    __m256d dist = _mm256_setzero_pd();
     for (int j = 0; j < dims; ++j) {
-      const double diff = point[j] - *column(j, c);
-      dist[0] += diff * diff;
+      const __m256d point = kDims > 0 ? columns[j] : column(j);
+      const __m256d diff = _mm256_sub_pd(point, _mm256_broadcast_sd(centroid + j));
+      dist = _mm256_add_pd(dist, _mm256_mul_pd(diff, diff));
     }
-    scan(c, 1);
+    const __m256d nearer = _mm256_cmp_pd(dist, best_dist, _CMP_LT_OQ);
+    best_dist = _mm256_blendv_pd(best_dist, dist, nearer);
+    best = _mm256_blendv_pd(best, set1(static_cast<double>(c)), nearer);
   }
-  return best;
+  double lane_best[kW];
+  _mm256_storeu_pd(lane_best, best);
+  for (int lane = 0; lane < count; ++lane) labels[lane] = static_cast<int>(lane_best[lane]);
+}
+
+void kmeans_assign(const double* const* points, int count, const double* centroids, int dims,
+                   int clusters, int* labels) {
+  switch (dims) {
+    case 1:
+      return assign_points<1>(points, count, centroids, dims, clusters, labels);
+    case 2:
+      return assign_points<2>(points, count, centroids, dims, clusters, labels);
+    case 3:
+      return assign_points<3>(points, count, centroids, dims, clusters, labels);
+    case 4:
+      return assign_points<4>(points, count, centroids, dims, clusters, labels);
+    case 5:
+      return assign_points<5>(points, count, centroids, dims, clusters, labels);
+    case 6:
+      return assign_points<6>(points, count, centroids, dims, clusters, labels);
+    case 7:
+      return assign_points<7>(points, count, centroids, dims, clusters, labels);
+    case 8:
+      return assign_points<8>(points, count, centroids, dims, clusters, labels);
+    default:
+      return assign_points<0>(points, count, centroids, dims, clusters, labels);
+  }
 }
 
 /// Centroid sums with lanes = dims: points are added to their cluster's
 /// row in point order, element-wise, so every sum sees the scalar loop's
 /// additions in the scalar loop's order. Points with a negative label are
-/// skipped, as in the scalar loop.
+/// skipped, as in the scalar loop. `kDims > 0` carries the current
+/// cluster's row in registers across a run of same-cluster points and
+/// stores it back when the label changes (kmeans' data arrives in long
+/// same-cluster runs); `kDims == 0` updates the row in memory per point.
+template <int kDims>
+void accumulate_points(const double* points, const int* membership, std::uint64_t n, int dims,
+                       double* sums, std::uint64_t* counts) {
+  if constexpr (kDims > 0) {
+    constexpr int kVectors = kDims / kW;
+    constexpr int kTail = kDims % kW;
+    __m256d row_v[kVectors > 0 ? kVectors : 1];
+    double row_tail[kTail > 0 ? kTail : 1];
+    std::uint64_t i = 0;
+    while (i < n) {
+      const int c = membership[i];
+      if (c < 0) {
+        ++i;
+        continue;
+      }
+      double* row = sums + static_cast<std::size_t>(c) * kDims;
+      for (int v = 0; v < kVectors; ++v) row_v[v] = _mm256_loadu_pd(row + v * kW);
+      for (int t = 0; t < kTail; ++t) row_tail[t] = row[kVectors * kW + t];
+      // The run of points labelled c; unlabelled points inside it are
+      // skipped, the next other label ends it.
+      for (; i < n; ++i) {
+        const int label = membership[i];
+        if (label < 0) continue;
+        if (label != c) break;
+        ++counts[c];
+        const double* point = points + i * kDims;
+        for (int v = 0; v < kVectors; ++v) {
+          row_v[v] = _mm256_add_pd(row_v[v], _mm256_loadu_pd(point + v * kW));
+        }
+        for (int t = 0; t < kTail; ++t) row_tail[t] += point[kVectors * kW + t];
+      }
+      for (int v = 0; v < kVectors; ++v) _mm256_storeu_pd(row + v * kW, row_v[v]);
+      for (int t = 0; t < kTail; ++t) row[kVectors * kW + t] = row_tail[t];
+    }
+  } else {
+    const auto d = static_cast<std::size_t>(dims);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const int c = membership[i];
+      if (c < 0) continue;
+      ++counts[c];
+      double* row = sums + static_cast<std::size_t>(c) * d;
+      const double* point = points + i * d;
+      int j = 0;
+      for (; j + kW <= dims; j += kW) {
+        _mm256_storeu_pd(row + j,
+                         _mm256_add_pd(_mm256_loadu_pd(row + j), _mm256_loadu_pd(point + j)));
+      }
+      for (; j < dims; ++j) row[j] += point[j];
+    }
+  }
+}
+
 void kmeans_accumulate(const double* points, const int* membership, std::uint64_t n, int dims,
                        double* sums, std::uint64_t* counts) {
-  const auto d = static_cast<std::size_t>(dims);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const int c = membership[i];
-    if (c < 0) continue;
-    ++counts[c];
-    double* row = sums + static_cast<std::size_t>(c) * d;
-    const double* point = points + i * d;
-    int j = 0;
-    for (; j + kW <= dims; j += kW) {
-      _mm256_storeu_pd(row + j, _mm256_add_pd(_mm256_loadu_pd(row + j), _mm256_loadu_pd(point + j)));
-    }
-    for (; j < dims; ++j) row[j] += point[j];
+  switch (dims) {
+    case 1:
+      return accumulate_points<1>(points, membership, n, dims, sums, counts);
+    case 2:
+      return accumulate_points<2>(points, membership, n, dims, sums, counts);
+    case 3:
+      return accumulate_points<3>(points, membership, n, dims, sums, counts);
+    case 4:
+      return accumulate_points<4>(points, membership, n, dims, sums, counts);
+    case 5:
+      return accumulate_points<5>(points, membership, n, dims, sums, counts);
+    case 6:
+      return accumulate_points<6>(points, membership, n, dims, sums, counts);
+    case 7:
+      return accumulate_points<7>(points, membership, n, dims, sums, counts);
+    case 8:
+      return accumulate_points<8>(points, membership, n, dims, sums, counts);
+    default:
+      return accumulate_points<0>(points, membership, n, dims, sums, counts);
   }
 }
 

@@ -88,31 +88,35 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
     out[0] = static_cast<double>(best);
   };
   bind_gather(binding, gather_one);
+  bind_accurate(binding, assign_one);
   // Vector fast paths, resolved per run() so HPAC_SIMD / simd::set_level
-  // changes take effect. The assign kernel reads `centroids_t`, the
-  // dims x clusters transpose refreshed after every centroid update; it
+  // changes take effect. The assign kernel takes four of the warp's
+  // active observations per call and reads the row-major centroids; it
   // computes assign_one's distances in assign_one's order and picks the
   // same winner, so labels — and sweep CSVs — are dispatch-invariant.
-  const kernels::KMeansAssignFn assign = kernels::kmeans_assign_fn();
   const kernels::KMeansAccumulateFn accumulate = kernels::kmeans_accumulate_fn();
-  std::vector<double> centroids_t;
-  const auto transpose_centroids = [&] {
-    if (assign == nullptr) return;
-    centroids_t.resize(centroids.size());
-    for (int c = 0; c < k; ++c) {
-      for (int j = 0; j < d; ++j) {
-        centroids_t[static_cast<std::size_t>(j) * k + c] =
-            centroids[static_cast<std::size_t>(c) * d + j];
-      }
-    }
-  };
-  transpose_centroids();
-  if (assign != nullptr) {
-    bind_accurate(binding, [this, d, k, assign, &centroids_t](std::uint64_t i, double* out) {
-      out[0] = static_cast<double>(assign(points_.data() + i * d, centroids_t.data(), d, k));
-    });
-  } else {
-    bind_accurate(binding, assign_one);
+  if (const kernels::KMeansAssignFn assign = kernels::kmeans_assign_fn()) {
+    binding.accurate_batch = [this, d, k, assign, &centroids](
+                                 std::uint64_t first_item, sim::LaneMask lanes,
+                                 std::span<const double>, std::span<double> out) {
+      const double* points[4];
+      int lane_of[4];
+      int labels[4];
+      int count = 0;
+      const auto assign_group = [&] {
+        assign(points, count, centroids.data(), d, k, labels);
+        for (int j = 0; j < count; ++j) {
+          out[static_cast<std::size_t>(lane_of[j])] = static_cast<double>(labels[j]);
+        }
+        count = 0;
+      };
+      sim::for_each_lane(lanes, [&](int lane) {
+        points[count] = points_.data() + (first_item + static_cast<std::uint64_t>(lane)) * d;
+        lane_of[count] = lane;
+        if (++count == 4) assign_group();
+      });
+      if (count > 0) assign_group();
+    };
   }
   bind_constant_cost(binding, 3.0 * d * k + 2.0 * k);
 
@@ -171,7 +175,6 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
             static_cast<double>(counts[static_cast<std::size_t>(c)]);
       }
     }
-    transpose_centroids();
     dev.record_host(static_cast<double>(n) * d * 2.0 / 10e9);
     dev.record_htod(static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(d) *
                     sizeof(double));

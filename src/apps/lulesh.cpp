@@ -32,6 +32,14 @@ harness::RunOutput Lulesh::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   e[0] = params_.blast_energy;  // Sedov: energy deposited at the origin
   for (std::uint64_t j = 0; j < n; ++j) p[j] = (gamma - 1.0) * rho[j] * e[j];
   for (std::uint64_t j = 0; j < n; ++j) sigma[j] = p[j];
+  // Element j's Courant bound on the timestep (LULESH's
+  // CalcTimeConstraints term). Only elem_update changes its inputs, so
+  // that launch's commit refreshes it and the host reduction is a min.
+  const auto courant_bound = [&](std::uint64_t j) {
+    return volume[j] / (std::sqrt(gamma * std::max(p[j], 0.0) / rho[j]) + 1e-12);
+  };
+  std::vector<double> dt_bound(n);
+  for (std::uint64_t j = 0; j < n; ++j) dt_bound[j] = courant_bound(j);
 
   offload::Device dev(device);
   approx::RegionExecutor executor(device);
@@ -181,15 +189,17 @@ harness::RunOutput Lulesh::run(const pragma::ApproxSpec& spec, std::uint64_t ite
     rho[j] = out[1];
     volume[j] = out[2];
     p[j] = (gamma - 1.0) * rho[j] * e[j];
+    dt_bound[j] = courant_bound(j);
   });
   // Item j reads x[j+1] (not written here) and its own element fields.
   elem_update.independent_items = true;
-  elem_update.commit_extents = [&e, &rho, &volume, &p](std::uint64_t j,
-                                                       approx::audit::ExtentSink& sink) {
+  elem_update.commit_extents = [&e, &rho, &volume, &p, &dt_bound](
+                                   std::uint64_t j, approx::audit::ExtentSink& sink) {
     sink.writes(e.data() + j, sizeof(double));
     sink.writes(rho.data() + j, sizeof(double));
     sink.writes(volume.data() + j, sizeof(double));
     sink.writes(p.data() + j, sizeof(double));
+    sink.writes(dt_bound.data() + j, sizeof(double));
   };
   // Element j reads the x[j], x[j+1] node pair (not written here) and its
   // own element fields; q is read-only in this launch.
@@ -209,12 +219,11 @@ harness::RunOutput Lulesh::run(const pragma::ApproxSpec& spec, std::uint64_t ite
       sim::launch_for_items_per_thread(n, 1, threads_per_team());
 
   for (int step = 0; step < params_.num_steps; ++step) {
-    // Host-side Courant reduction (LULESH's CalcTimeConstraints).
+    // Host-side Courant reduction (LULESH's CalcTimeConstraints): the
+    // per-element bounds come from elem_update's commit (or the initial
+    // fill), so the host only takes their min, which is exact.
     double min_dt = 1e9;
-    for (std::uint64_t j = 0; j < n; ++j) {
-      const double cs = std::sqrt(gamma * std::max(p[j], 0.0) / rho[j]) + 1e-12;
-      min_dt = std::min(min_dt, volume[j] / cs);
-    }
+    for (const double bound : dt_bound) min_dt = std::min(min_dt, bound);
     dt = std::min(params_.cfl * min_dt, dt * 1.1);
     dev.record_host(static_cast<double>(n) * 2.0 / 10e9);
 

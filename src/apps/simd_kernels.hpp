@@ -5,8 +5,9 @@
 // (lanes = option contracts, wired through the warp-per-call
 // `accurate_batch` binding hook), the binomial backward induction
 // (lanes = tree nodes of one level, applied inside `tree_price` so both
-// binding forms benefit) and kmeans (lanes = clusters in the nearest-
-// centroid search, lanes = dims in the host centroid sums). Every kernel
+// binding forms benefit) and kmeans (lanes = observations in the
+// nearest-centroid search, wired through `accurate_batch` like
+// blackscholes; lanes = dims in the host centroid sums). Every kernel
 // is bit-identical to its scalar reference — same per-lane operation
 // order, explicit mul/add (no FMA) — so QoI vectors, error metrics and
 // sweep CSVs are invariant across dispatch levels (enforced by the
@@ -35,12 +36,12 @@ using BlackscholesBatchFn = void (*)(const double* spot, const double* strike,
 using BinomialInductFn = void (*)(double* values, int steps, double discount, double p_up,
                                   double p_down);
 
-/// Index of the centroid nearest to `point` (length `dims`): the first
-/// cluster, in ascending order, whose squared distance is strictly
-/// smallest. `centroids_t` is the centroids transposed to dims x clusters
-/// (coordinate j of cluster c at `centroids_t[j * clusters + c]`).
-using KMeansAssignFn = int (*)(const double* point, const double* centroids_t, int dims,
-                               int clusters);
+/// Nearest centroid of `count` (1..4) observations at once: `labels[l]`
+/// is the first cluster, in ascending order, whose squared distance to
+/// `points[l]` (length `dims`) is strictly smallest. `centroids` is
+/// row-major clusters x dims.
+using KMeansAssignFn = void (*)(const double* const* points, int count, const double* centroids,
+                                int dims, int clusters, int* labels);
 
 /// Lloyd centroid sums over `n` row-major points: for every point with
 /// `membership[i] >= 0`, in point order, bump `counts[c]` and add the

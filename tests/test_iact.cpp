@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "approx/iact.hpp"
@@ -496,5 +498,77 @@ TEST(IactProperty, FindNearestMatchesNaiveUnderHeavyEarlyAbandon) {
     ASSERT_EQ(fast.index, naive.index);
     ASSERT_EQ(fast.distance, naive.distance);
     EXPECT_EQ(fast.index, 15);
+  }
+}
+
+// --- batched probes ---------------------------------------------------------
+//
+// The executor probes a table once per group of up to four lanes through
+// `find_nearest_batch`. Every lane's answer must be bit-identical to the
+// naive scan of its own probe at every reachable dispatch level: empty,
+// partly filled, full and churned tables of 1-9 rows, 1-16 input
+// dimensions (the specialized kernels and the generic one), duplicate rows
+// (exact ties), probes equal to an entry (distance 0), and both
+// replacement policies. Groups of 5-6 probes cover the split into a
+// four-probe scan plus a remainder. tests/CMakeLists.txt gives this suite
+// the `simd` label, so the HPAC_SIMD dispatch matrix re-runs it.
+TEST(IactBatchProbe, MatchesNaivePerProbeAtEveryDispatchLevel) {
+  SimdLevelGuard guard;
+  for (const hpac::simd::Level level : reachable_levels()) {
+    ASSERT_EQ(hpac::simd::set_level(level), level);
+    for (const Replacement policy : {Replacement::kRoundRobin, Replacement::kClock}) {
+      for (int in_dims = 1; in_dims <= 16; ++in_dims) {
+        for (int tsize = 1; tsize <= 9; ++tsize) {
+          for (const int fills : {0, tsize / 2, tsize, tsize + 3}) {
+            Xoshiro256 rng(static_cast<std::uint64_t>(in_dims) * 1000 + tsize * 10 + fills);
+            TableFixture fixture;
+            IactTable table = fixture.make(tsize, in_dims, 1, policy);
+            const auto quantized = [&rng] {
+              return 0.25 * static_cast<double>(rng.uniform_index(5));
+            };
+            std::vector<double> in(static_cast<std::size_t>(in_dims));
+            std::vector<double> out{0.0};
+            for (int f = 0; f < fills; ++f) {
+              // Every third insert repeats the previous row: exact ties.
+              if (f % 3 != 2) {
+                for (auto& v : in) v = quantized();
+              }
+              out[0] = static_cast<double>(f);
+              table.insert(in, out);
+              if (f % 2 == 1) table.mark_used(f % table.valid_count());
+            }
+            const std::string where = std::string(hpac::simd::level_name(level)) +
+                                      (policy == Replacement::kClock ? " clock" : " rr") +
+                                      " dims " + std::to_string(in_dims) + " tsize " +
+                                      std::to_string(tsize) + " fills " + std::to_string(fills);
+            for (std::size_t group = 1; group <= 6; ++group) {
+              for (int rep = 0; rep < 6; ++rep) {
+                std::vector<double> packed(group * static_cast<std::size_t>(in_dims));
+                for (auto& v : packed) v = quantized();
+                // One probe equal to an entry (distance 0) when there is one.
+                if (table.valid_count() > 0 && rep % 2 == 0) {
+                  const auto entry = table.input_at(rep % table.valid_count());
+                  std::copy(entry.begin(), entry.end(),
+                            packed.begin() + static_cast<std::ptrdiff_t>((rep % group) * in_dims));
+                }
+                std::vector<const double*> probes(group);
+                for (std::size_t p = 0; p < group; ++p) {
+                  probes[p] = packed.data() + p * static_cast<std::size_t>(in_dims);
+                }
+                std::vector<IactTable::Match> found(group);
+                table.find_nearest_batch(probes, found);
+                for (std::size_t p = 0; p < group; ++p) {
+                  const IactTable::Match naive = naive_find_nearest(
+                      table, std::span<const double>(probes[p], static_cast<std::size_t>(in_dims)));
+                  ASSERT_EQ(found[p].index, naive.index) << where << " group " << group << " probe " << p;
+                  ASSERT_EQ(found[p].distance, naive.distance)  // bitwise, not approximate
+                      << where << " group " << group << " probe " << p;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }

@@ -107,11 +107,35 @@ TEST(Simd, KernelDispatchFollowsLevel) {
   }
 }
 
+namespace {
+
+/// kmeans' scalar assign loop: the first cluster whose squared distance is
+/// strictly smallest.
+int scalar_assign(const double* point, const std::vector<double>& centroids, int d, int k) {
+  int best = 0;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (int c = 0; c < k; ++c) {
+    double dist = 0;
+    for (int j = 0; j < d; ++j) {
+      const double diff = point[j] - centroids[static_cast<std::size_t>(c) * d + j];
+      dist += diff * diff;
+    }
+    if (dist < best_dist) {
+      best_dist = dist;
+      best = c;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 TEST(Simd, KMeansKernelsMatchScalarLoopsAtEveryShape) {
-  // kmeans itself runs 8 clusters x 8 dims, which both vector widths
-  // divide; these shapes also reach the scalar remainders. Duplicate
-  // centroids make exact distance ties, which must resolve to the lowest
-  // cluster index as in the scalar argmin.
+  // kmeans itself runs 8 clusters x 8 dims; these shapes also reach the
+  // generic dimension loop (d = 9) and the accumulate's scalar tail.
+  // Duplicate centroids make exact distance ties, which must resolve to
+  // the lowest cluster index as in the scalar argmin. The assign kernel
+  // takes groups of 1-4 points; lanes past the group must not leak.
   SimdLevelGuard guard;
   Xoshiro256 rng(7);
   for (const simd::Level level : reachable_levels()) {
@@ -133,29 +157,41 @@ TEST(Simd, KMeansKernelsMatchScalarLoopsAtEveryShape) {
                                                         : rng.uniform(-4.0, 4.0);
           }
         }
-        std::vector<double> centroids_t(centroids.size());
-        for (int c = 0; c < k; ++c) {
-          for (int j = 0; j < d; ++j) centroids_t[j * k + c] = centroids[c * d + j];
+        // Some points sit exactly on a duplicated centroid: distance 0 to
+        // two clusters at once.
+        if (k >= 4) {
+          for (int j = 0; j < d; ++j) points[5 * d + j] = centroids[3 * d + j];
         }
-        std::vector<int> membership(kPoints);
+        std::vector<int> expected(kPoints);
         for (std::uint64_t i = 0; i < kPoints; ++i) {
-          const double* point = points.data() + i * d;
-          int best = 0;
-          double best_dist = std::numeric_limits<double>::infinity();
-          for (int c = 0; c < k; ++c) {
-            double dist = 0;
-            for (int j = 0; j < d; ++j) {
-              const double diff = point[j] - centroids[c * d + j];
-              dist += diff * diff;
-            }
-            if (dist < best_dist) {
-              best_dist = dist;
-              best = c;
+          expected[i] = scalar_assign(points.data() + i * d, centroids, d, k);
+        }
+        for (int group = 1; group <= 4; ++group) {
+          for (std::uint64_t first = 0; first + group <= kPoints; first += group) {
+            const double* group_points[4];
+            int labels[4] = {-7, -7, -7, -7};
+            for (int l = 0; l < group; ++l) group_points[l] = points.data() + (first + l) * d;
+            assign(group_points, group, centroids.data(), d, k, labels);
+            for (int l = 0; l < 4; ++l) {
+              ASSERT_EQ(labels[l], l < group ? expected[first + l] : -7)
+                  << simd::level_name(level) << " k=" << k << " d=" << d << " group=" << group
+                  << " i=" << first + l;
             }
           }
-          ASSERT_EQ(assign(point, centroids_t.data(), d, k), best)
-              << simd::level_name(level) << " k=" << k << " d=" << d << " i=" << i;
-          membership[i] = i % 5 == 0 ? -1 : best;
+        }
+        // Labels for the sums: long same-label runs, strictly alternating
+        // labels, and unlabelled (-1) points inside and between runs.
+        std::vector<int> membership(kPoints);
+        for (std::uint64_t i = 0; i < kPoints; ++i) {
+          if (i % 7 == 3) {
+            membership[i] = -1;
+          } else if (i < 24) {
+            membership[i] = k - 1;
+          } else if (i < 40) {
+            membership[i] = static_cast<int>(i % 2) * (k - 1);
+          } else {
+            membership[i] = expected[i];
+          }
         }
         std::vector<double> sums(centroids.size(), 0.0);
         std::vector<std::uint64_t> counts(static_cast<std::size_t>(k), 0);
@@ -249,7 +285,10 @@ namespace {
 /// A small Explorer sweep serialized to CSV — the byte-identity contract
 /// the harness layers rely on, exercised over the apps and techniques the
 /// SIMD layer touches (iACT scan, TAF RSD, app batch kernels). lavamd's
-/// mean-zero force outputs are the cancellation-heavy TAF case.
+/// mean-zero force outputs are the cancellation-heavy TAF case. The iACT
+/// clauses cover both probe paths: 1, 2 and 16 tables per warp share a
+/// table among 32, 16 and 2 lanes (the batched probe), and 32 — the
+/// v100's warp size — gives every lane its own table (one probe per scan).
 std::string sweep_csv_at_level(simd::Level level) {
   simd::set_level(level);
   harness::ResultDb db;
@@ -257,7 +296,9 @@ std::string sweep_csv_at_level(simd::Level level) {
     auto app = apps::make_benchmark(name);
     harness::Explorer explorer(*app, sim::v100());
     for (const char* clause :
-         {"memo(out:3:8:0.5) level(warp)", "memo(in:4:0.5:2) in(x) out(y)"}) {
+         {"memo(out:3:8:0.5) level(warp)", "memo(in:4:0.5:1) in(x) out(y)",
+          "memo(in:4:0.5:2) in(x) out(y)", "memo(in:4:0.5:16) in(x) out(y)",
+          "memo(in:4:0.5:32) in(x) out(y)"}) {
       explorer.run_config(pragma::parse_approx(clause), 8);
     }
     for (const auto& record : explorer.db().records()) db.add(record);
