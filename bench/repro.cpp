@@ -89,7 +89,7 @@ Options parse_options(int argc, char** argv) {
       opts.out_dir = arg.substr(10);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--full|--quick] [--device=v100|mi250x|a100]... [--out-dir=DIR]\n"
+                   "usage: %s [--full|--quick] [--device=v100|mi250x]... [--out-dir=DIR]\n"
                    "  default: curated fixed-budget sweep on the paper's two platforms\n",
                    argv[0]);
       std::exit(2);

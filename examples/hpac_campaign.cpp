@@ -9,7 +9,7 @@
 //
 // Examples:
 //   hpac_campaign --csv=campaign.csv
-//   hpac_campaign --benchmarks=kmeans,lulesh --devices=v100,mi250x,a100
+//   hpac_campaign --benchmarks=kmeans,lulesh --devices=v100,mi250x
 //                 --ipt=8,64 --csv=campaign.csv   (one command line)
 //   hpac_campaign --sweep=perfo --threads=4 --csv=perfo.csv
 //
@@ -50,7 +50,7 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--benchmarks=a,b,...] [--devices=v100,mi250x,a100]\n"
+               "usage: %s [--benchmarks=a,b,...] [--devices=v100,mi250x]\n"
                "          [--sweep=curated|taf|iact|perfo] [--ipt=8,64]\n"
                "          [--threads=N] [--max-error=PCT] [--csv=FILE]\n"
                "          [--audit=off|report|enforce]\n"

@@ -301,6 +301,18 @@ void LaunchAudit::add_conflict(ConflictReport::Kind kind, std::uint64_t item_a,
   report.binding = name_;
   report.item_a = std::min(item_a, item_b);
   report.item_b = std::max(item_a, item_b);
+  if (regions_.empty()) {
+    // Offset origins, built on a launch's first finding (a clean launch
+    // never reads them): the contiguous runs of audited bytes (folded
+    // writes, folded reads, and — for differential — every declared
+    // extent). A report's byte range is expressed relative to its
+    // containing run, so multi-array bindings produce the same offsets
+    // regardless of where the allocator placed each array.
+    std::vector<Entry> all(folded_writes_);
+    all.insert(all.end(), folded_reads_.begin(), folded_reads_.end());
+    for (const Interval& iv : image_.all) all.push_back(Entry{iv.begin, iv.end, 0});
+    regions_ = merge(std::move(all));
+  }
   const std::uintptr_t origin = region_base_of(begin);
   report.begin = static_cast<std::uint64_t>(begin - origin);
   report.end = static_cast<std::uint64_t>(end - origin);
@@ -326,41 +338,16 @@ std::uint64_t LaunchAudit::owner_of(std::uintptr_t addr) const {
 }
 
 void LaunchAudit::analyze() {
-  std::vector<Entry> writes;
-  std::vector<Entry> reads;
+  std::vector<Entry>& writes = folded_writes_;
+  std::vector<Entry>& reads = folded_reads_;
   for (const ShardLog& log : logs_) {
     writes.insert(writes.end(), log.writes_.begin(), log.writes_.end());
     reads.insert(reads.end(), log.reads_.begin(), log.reads_.end());
   }
   // Sorting makes the folded multiset — and therefore every report —
-  // independent of which shard executed which warp. Exact duplicates are
-  // dropped: an item's reads are logged at both the gather and accurate
-  // wrap points (whichever of the two its technique executes), and a
-  // duplicate entry would re-report the same conflict, burning slots of
-  // the kMaxReports cap.
-  const auto fold = [](std::vector<Entry>& entries) {
-    std::sort(entries.begin(), entries.end(), entry_less);
-    entries.erase(std::unique(entries.begin(), entries.end(),
-                              [](const Entry& a, const Entry& b) {
-                                return a.begin == b.begin && a.end == b.end &&
-                                       a.item == b.item;
-                              }),
-                  entries.end());
-  };
-  fold(writes);
-  fold(reads);
-
-  // Offset origins: the contiguous runs of audited bytes (logged writes,
-  // logged reads, and — for differential — every declared extent). A
-  // report's byte range is expressed relative to its containing run, so
-  // multi-array bindings produce the same offsets regardless of where the
-  // allocator placed each array.
-  std::vector<Entry> all;
-  all.reserve(writes.size() + reads.size() + image_.all.size());
-  all.insert(all.end(), writes.begin(), writes.end());
-  all.insert(all.end(), reads.begin(), reads.end());
-  for (const Interval& iv : image_.all) all.push_back(Entry{iv.begin, iv.end, 0});
-  regions_ = merge(std::move(all));
+  // independent of which shard executed which warp.
+  std::sort(writes.begin(), writes.end(), entry_less);
+  std::sort(reads.begin(), reads.end(), entry_less);
 
   // Write/write: each entry against the sorted tail it overlaps. The
   // inner scan ends at the first non-overlapping entry, so disjoint
@@ -390,8 +377,6 @@ void LaunchAudit::analyze() {
       if (conflicts_.size() >= kMaxReports) break;
     }
   }
-
-  folded_writes_ = std::move(writes);
 }
 
 std::vector<unsigned char> LaunchAudit::snapshot() const {

@@ -288,7 +288,8 @@ class LaunchAudit {
   std::vector<ShardLog> logs_;  ///< empty when the launch is not instrumented
   std::vector<ConflictReport> conflicts_;
   std::vector<Entry> folded_writes_;  ///< sorted, kept by analyze()
-  std::vector<Interval> regions_;     ///< merged contiguous audited runs (offset origins)
+  std::vector<Entry> folded_reads_;   ///< sorted, kept by analyze()
+  std::vector<Interval> regions_;     ///< offset origins, built on the first finding
   ExtentImageCache::Image image_;     ///< differential only
   std::vector<unsigned char> pre_;    ///< image bytes taken at construction
 };

@@ -115,7 +115,8 @@ struct IactPolicy {
 /// decision needs every warp of a team, so such launches are cut on team
 /// boundaries. An audited context logs each executed item's declared
 /// extents into its own shard log right after the binding call that
-/// touched them. AC state (TAF windows, iACT tables) is allocated once per
+/// touched them, once each: reads at the gather for iACT, at the accurate
+/// call otherwise. AC state (TAF windows, iACT tables) is allocated once per
 /// context, as one block per policy, and `reset()` between teams instead
 /// of reallocated — the launch-invariant hoisting half of the fast path.
 /// Whether that state fits the block's shared memory was decided by
@@ -336,7 +337,11 @@ class RunContext {
             const auto in = Policy::kGathers ? std::span<const double>(s.in)
                                              : std::span<const double>();
             binding_.accurate_batch(first_item, acc_mask, in, out);
-            if (read_log_ != nullptr) read_log_->record_reads(binding_, first_item, acc_mask);
+            // A gathering policy logged every active lane's reads at the
+            // gather in `decide`.
+            if constexpr (!Policy::kGathers) {
+              if (read_log_ != nullptr) read_log_->record_reads(binding_, first_item, acc_mask);
+            }
           }
           std::array<double, 2> paths{0.0, 0.0};  // accurate, approximate
           if constexpr (Policy::kMemoizes) paths[1] = reuse(policy, w, s, approx_mask);
@@ -645,10 +650,10 @@ ExecTuning RegionExecutor::default_tuning() {
   return default_tuning_storage();
 }
 
-void RegionExecutor::set_default_audit(audit::AuditMode mode, bool differential) {
+void RegionExecutor::set_default_audit(audit::AuditMode mode) {
   common::MutexLock lock(tuning_mutex());
   default_tuning_storage().audit_mode = mode;
-  default_tuning_storage().audit_differential = differential;
+  default_tuning_storage().audit_differential = true;
 }
 
 std::size_t RegionExecutor::ac_state_bytes_per_block(const pragma::ApproxSpec& spec,

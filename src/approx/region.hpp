@@ -303,10 +303,11 @@ class RegionExecutor {
   static void set_default_tuning(const ExecTuning& tuning);
   static ExecTuning default_tuning();
 
-  /// Convenience for the CLIs' `--audit` flag: clone the current default
-  /// tuning, set the audit knobs, reinstall. Every executor constructed
-  /// afterwards (the registry apps build their own) runs audited.
-  static void set_default_audit(audit::AuditMode mode, bool differential = true);
+  /// Convenience for the CLIs' `--audit` flag: set the default tuning's
+  /// audit mode, with the differential re-run on. Every executor
+  /// constructed afterwards (the registry apps build their own) runs
+  /// audited.
+  static void set_default_audit(audit::AuditMode mode);
 
   /// Extent-image memoization counters of this executor's differential
   /// audits (hits = O(n) walks skipped).

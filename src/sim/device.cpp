@@ -58,33 +58,10 @@ DeviceConfig mi250x() {
   return d;
 }
 
-DeviceConfig a100() {
-  DeviceConfig d;
-  d.name = "a100";
-  // 108 SMs scaled by ~1/8 (108 -> 14) like the other presets, keeping
-  // the V100:A100:MI250X SM ratio (80:108:220) so the occupancy regimes
-  // the paper studies stay comparable across all three devices.
-  d.num_sms = 14;
-  d.warp_size = 32;
-  d.max_warps_per_sm = 64;
-  d.max_blocks_per_sm = 32;
-  d.issue_width = 4;
-  d.global_mem_bytes = 40ull << 30;
-  d.shared_mem_per_block = 163u << 10;  // 164 KB per SM, 163 KB usable per block
-  d.shared_mem_per_sm = 164u << 10;
-  d.transaction_bytes = 32;
-  d.cycles_per_transaction = 1.6;  // HBM2e: higher bandwidth than the V100
-  d.mem_latency_cycles = 400.0;
-  d.clock_ghz = 1.41;
-  d.host_link_gbps = 25.0;  // PCIe 4.0
-  return d;
-}
-
 DeviceConfig device_by_name(const std::string& name) {
   const std::string key = strings::to_lower(name);
   if (key == "v100" || key == "nvidia") return v100();
   if (key == "mi250x" || key == "amd") return mi250x();
-  if (key == "a100" || key == "ampere") return a100();
   throw ConfigError("unknown device preset: " + name);
 }
 

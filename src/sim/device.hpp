@@ -60,14 +60,8 @@ DeviceConfig v100();
 /// per the paper's description, wavefront size 64, 64 KB LDS).
 DeviceConfig mi250x();
 
-/// NVIDIA A100-like preset (108 SMs, warp size 32, 40 GB HBM2e, 164 KB
-/// shared memory per SM). Not one of the paper's two platforms; it extends
-/// the portability comparison with a third device whose large shared
-/// memory admits AC states that are infeasible on the MI250X.
-DeviceConfig a100();
-
-/// Look up a preset by name ("v100", "mi250x", "a100", "nvidia", "amd",
-/// "ampere"). Throws hpac::ConfigError for unknown names.
+/// Look up a preset by name ("v100", "mi250x", "nvidia", "amd"; case
+/// insensitive). Throws hpac::ConfigError for unknown names.
 DeviceConfig device_by_name(const std::string& name);
 
 }  // namespace hpac::sim

@@ -12,7 +12,9 @@
 //     address tagging cannot see, and restores application state so
 //     auditing never changes results;
 //   * report determinism, missing-extents handling, off-mode inertness,
-//     the verbatim enforce-mode error texts;
+//     the verbatim enforce-mode error texts, which reports survive the cap;
+//   * iACT logs each declared read once (at its gather), serially and
+//     sharded;
 //   * the extent-image cache's hit, miss and non-affine accounting.
 
 #include <gtest/gtest.h>
@@ -85,6 +87,70 @@ bool has_kind(const std::vector<ConflictReport>& conflicts, ConflictReport::Kind
   return false;
 }
 
+std::vector<std::string> texts_of(const std::vector<ConflictReport>& conflicts) {
+  std::vector<std::string> texts;
+  for (const auto& c : conflicts) texts.push_back(c.to_string());
+  return texts;
+}
+
+/// An iACT-capable region (one gathered input) whose items 0, 64, 256
+/// and 320 declare a read of the next item's committed cell: four
+/// read/write findings. At ipt 4 (128 threads, four grid-stride steps)
+/// they all lie in steps 0 and 2, which `perfo(small:2)` keeps. Every
+/// item gathers the same input, so under `memo(in:...)` step 0 misses the
+/// empty tables and every later lane is approximated: items 0 and 64 run
+/// the accurate path, items 256 and 320 do not. Run it with the
+/// differential pass on: it audits every item's extent, so both
+/// techniques measure offsets from the same origin (perforation leaves a
+/// gap in the logged writes).
+struct NeighborReadRegion {
+  static constexpr std::uint64_t kItems = 512;
+  std::vector<double> cells = std::vector<double>(kItems, 0.0);
+  std::vector<char> ran_accurate = std::vector<char>(kItems, 0);
+
+  approx::RegionBinding binding() {
+    approx::RegionBinding b;
+    b.name = "audit.iact_reads";
+    b.in_dims = 1;
+    b.out_dims = 1;
+    apps::bind_gather(b, [](std::uint64_t, double* in) { in[0] = 1.0; });
+    apps::bind_accurate(b, [this](std::uint64_t i, double* o) {
+      ran_accurate[i] = 1;
+      o[0] = 1.0;
+    });
+    apps::bind_constant_cost(b, 50.0);
+    apps::bind_commit(b, [this](std::uint64_t i, const double* o) { cells[i] = o[0]; });
+    b.independent_items = true;  // a false claim, as the declared reads below show
+    apps::bind_row_commit_extents(b, cells, 1);
+    b.read_extents = [this](std::uint64_t i, approx::audit::ExtentSink& sink) {
+      if (i % 64 == 0 && i % 256 < 128) sink.reads(cells.data() + i + 1, sizeof(double));
+    };
+    return b;
+  }
+
+  /// The findings of one audited launch of `clause`.
+  std::vector<ConflictReport> run(const std::string& clause, const approx::ExecTuning& tuning,
+                                  std::size_t* host_shards = nullptr) {
+    cells.assign(kItems, 0.0);
+    ran_accurate.assign(kItems, 0);
+    approx::RegionExecutor executor(sim::v100());
+    executor.set_tuning(tuning);
+    const approx::RegionReport report =
+        executor.run(pragma::parse_approx(clause), binding(), kItems,
+                     sim::launch_for_items_per_thread(kItems, 4, 32));
+    if (host_shards != nullptr) *host_shards = report.stats.host_shards;
+    return report.stats.conflicts;
+  }
+};
+
+/// The four findings of NeighborReadRegion, each exactly once.
+const std::vector<std::string> kNeighborReadFindings = {
+    "read/write overlap: items 0 and 1, bytes [8,16) of 'audit.iact_reads'",
+    "read/write overlap: items 64 and 65, bytes [520,528) of 'audit.iact_reads'",
+    "read/write overlap: items 256 and 257, bytes [2056,2064) of 'audit.iact_reads'",
+    "read/write overlap: items 320 and 321, bytes [2568,2576) of 'audit.iact_reads'",
+};
+
 TEST(AuditMode_, NamesRoundTrip) {
   for (const AuditMode mode : {AuditMode::kOff, AuditMode::kReport, AuditMode::kEnforce}) {
     const auto parsed = approx::audit::audit_mode_from_string(approx::audit::to_string(mode));
@@ -136,13 +202,8 @@ TEST(Audit, SharedCellEnforceThrowsConfigError) {
 
 TEST(Audit, ReportsAreDeterministicAcrossRepeats) {
   const auto once = [] {
-    std::vector<std::string> texts;
-    for (const auto& c :
-         run_fixture(Flaw::kSharedCell, serial_audit(AuditMode::kReport, false))
-             .stats.conflicts) {
-      texts.push_back(c.to_string());
-    }
-    return texts;
+    return texts_of(
+        run_fixture(Flaw::kSharedCell, serial_audit(AuditMode::kReport, false)).stats.conflicts);
   };
   const std::vector<std::string> a = once();
   EXPECT_FALSE(a.empty());
@@ -240,7 +301,80 @@ TEST(Audit, EnforceErrorTextsAreVerbatim) {
   EXPECT_EQ(commits, cells.size());
 }
 
+TEST(Audit, ReportCapKeepsWriteWriteFirstInAddressOrder) {
+  // 15 findings, more than the cap of 8: odd items 21, 23 and 25 also
+  // write their left neighbour's cell (3 write/write overlaps, at high
+  // addresses), and items 0..11 read their right neighbour's cell (12
+  // read/write overlaps, at low addresses). The survivors are every
+  // write/write finding, then the lowest read/write ones.
+  std::vector<double> cells(32, 0.0);
+  approx::RegionBinding binding;
+  binding.name = "audit.cap";
+  apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
+  apps::bind_constant_cost(binding, 16.0);
+  apps::bind_commit(binding, [&cells](std::uint64_t i, const double* o) { cells[i] = o[0]; });
+  binding.independent_items = true;
+  binding.commit_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
+    sink.writes(cells.data() + i, sizeof(double));
+    if (i == 21 || i == 23 || i == 25) sink.writes(cells.data() + i - 1, sizeof(double));
+  };
+  binding.read_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
+    if (i < 12) sink.reads(cells.data() + i + 1, sizeof(double));
+  };
+  approx::RegionExecutor executor(sim::v100());
+  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(cells.size(), 1, 32);
+
+  executor.set_tuning(serial_audit(AuditMode::kReport, false));
+  const std::vector<ConflictReport> conflicts =
+      executor.run(pragma::parse_approx("none"), binding, cells.size(), launch).stats.conflicts;
+  EXPECT_EQ(texts_of(conflicts),
+            (std::vector<std::string>{
+                "write/write overlap: items 20 and 21, bytes [160,168) of 'audit.cap'",
+                "write/write overlap: items 22 and 23, bytes [176,184) of 'audit.cap'",
+                "write/write overlap: items 24 and 25, bytes [192,200) of 'audit.cap'",
+                "read/write overlap: items 0 and 1, bytes [8,16) of 'audit.cap'",
+                "read/write overlap: items 1 and 2, bytes [16,24) of 'audit.cap'",
+                "read/write overlap: items 2 and 3, bytes [24,32) of 'audit.cap'",
+                "read/write overlap: items 3 and 4, bytes [32,40) of 'audit.cap'",
+                "read/write overlap: items 4 and 5, bytes [40,48) of 'audit.cap'",
+            }));
+
+  executor.set_tuning(serial_audit(AuditMode::kEnforce, false));
+  try {
+    executor.run(pragma::parse_approx("none"), binding, cells.size(), launch);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "config error: commit-conflict audit failed for binding 'audit.cap': "
+              "write/write overlap: items 20 and 21, bytes [160,168) of 'audit.cap'; "
+              "write/write overlap: items 22 and 23, bytes [176,184) of 'audit.cap'; "
+              "write/write overlap: items 24 and 25, bytes [192,200) of 'audit.cap' (+5 more)");
+  }
+}
+
+TEST(Audit, IactLogsEachDeclaredReadOnce) {
+  // iACT gathers every active lane's inputs, approximated lanes included,
+  // so its reads are logged at the gather; the accurate lanes must not log
+  // them again. Perforation logs at the accurate call.
+  NeighborReadRegion region;
+  const approx::ExecTuning tuning = serial_audit(AuditMode::kReport, true);
+  EXPECT_EQ(texts_of(region.run("memo(in:8:0.5) in(x) out(y)", tuning)), kNeighborReadFindings);
+  EXPECT_TRUE(region.ran_accurate[0] && region.ran_accurate[64]);
+  EXPECT_FALSE(region.ran_accurate[256] || region.ran_accurate[320]);
+  EXPECT_EQ(texts_of(region.run("perfo(small:2)", tuning)), kNeighborReadFindings);
+}
+
 // --- sharded detection (runs under TSan in CI) ------------------------------
+
+TEST(AuditSharded, IactLogsEachDeclaredReadOnce) {
+  NeighborReadRegion region;
+  const approx::ExecTuning tuning = sharded_audit(AuditMode::kReport, true);
+  for (const char* clause : {"memo(in:8:0.5) in(x) out(y)", "perfo(small:2)"}) {
+    std::size_t shards = 0;
+    EXPECT_EQ(texts_of(region.run(clause, tuning, &shards)), kNeighborReadFindings) << clause;
+    EXPECT_GT(shards, 1u) << clause;
+  }
+}
 
 TEST(AuditSharded, SharedCellReportedUnderTeamSharding) {
   const harness::RunOutput output =

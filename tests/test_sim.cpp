@@ -47,33 +47,12 @@ TEST(Device, AliasAndCaseInsensitiveRoundTrips) {
   EXPECT_EQ(device_by_name(device_by_name("amd").name).name, "mi250x");
 }
 
-TEST(Device, A100PresetExtendsThePortabilityComparison) {
-  const DeviceConfig amp = a100();
-  EXPECT_EQ(amp.name, "a100");
-  EXPECT_EQ(amp.warp_size, 32);
-  // SM counts keep the real parts' 80:108:220 ordering under the common
-  // 1/8 scaling.
-  EXPECT_GT(amp.num_sms, v100().num_sms);
-  EXPECT_LT(amp.num_sms, mi250x().num_sms);
-  // The A100's large shared memory is the point of the preset: AC states
-  // too big for the MI250X's 64 KB LDS still fit here.
-  EXPECT_GT(amp.shared_mem_per_sm, v100().shared_mem_per_sm);
-  EXPECT_GT(amp.shared_mem_per_block, mi250x().shared_mem_per_block);
-  EXPECT_EQ(amp.global_mem_bytes, 40ull << 30);
-}
-
-TEST(Device, A100LookupAliases) {
-  EXPECT_EQ(device_by_name("a100").name, "a100");
-  EXPECT_EQ(device_by_name("A100").name, "a100");
-  EXPECT_EQ(device_by_name("ampere").name, "a100");
-  EXPECT_EQ(device_by_name("Ampere").name, "a100");
-  EXPECT_EQ(device_by_name(device_by_name("ampere").name).name, "a100");
-}
-
 TEST(Device, UnknownPresetThrowsConfigError) {
   EXPECT_THROW(device_by_name("h100"), ConfigError);
   EXPECT_THROW(device_by_name(""), ConfigError);
   EXPECT_THROW(device_by_name("v100 "), ConfigError);  // no trimming promised
+  EXPECT_THROW(device_by_name("a100"), ConfigError);   // retired preset and alias
+  EXPECT_THROW(device_by_name("ampere"), ConfigError);
   try {
     device_by_name("gaudi");
     FAIL() << "expected ConfigError";
