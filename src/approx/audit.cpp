@@ -205,7 +205,9 @@ void ExtentImageCache::store(const RegionBinding& binding, std::uint64_t n,
 
 LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
                          AuditMode mode, bool differential, ExtentImageCache* cache)
-    : name_(binding.name.empty() ? std::string("<unnamed>") : binding.name),
+    : binding_(binding),
+      n_(n),
+      name_(binding.name.empty() ? std::string("<unnamed>") : binding.name),
       mode_(mode),
       differential_(differential) {
   if (!binding.commit_extents) {
@@ -236,29 +238,37 @@ LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::siz
     return;
   }
 
-  // Union of every item's declared intervals: the byte image the
-  // differential re-run must be able to save, restore and compare. The
-  // walk costs one extent callback per item — audit-mode only, and cheap
-  // address arithmetic inside. Each item is checked against the probed
-  // shape, so a pattern that is affine only at the probes is not cached.
+  // The byte image the differential re-run must be able to save, restore
+  // and compare.
+  image_ = declared_image(shape);
+  if (cache != nullptr) cache->store(binding, n, std::move(shape), image_);
+  pre_ = snapshot();
+}
+
+ExtentImageCache::Image LaunchAudit::declared_image(
+    std::optional<ExtentImageCache::Shape>& shape) const {
+  // The walk costs one extent callback per item — audit-mode only, and
+  // cheap address arithmetic inside. Each item is checked against the
+  // probed shape, so a pattern that is affine only at the probes is not
+  // cached.
   std::vector<Entry> exclusive;
   std::vector<Entry> commuting;
-  for (std::uint64_t item = 0; item < n; ++item) {
+  for (std::uint64_t item = 0; item < n_; ++item) {
     const std::size_t exclusive_from = exclusive.size();
     const std::size_t commuting_from = commuting.size();
     ExtentSink sink(&exclusive, &commuting, nullptr, item);
-    binding.commit_extents(item, sink);
+    binding_.commit_extents(item, sink);
     if (shape && !ExtentImageCache::matches(*shape,
                                             std::span(exclusive).subspan(exclusive_from),
                                             std::span(commuting).subspan(commuting_from), item)) {
       shape.reset();
     }
   }
-  image_.exclusive = merge(exclusive);
+  ExtentImageCache::Image image;
+  image.exclusive = merge(exclusive);
   exclusive.insert(exclusive.end(), commuting.begin(), commuting.end());
-  image_.all = merge(std::move(exclusive));
-  if (cache != nullptr) cache->store(binding, n, std::move(shape), image_);
-  pre_ = snapshot();
+  image.all = merge(std::move(exclusive));
+  return image;
 }
 
 std::vector<ConflictReport> LaunchAudit::close(const std::function<void()>& rerun_reversed) {
@@ -304,10 +314,16 @@ void LaunchAudit::add_conflict(ConflictReport::Kind kind, std::uint64_t item_a,
   if (regions_.empty()) {
     // Offset origins, built on a launch's first finding (a clean launch
     // never reads them): the contiguous runs of audited bytes (folded
-    // writes, folded reads, and — for differential — every declared
-    // extent). A report's byte range is expressed relative to its
-    // containing run, so multi-array bindings produce the same offsets
-    // regardless of where the allocator placed each array.
+    // writes, folded reads, and every item's declared commit extents,
+    // which the differential pass already holds). A report's byte range is
+    // expressed relative to its containing run, so multi-array bindings
+    // produce the same offsets regardless of where the allocator placed
+    // each array, and items a technique skipped (perforation logs none)
+    // cannot split a run and move the origin.
+    if (!differential_) {
+      std::optional<ExtentImageCache::Shape> no_shape;
+      image_ = declared_image(no_shape);
+    }
     std::vector<Entry> all(folded_writes_);
     all.insert(all.end(), folded_reads_.begin(), folded_reads_.end());
     for (const Interval& iv : image_.all) all.push_back(Entry{iv.begin, iv.end, 0});

@@ -241,7 +241,9 @@ class LaunchAudit {
   /// not instrumented and closes with one kMissingExtents report. When
   /// `differential` is set, builds the merged image of every item's
   /// declared extents (served by `cache` when it holds this shape) and
-  /// snapshots its bytes.
+  /// snapshots its bytes; otherwise that image is built only if the launch
+  /// has a finding, for its report offsets. `binding` must outlive the
+  /// audit.
   LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
               AuditMode mode, bool differential, ExtentImageCache* cache);
 
@@ -267,6 +269,10 @@ class LaunchAudit {
 
   /// Sort `entries` and merge overlapping or touching ones.
   static std::vector<Interval> merge(std::vector<Entry> entries);
+  /// Walk every item's `commit_extents` into the merged image of the
+  /// launch's declared extents; resets `shape` at the first item that does
+  /// not fit it.
+  ExtentImageCache::Image declared_image(std::optional<ExtentImageCache::Shape>& shape) const;
   void analyze();
   std::vector<unsigned char> snapshot() const;
   void restore(const std::vector<unsigned char>& bytes) const;
@@ -282,6 +288,8 @@ class LaunchAudit {
   /// offset origin that keeps reports independent of heap layout.
   std::uintptr_t region_base_of(std::uintptr_t addr) const;
 
+  const RegionBinding& binding_;
+  std::uint64_t n_;
   std::string name_;
   AuditMode mode_;
   bool differential_;
@@ -290,7 +298,7 @@ class LaunchAudit {
   std::vector<Entry> folded_writes_;  ///< sorted, kept by analyze()
   std::vector<Entry> folded_reads_;   ///< sorted, kept by analyze()
   std::vector<Interval> regions_;     ///< offset origins, built on the first finding
-  ExtentImageCache::Image image_;     ///< differential only
+  ExtentImageCache::Image image_;     ///< differential, or built on the first finding
   std::vector<unsigned char> pre_;    ///< image bytes taken at construction
 };
 

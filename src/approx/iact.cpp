@@ -11,10 +11,6 @@ namespace hpac::approx {
 namespace detail {
 void throw_probe_mismatch() { throw Error("probe dimensionality mismatch"); }
 
-ScanFn select_iact_scan(int in_dims) {
-  return simd::active_level() == simd::Level::kAvx2 ? iact_scan_fn_avx2(in_dims) : nullptr;
-}
-
 BatchScanFn select_iact_batch_scan(int in_dims) {
   return simd::active_level() == simd::Level::kAvx2 ? iact_batch_scan_fn_avx2(in_dims) : nullptr;
 }
@@ -37,18 +33,13 @@ IactTable::IactTable(int table_size, int in_dims, int out_dims, Replacement poli
       out_dims_(out_dims),
       policy_(policy),
       storage_(storage),
-      valid_(static_cast<std::size_t>(table_size), false),
       referenced_(static_cast<std::size_t>(table_size), false) {
   HPAC_REQUIRE(table_size >= 1, "iACT table size must be >= 1");
   HPAC_REQUIRE(in_dims >= 1, "iACT requires at least one input dimension");
   HPAC_REQUIRE(out_dims >= 1, "iACT requires at least one output dimension");
   HPAC_REQUIRE(storage.size() >= storage_doubles(table_size, in_dims, out_dims),
                "iACT storage span too small");
-  scan_fn_ = detail::select_iact_scan(in_dims_);
   batch_scan_fn_ = detail::select_iact_batch_scan(in_dims_);
-  if (scan_fn_ != nullptr) {
-    soa_.assign(static_cast<std::size_t>(table_size) * static_cast<std::size_t>(in_dims), 0.0);
-  }
 }
 
 std::size_t IactTable::storage_doubles(int table_size, int in_dims, int out_dims) {
@@ -58,12 +49,13 @@ std::size_t IactTable::storage_doubles(int table_size, int in_dims, int out_dims
 
 std::size_t IactTable::footprint_bytes(int table_size, int in_dims, int out_dims) {
   // Entries + one validity byte and one reference byte per row + cursor.
+  // The host tracks validity by `valid_count_` alone (valid rows are the
+  // slot prefix), but the device keeps the byte, so it stays charged.
   return storage_doubles(table_size, in_dims, out_dims) * sizeof(double) +
          static_cast<std::size_t>(table_size) * 2 + sizeof(std::int32_t);
 }
 
 void IactTable::reset() {
-  std::fill(valid_.begin(), valid_.end(), false);
   std::fill(referenced_.begin(), referenced_.end(), false);
   cursor_ = 0;
   valid_count_ = 0;
@@ -72,26 +64,25 @@ void IactTable::reset() {
 void IactTable::find_nearest_batch(std::span<const double* const> probes,
                                    std::span<Match> out) const {
   HPAC_REQUIRE(out.size() >= probes.size(), "find_nearest_batch output span too small");
-  std::size_t i = 0;
-  if (batch_scan_fn_ != nullptr) {
-    detail::BatchScanArgs args;
-    args.rows = storage_.data();
-    args.row_stride = in_dims_ + out_dims_;
-    args.valid_count = valid_count_;
-    args.in_dims = in_dims_;
-    while (probes.size() - i >= 2) {
-      args.count = static_cast<int>(std::min<std::size_t>(4, probes.size() - i));
-      std::copy_n(probes.begin() + static_cast<std::ptrdiff_t>(i), args.count, args.probes);
-      detail::ScanResult found[4];
-      batch_scan_fn_(args, found);
-      for (int lane = 0; lane < args.count; ++lane) {
-        out[i + static_cast<std::size_t>(lane)] = Match{found[lane].index, found[lane].distance};
-      }
-      i += static_cast<std::size_t>(args.count);
+  if (batch_scan_fn_ == nullptr) {
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      out[i] = find_nearest(std::span<const double>(probes[i], static_cast<std::size_t>(in_dims_)));
     }
+    return;
   }
-  for (; i < probes.size(); ++i) {
-    out[i] = find_nearest(std::span<const double>(probes[i], static_cast<std::size_t>(in_dims_)));
+  detail::BatchScanArgs args;
+  args.rows = storage_.data();
+  args.row_stride = in_dims_ + out_dims_;
+  args.valid_count = valid_count_;
+  args.in_dims = in_dims_;
+  for (std::size_t i = 0; i < probes.size(); i += static_cast<std::size_t>(args.count)) {
+    args.count = static_cast<int>(std::min<std::size_t>(4, probes.size() - i));
+    std::copy_n(probes.begin() + static_cast<std::ptrdiff_t>(i), args.count, args.probes);
+    detail::ScanResult found[4];
+    batch_scan_fn_(args, found);
+    for (int lane = 0; lane < args.count; ++lane) {
+      out[i + static_cast<std::size_t>(lane)] = Match{found[lane].index, found[lane].distance};
+    }
   }
 }
 
@@ -131,19 +122,12 @@ void IactTable::insert(std::span<const double> in, std::span<const double> out) 
   const std::size_t row = static_cast<std::size_t>(slot) *
                           (static_cast<std::size_t>(in_dims_) + out_dims_);
   for (int d = 0; d < in_dims_; ++d) storage_[row + static_cast<std::size_t>(d)] = in[d];
-  if (!soa_.empty()) {
-    for (int d = 0; d < in_dims_; ++d) {
-      soa_[static_cast<std::size_t>(d) * static_cast<std::size_t>(table_size_) +
-           static_cast<std::size_t>(slot)] = in[d];
-    }
-  }
   for (int d = 0; d < out_dims_; ++d) {
     storage_[row + static_cast<std::size_t>(in_dims_) + static_cast<std::size_t>(d)] = out[d];
   }
-  if (!valid_[static_cast<std::size_t>(slot)]) {
-    valid_[static_cast<std::size_t>(slot)] = true;
-    ++valid_count_;
-  }
+  // Valid rows are the slot prefix, so the victim is empty exactly when it
+  // is slot valid_count_.
+  if (slot == valid_count_) ++valid_count_;
   referenced_[static_cast<std::size_t>(slot)] = false;
 }
 

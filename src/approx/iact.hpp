@@ -28,7 +28,10 @@ enum class Replacement { kRoundRobin, kClock };
 /// and a writing phase where a single writer per table inserts — the lane
 /// whose input was farthest from every cached value (the most
 /// cache-improving candidate). `RegionExecutor` orchestrates the phases;
-/// this class provides the storage and the per-operation semantics.
+/// this class provides the storage and the per-operation semantics. The
+/// executor reads a table only through `find_nearest_batch`, one call per
+/// group of lanes, served at AVX2 by one four-probe vector kernel
+/// (iact_scan_avx2.cpp); `find_nearest` is the scalar reference scan.
 ///
 /// Storage models block shared memory; `footprint_bytes` is what
 /// `RegionExecutor::ac_state_bytes_per_block` charges against the device's
@@ -56,16 +59,16 @@ class IactTable {
   void reset();
 
   /// Reading phase: nearest entry by Euclidean distance (no state change).
-  /// Defined inline below — this is the one operation iACT pays on *every*
-  /// invocation (paper insight 4), so it must inline into the executor's
-  /// per-lane loop.
+  /// The scalar scan, defined inline below: the reference the vector
+  /// kernel behind `find_nearest_batch` matches bit for bit, and its path
+  /// at `HPAC_SIMD=off`.
   Match find_nearest(std::span<const double> in) const;
 
-  /// Reading phase for several lanes sharing this table: `out[i]` is
-  /// bit for bit `find_nearest` of the `in_dims()` doubles at `probes[i]`.
-  /// When the batched vector kernel is active, probes are scanned four at
-  /// a time (a last single probe takes the one-probe scan); otherwise
-  /// each probe takes `find_nearest`.
+  /// Reading phase for the lanes sharing this table, the executor's only
+  /// probe entry point: `out[i]` is bit for bit `find_nearest` of the
+  /// `in_dims()` doubles at `probes[i]`. When the vector kernel is active,
+  /// probes are scanned in groups of up to four (a group of one included);
+  /// otherwise each probe takes `find_nearest`.
   void find_nearest_batch(std::span<const double* const> probes, std::span<Match> out) const;
 
   /// Record a cache hit for CLOCK's reference bit. No-op for round-robin.
@@ -90,19 +93,9 @@ class IactTable {
   int out_dims_;
   Replacement policy_;
   std::span<double> storage_;  ///< table_size rows of (in_dims + out_dims)
-  /// Dimension-major mirror of the entries' input vectors
-  /// (`soa_[d * table_size_ + slot]`), maintained by `insert`. The SIMD
-  /// scan kernels read it so "dimension d of W consecutive rows" is one
-  /// contiguous vector load; the row-major `storage_` span stays the
-  /// source of truth (and the shared-memory footprint) — this is a
-  /// host-side acceleration structure, not modeled device state.
-  std::vector<double> soa_;
   /// Vector scan kernel chosen at construction from `simd::active_level()`
-  /// and `in_dims`; nullptr dispatches the inline scalar scan.
-  detail::ScanFn scan_fn_ = nullptr;
-  /// Batched kernel chosen the same way; nullptr → one scan per probe.
+  /// and `in_dims`; nullptr → one scalar `find_nearest` per probe.
   detail::BatchScanFn batch_scan_fn_ = nullptr;
-  std::vector<bool> valid_;
   std::vector<bool> referenced_;  ///< CLOCK reference bits
   int cursor_ = 0;                ///< round-robin insert / CLOCK hand
   int valid_count_ = 0;
@@ -122,27 +115,9 @@ inline IactTable::Match IactTable::find_nearest(std::span<const double> in) cons
   if (in.size() != static_cast<std::size_t>(in_dims_)) {
     detail::throw_probe_mismatch();
   }
-  // Vector fast path: lanes are table rows over the dimension-major
-  // mirror, each lane accumulating its squared distance in the exact
-  // scalar operation order, so index and distance are bit-identical to
-  // the scalar scan below (enforced by the `simd` property tests).
-  if (scan_fn_ != nullptr) {
-    detail::ScanArgs args;
-    args.soa = soa_.data();
-    args.probe = in.data();
-    args.capacity = table_size_;
-    args.valid_count = valid_count_;
-    args.in_dims = in_dims_;
-    const detail::ScanResult result = scan_fn_(args);
-    Match best;
-    best.index = result.index;
-    best.distance = result.distance;
-    return best;
-  }
-  // The scan runs for every region invocation, so it is the single
-  // hottest loop of iACT execution: compare squared distances and take a
-  // square root only on improvements. Partial squared sums only grow, so
-  // a row whose partial sum already exceeds the best can be abandoned
+  // Compare squared distances and take a square root only on
+  // improvements. Partial squared sums only grow, so a row whose partial
+  // sum already exceeds the best can be abandoned
   // without changing which entry wins; and since sqrt is monotone, a row
   // with sq >= best_sq could never have passed the original strict
   // `sqrt(sq) < best.distance` test either. The final strict comparison

@@ -1,31 +1,24 @@
-// AVX2 iACT table-scan kernels (256-bit lanes: four rows per step for one
-// probe, or four probes per row).
+// AVX2 iACT table-scan kernel: four probes of lanes that share a table,
+// scanned against its rows in one pass (256-bit lanes = four probes).
 // Compiled with -mavx2 only when CMake's ISA probe passes (see
-// HPAC_SIMD_COMPILED_AVX2); callers reach it through select_iact_scan,
-// which consults the runtime cpuid gate in hpac::simd. Deliberately no
-// -mfma: the kernels must round exactly like the scalar build's mul+add.
+// HPAC_SIMD_COMPILED_AVX2); callers reach it through
+// select_iact_batch_scan, which consults the runtime cpuid gate in
+// hpac::simd. Deliberately no -mfma: the kernel must round exactly like
+// the scalar build's mul+add.
 //
 // Bit-identity contract (what makes HPAC_SIMD a pure perf knob):
-//  * lanes are table ROWS — each row's squared distance accumulates
-//    `sq += diff * diff` in ascending-dimension order, the scalar scan's
-//    exact sequence, with explicit mul/add vector ops (never FMA, which
-//    would round differently from the scalar build's mul+add);
-//  * block results are folded in ascending row order through the same
-//    strict `sq < best_sq` / `sqrt(sq) < best_distance` comparisons the
-//    scalar scan performs, preserving the first-strictly-nearer-in-the-
+//  * lanes are PROBES and rows are visited in ascending order; each
+//    lane's squared distance to a row accumulates `sq += diff * diff`
+//    from 0.0 in ascending-dimension order, the scalar scan's exact
+//    sequence, with explicit mul/add vector ops (never FMA, which would
+//    round differently from the scalar build's mul+add);
+//  * each lane folds its rows through the same strict `sq < best_sq` /
+//    `sqrt(sq) < best_distance` comparisons the scalar scan performs, as
+//    compare/blend masks, preserving the first-strictly-nearer-in-the-
 //    sqrt-domain tie-break;
-//  * the early-abandon check (whole block's partial sums already above
-//    the best squared distance) only skips rows that could never win —
-//    partial squared sums are monotone — so it changes work, not results.
-//
-// The batched kernels turn the layout around: lanes are PROBES (up to
-// four lanes of a warp that share one table), rows are visited in
-// ascending order, and each lane folds its rows with the same two strict
-// comparisons as compare/blend masks. Each lane's squared distance to a
-// row accumulates in ascending-dimension order from 0.0, as above. The
-// batched kernels skip the early abandon: a full sum is never smaller
-// than the partial sum the scalar scan abandons at, so the abandoned row
-// fails `sq < best_sq` either way.
+//  * the kernel skips the scalar scan's early abandon: a full sum is never
+//    smaller than the partial sum the scalar scan abandons at, so the
+//    abandoned row fails `sq < best_sq` either way.
 
 #include "approx/iact_scan.hpp"
 
@@ -33,7 +26,6 @@
 
 #include <immintrin.h>
 
-#include <cmath>
 #include <cstddef>
 #include <limits>
 
@@ -42,69 +34,6 @@ namespace hpac::approx::detail {
 namespace {
 
 constexpr int kW = 4;  // doubles per __m256d
-
-/// `kDims > 0`: compile-time dimension count (loop fully unrolled).
-/// `kDims == 0`: generic runtime-dimension kernel.
-template <int kDims>
-ScanResult scan(const ScanArgs& args) {
-  const int dims = kDims > 0 ? kDims : args.in_dims;
-  const int cap = args.capacity;
-  const double* soa = args.soa;
-  const double* probe = args.probe;
-
-  ScanResult best;
-  double best_sq = std::numeric_limits<double>::infinity();
-
-  int row = 0;
-  for (; row + kW <= args.valid_count; row += kW) {
-    const __m256d best_sq_v = _mm256_set1_pd(best_sq);
-    __m256d sq_v = _mm256_setzero_pd();
-    bool abandoned = false;
-    for (int d = 0; d < dims; ++d) {
-      const __m256d diff =
-          _mm256_sub_pd(_mm256_set1_pd(probe[d]), _mm256_loadu_pd(soa + d * cap + row));
-      sq_v = _mm256_add_pd(sq_v, _mm256_mul_pd(diff, diff));
-      if (_mm256_movemask_pd(_mm256_cmp_pd(sq_v, best_sq_v, _CMP_GT_OQ)) == 0xF) {
-        abandoned = true;
-        break;
-      }
-    }
-    if (abandoned) continue;
-    double lane_sq[kW];
-    _mm256_storeu_pd(lane_sq, sq_v);
-    for (int lane = 0; lane < kW; ++lane) {
-      const double sq = lane_sq[lane];
-      if (sq < best_sq) {
-        best_sq = sq;
-        const double distance = std::sqrt(sq);
-        if (distance < best.distance) {
-          best.distance = distance;
-          best.index = row + lane;
-        }
-      }
-    }
-  }
-
-  // Remainder rows: the scalar scan verbatim, reading through the mirror
-  // (same values bit-for-bit as the row-major storage).
-  for (; row < args.valid_count; ++row) {
-    double sq = 0.0;
-    for (int d = 0; d < dims; ++d) {
-      const double diff = probe[d] - soa[d * cap + row];
-      sq += diff * diff;
-      if (sq > best_sq) break;
-    }
-    if (sq < best_sq) {
-      best_sq = sq;
-      const double distance = std::sqrt(sq);
-      if (distance < best.distance) {
-        best.distance = distance;
-        best.index = row;
-      }
-    }
-  }
-  return best;
-}
 
 /// Batched scan, lanes = probes. Lanes past `args.count` repeat probe 0
 /// and their results are dropped. `kDims > 0` keeps the probes' columns
@@ -153,29 +82,6 @@ void batch_scan(const BatchScanArgs& args, ScanResult* results) {
 
 }  // namespace
 
-ScanFn iact_scan_fn_avx2(int in_dims) {
-  switch (in_dims) {
-    case 1:
-      return &scan<1>;
-    case 2:
-      return &scan<2>;
-    case 3:
-      return &scan<3>;
-    case 4:
-      return &scan<4>;
-    case 5:
-      return &scan<5>;
-    case 6:
-      return &scan<6>;
-    case 7:
-      return &scan<7>;
-    case 8:
-      return &scan<8>;
-    default:
-      return &scan<0>;
-  }
-}
-
 BatchScanFn iact_batch_scan_fn_avx2(int in_dims) {
   switch (in_dims) {
     case 1:
@@ -205,7 +111,6 @@ BatchScanFn iact_batch_scan_fn_avx2(int in_dims) {
 
 namespace hpac::approx::detail {
 
-ScanFn iact_scan_fn_avx2(int) { return nullptr; }
 BatchScanFn iact_batch_scan_fn_avx2(int) { return nullptr; }
 
 }  // namespace hpac::approx::detail

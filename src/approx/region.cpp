@@ -454,11 +454,10 @@ class RunContext {
   /// invocation pays the table scan — the cost iACT can never amortize
   /// (paper insight 4). The host pays it once per group of lanes: the
   /// active lanes of each table are collected (ascending lanes visit the
-  /// tables in order) and a table with two or more of them is probed
-  /// through `find_nearest_batch`, four lanes per scan; a lone lane takes
-  /// `find_nearest`. Either way each lane's match is bit-identical to its
-  /// own scan. A forced lane with an empty table has nothing to reuse; it
-  /// falls back to the accurate path.
+  /// tables in order) and the table is probed with one
+  /// `find_nearest_batch` call, four lanes per scan; each lane's match is
+  /// bit-identical to its own scalar scan. A forced lane with an empty
+  /// table has nothing to reuse; it falls back to the accurate path.
   void decide(IactPolicy& policy, std::uint32_t w, WarpScratch& s, std::uint64_t first_item,
               sim::WarpLedger& ledger) {
     const pragma::IactParams& iact = policy.params;
@@ -473,16 +472,11 @@ class RunContext {
     std::size_t count = 0;
     int table = -1;
     const auto probe_table = [&] {
-      if (count == 1) {
-        const int lane = probe_lane[0];
-        s.match[static_cast<std::size_t>(lane)] =
-            tables[table].find_nearest(lane_slice(s.in, lane, id));
-      } else if (count > 1) {
-        tables[table].find_nearest_batch(std::span(probes.data(), count),
-                                         std::span(found.data(), count));
-        for (std::size_t j = 0; j < count; ++j) {
-          s.match[static_cast<std::size_t>(probe_lane[j])] = found[j];
-        }
+      if (count == 0) return;
+      tables[table].find_nearest_batch(std::span(probes.data(), count),
+                                       std::span(found.data(), count));
+      for (std::size_t j = 0; j < count; ++j) {
+        s.match[static_cast<std::size_t>(probe_lane[j])] = found[j];
       }
       count = 0;
     };

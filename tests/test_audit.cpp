@@ -99,10 +99,10 @@ std::vector<std::string> texts_of(const std::vector<ConflictReport>& conflicts) 
 /// they all lie in steps 0 and 2, which `perfo(small:2)` keeps. Every
 /// item gathers the same input, so under `memo(in:...)` step 0 misses the
 /// empty tables and every later lane is approximated: items 0 and 64 run
-/// the accurate path, items 256 and 320 do not. Run it with the
-/// differential pass on: it audits every item's extent, so both
-/// techniques measure offsets from the same origin (perforation leaves a
-/// gap in the logged writes).
+/// the accurate path, items 256 and 320 do not. Report offsets are
+/// measured from every item's declared extents, so both techniques give
+/// the same texts with or without the differential pass, although
+/// perforation leaves a gap in the logged writes.
 struct NeighborReadRegion {
   static constexpr std::uint64_t kItems = 512;
   std::vector<double> cells = std::vector<double>(kItems, 0.0);
@@ -362,6 +362,17 @@ TEST(Audit, IactLogsEachDeclaredReadOnce) {
   EXPECT_TRUE(region.ran_accurate[0] && region.ran_accurate[64]);
   EXPECT_FALSE(region.ran_accurate[256] || region.ran_accurate[320]);
   EXPECT_EQ(texts_of(region.run("perfo(small:2)", tuning)), kNeighborReadFindings);
+}
+
+TEST(Audit, ReportOffsetsIgnoreSkippedItemsWithoutDifferential) {
+  // Perforation skips grid-stride steps 1 and 3, so their items log no
+  // writes and the logged runs break at byte 1024. The offsets must not
+  // move: items 256/257 still read bytes [2056,2064), not [8,16).
+  NeighborReadRegion region;
+  const approx::ExecTuning tuning = serial_audit(AuditMode::kReport, false);
+  for (const char* clause : {"perfo(small:2)", "memo(in:8:0.5) in(x) out(y)"}) {
+    EXPECT_EQ(texts_of(region.run(clause, tuning)), kNeighborReadFindings) << clause;
+  }
 }
 
 // --- sharded detection (runs under TSan in CI) ------------------------------

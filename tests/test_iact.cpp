@@ -401,15 +401,52 @@ std::vector<hpac::simd::Level> reachable_levels() {
   return levels;
 }
 
+/// Whether every probe's answer — from `find_nearest`, from
+/// `find_nearest_batch` one probe at a time, and from `find_nearest_batch`
+/// in groups of four (the last group holding the remainder) — equals the
+/// naive scan's index and distance bit for bit.
+::testing::AssertionResult all_probe_paths_match_naive(
+    const IactTable& table, const std::vector<std::vector<double>>& probes) {
+  std::vector<const double*> pointers;
+  for (const auto& probe : probes) pointers.push_back(probe.data());
+  std::vector<IactTable::Match> single(probes.size());
+  std::vector<IactTable::Match> grouped(probes.size());
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    table.find_nearest_batch(std::span(pointers).subspan(p, 1), std::span(single).subspan(p, 1));
+  }
+  for (std::size_t p = 0; p < probes.size(); p += 4) {
+    const std::size_t count = std::min<std::size_t>(4, probes.size() - p);
+    table.find_nearest_batch(std::span(pointers).subspan(p, count),
+                             std::span(grouped).subspan(p, count));
+  }
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    const IactTable::Match naive = naive_find_nearest(table, probes[p]);
+    const IactTable::Match answers[] = {table.find_nearest(probes[p]), single[p], grouped[p]};
+    const char* paths[] = {"find_nearest", "batch of one", "batch of four"};
+    for (int a = 0; a < 3; ++a) {
+      // Bitwise, not approximate.
+      if (answers[a].index != naive.index || answers[a].distance != naive.distance) {
+        return ::testing::AssertionFailure()
+               << paths[a] << " probe " << p << ": index " << answers[a].index << " distance "
+               << answers[a].distance << ", naive index " << naive.index << " distance "
+               << naive.distance;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace
 
-// The central property of the vector scan: at EVERY reachable dispatch
-// level, find_nearest returns the bit-identical index and distance of the
-// naive reference, across in_dims 1..9 (specialized kernels 1..8 plus the
-// generic runtime-loop fallback), odd table sizes (vector remainder
-// rows), and tie-rich quantized values (first-strictly-nearer-in-
-// sqrt-domain tie-break). Tables are constructed after set_level because
-// the kernel is cached at construction.
+// The central property of the probe scans: at EVERY reachable dispatch
+// level, find_nearest and find_nearest_batch (groups of one and of four)
+// return the bit-identical index and distance of the naive reference,
+// across in_dims 1..9 (specialized kernels 1..8 plus the generic
+// runtime-loop fallback), table sizes up to 19 rows, and tie-rich
+// quantized values (first-strictly-nearer-in-sqrt-domain tie-break).
+// Tables are constructed after set_level because the kernel is cached at
+// construction. tests/CMakeLists.txt gives this test and the next two the
+// `simd` label.
 TEST(IactProperty, FindNearestMatchesNaiveAtEveryDispatchLevel) {
   SimdLevelGuard guard;
   for (const hpac::simd::Level level : reachable_levels()) {
@@ -430,24 +467,23 @@ TEST(IactProperty, FindNearestMatchesNaiveAtEveryDispatchLevel) {
           out[0] = static_cast<double>(f);
           table.insert(in, out);
         }
-        for (int probe = 0; probe < 48; ++probe) {
-          for (auto& v : in) v = quantized();
-          const IactTable::Match fast = table.find_nearest(in);
-          const IactTable::Match naive = naive_find_nearest(table, in);
-          ASSERT_EQ(fast.index, naive.index)
-              << "level " << hpac::simd::level_name(level) << " dims " << in_dims << " tsize "
-              << tsize;
-          ASSERT_EQ(fast.distance, naive.distance);  // bitwise, not approximate
+        std::vector<std::vector<double>> probes(48, in);
+        for (auto& probe : probes) {
+          for (auto& v : probe) v = quantized();
         }
+        ASSERT_TRUE(all_probe_paths_match_naive(table, probes))
+            << "level " << hpac::simd::level_name(level) << " dims " << in_dims << " tsize "
+            << tsize;
       }
     }
   }
 }
 
 // Same property over a storage span at an odd offset into a larger
-// buffer: every row of the span (and every SoA-mirror vector load) is
-// 8-byte- but not 16/32-byte-aligned, so the kernels' unaligned-load
-// assumption is exercised rather than assumed.
+// buffer: every row of the span is 8-byte- but not 16/32-byte-aligned, so
+// the kernel's unaligned-load assumption is exercised rather than
+// assumed. Every third insert repeats the previous row, so exact ties
+// test the first-wins rule here too.
 TEST(IactProperty, FindNearestMatchesNaiveWithUnalignedStorageOffset) {
   SimdLevelGuard guard;
   for (const hpac::simd::Level level : reachable_levels()) {
@@ -462,42 +498,45 @@ TEST(IactProperty, FindNearestMatchesNaiveWithUnalignedStorageOffset) {
       std::vector<double> in(static_cast<std::size_t>(in_dims));
       std::vector<double> out{0.0};
       for (int f = 0; f < 11; ++f) {
-        for (auto& v : in) v = rng.uniform(-3.0, 3.0);
+        if (f % 3 != 2) {
+          for (auto& v : in) v = rng.uniform(-3.0, 3.0);
+        }
         table.insert(in, out);
       }
-      for (int probe = 0; probe < 48; ++probe) {
-        for (auto& v : in) v = rng.uniform(-3.0, 3.0);
-        const IactTable::Match fast = table.find_nearest(in);
-        const IactTable::Match naive = naive_find_nearest(table, in);
-        ASSERT_EQ(fast.index, naive.index);
-        ASSERT_EQ(fast.distance, naive.distance);
+      std::vector<std::vector<double>> probes(48, in);
+      for (auto& probe : probes) {
+        for (auto& v : probe) v = rng.uniform(-3.0, 3.0);
       }
+      ASSERT_TRUE(all_probe_paths_match_naive(table, probes))
+          << "level " << hpac::simd::level_name(level) << " dims " << in_dims;
     }
   }
 }
 
-// Early-abandon stress: a probe far from every entry except the last
-// slot maximizes block abandonment in the vector kernels; the winner and
-// its distance must still be bit-identical.
+// Early-abandon stress: probes far from every entry except the last two
+// slots maximize abandonment in the scalar scan (the vector kernel sums
+// every row in full); the winner and its distance must still be
+// bit-identical. The last two entries are equal, so the first of them
+// must win the exact tie.
 TEST(IactProperty, FindNearestMatchesNaiveUnderHeavyEarlyAbandon) {
   SimdLevelGuard guard;
   for (const hpac::simd::Level level : reachable_levels()) {
     ASSERT_EQ(hpac::simd::set_level(level), level);
     TableFixture fixture;
-    IactTable table = fixture.make(16, 4, 1);
+    IactTable table = fixture.make(17, 4, 1);
     std::vector<double> out{0.0};
-    for (int f = 0; f < 16; ++f) {
-      // Entries march away from the origin; the last inserted is closest
-      // to the probe below.
-      std::vector<double> in(4, static_cast<double>(100 - f));
+    for (int f = 0; f < 17; ++f) {
+      // Entries march away from the origin; slots 15 and 16 are closest
+      // to the probes below.
+      std::vector<double> in(4, static_cast<double>(100 - std::min(f, 15)));
       table.insert(in, out);
     }
-    const std::vector<double> probe(4, 84.0);
-    const IactTable::Match fast = table.find_nearest(probe);
-    const IactTable::Match naive = naive_find_nearest(table, probe);
-    ASSERT_EQ(fast.index, naive.index);
-    ASSERT_EQ(fast.distance, naive.distance);
-    EXPECT_EQ(fast.index, 15);
+    const std::vector<std::vector<double>> probes = {
+        std::vector<double>(4, 84.0), std::vector<double>(4, 83.5),
+        std::vector<double>(4, 85.0), std::vector<double>(4, 84.75)};
+    ASSERT_TRUE(all_probe_paths_match_naive(table, probes))
+        << "level " << hpac::simd::level_name(level);
+    for (const auto& probe : probes) EXPECT_EQ(table.find_nearest(probe).index, 15);
   }
 }
 

@@ -220,6 +220,103 @@ TEST(Timing, BlocksDistributeAcrossSms) {
             lumped.finalize().critical_path_cycles * 0.2);
 }
 
+// --- worked examples of the timing model -----------------------------------
+//
+// Exact-equality pins of KernelTracker::finalize on launches small enough
+// to work out by hand. Per SM, each wave of co-resident blocks costs
+//   max(compute / min(issue_width, warps), transactions x cycles_per_transaction)
+//     + max_rounds x mem_latency / (warps x mem_parallelism)
+// cycles, and the kernel takes the busiest SM's cycles at the clock plus
+// the launch overhead. A change to one of these equations must change its
+// worked example with it.
+
+namespace {
+
+/// One SM with four schedulers and room for 8 warps or 2 blocks, a 1 GHz
+/// clock (one cycle is one nanosecond) and a 0.5 us launch overhead. Every
+/// intermediate below is exact in binary floating point.
+DeviceConfig worked_example_device() {
+  DeviceConfig dev;
+  dev.name = "worked";
+  dev.num_sms = 1;
+  dev.warp_size = 32;
+  dev.max_warps_per_sm = 8;
+  dev.max_blocks_per_sm = 2;
+  dev.issue_width = 4;
+  dev.cycles_per_transaction = 2.0;
+  dev.mem_latency_cycles = 400.0;
+  dev.mem_parallelism = 4.0;
+  dev.clock_ghz = 1.0;
+  dev.kernel_launch_overhead_us = 0.5;
+  return dev;
+}
+
+}  // namespace
+
+TEST(TimingWorkedExample, OneSmOneBlockOneWarp) {
+  const DeviceConfig dev = worked_example_device();
+  // Launch-overhead floor: a launch that charges nothing takes exactly the
+  // driver's 0.5 us.
+  EXPECT_EQ(make_tracker(dev, 1, 32).finalize().seconds, 0.5e-6);
+
+  // One block of one warp: 1,000 compute cycles, 10 transactions in 3
+  // dependent rounds.
+  auto tracker = make_tracker(dev, 1, 32);
+  tracker.warp(0, 0).charge_compute(1000);
+  tracker.warp(0, 0).charge_memory(10, 3);
+  const KernelTiming timing = tracker.finalize();
+  //   compute  = 1000 / min(4 schedulers, 1 warp) = 1000
+  //   memory   = 10 x 2                           = 20
+  //   exposed  = 3 x 400 / (1 warp x 4 MLP)       = 300
+  //   critical = max(1000, 20) + 300              = 1300 cycles
+  EXPECT_EQ(timing.critical_path_cycles, 1300.0);
+  // 1300 cycles at 1 GHz + 0.5 us.
+  EXPECT_EQ(timing.seconds, 1300.0 / 1e9 + 0.5e-6);
+  // Residency min(2 by blocks, 8 / 1 by warps) = 2; the one block's one
+  // warp fills 1 of 8 warp slots.
+  EXPECT_EQ(timing.resident_blocks_per_sm, 2);
+  EXPECT_EQ(timing.occupancy, 0.125);
+  EXPECT_EQ(timing.total_transactions, 10u);
+  EXPECT_EQ(timing.compute_cycles_total, 1000.0);
+  EXPECT_EQ(timing.divergent_regions, 0u);
+}
+
+TEST(TimingWorkedExample, TwoWavesLimitedByBlocksPerSm) {
+  const DeviceConfig dev = worked_example_device();
+  // Four blocks of two warps. Warps alone would let 8 / 2 = 4 blocks be
+  // resident; max_blocks_per_sm caps it at 2, so the SM runs blocks
+  // {0, 1}, then {2, 3}: two waves of four warps.
+  auto tracker = make_tracker(dev, 4, 64);
+  EXPECT_EQ(tracker.resident_blocks_per_sm(), 2);
+  for (std::uint32_t w = 0; w < 2; ++w) {
+    for (std::uint64_t b : {0u, 1u}) {  // compute-bound wave
+      tracker.warp(b, w).charge_compute(800);
+      tracker.warp(b, w).charge_memory(5, 2);
+    }
+    for (std::uint64_t b : {2u, 3u}) {  // bandwidth-bound wave
+      tracker.warp(b, w).charge_compute(100);
+      tracker.warp(b, w).charge_memory(300, 4);
+    }
+  }
+  const KernelTiming timing = tracker.finalize();
+  // Wave 1: compute = 4 x 800 / min(4, 4 warps) = 800
+  //         memory  = 4 x 5 x 2                 = 40
+  //         exposed = 2 x 400 / (4 warps x 4)   = 50
+  //         wave    = max(800, 40) + 50         = 850
+  // Wave 2: compute = 4 x 100 / 4               = 100
+  //         memory  = 4 x 300 x 2               = 2400
+  //         exposed = 4 x 400 / 16              = 100
+  //         wave    = max(100, 2400) + 100      = 2500
+  // Waves run back to back: 850 + 2500 = 3350 cycles.
+  EXPECT_EQ(timing.critical_path_cycles, 3350.0);
+  EXPECT_EQ(timing.seconds, 3350.0 / 1e9 + 0.5e-6);
+  // The first wave's 2 blocks x 2 warps fill 4 of 8 warp slots.
+  EXPECT_EQ(timing.resident_blocks_per_sm, 2);
+  EXPECT_EQ(timing.occupancy, 0.5);
+  EXPECT_EQ(timing.total_transactions, 4u * 5 + 4u * 300);
+  EXPECT_EQ(timing.compute_cycles_total, 4 * 800.0 + 4 * 100.0);
+}
+
 TEST(Coalescing, NonPowerOfTwoSegmentsAndScatteredMasks) {
   // Exercise the division fallback (non-power-of-two sectors) and the
   // sparse-mask path against a brute-force segment count.
