@@ -37,8 +37,8 @@ namespace {
                "          (--clause=\"...\" [--perfo=\"...\"] | --sweep=taf|iact|perfo)\n"
                "          [--csv=FILE] [--audit=off|report|enforce]\n\n"
                "--audit validates every independent_items declaration at runtime\n"
-               "(address-range tagging + a differential re-run); report annotates\n"
-               "flagged records, enforce makes them infeasible.\n\nbenchmarks:",
+               "(a check of its declared extents + a differential re-run); report\n"
+               "annotates flagged records, enforce makes them infeasible.\n\nbenchmarks:",
                argv0);
   for (const auto& name : apps::benchmark_names()) std::fprintf(stderr, " %s", name.c_str());
   std::fprintf(stderr, "\n");

@@ -89,104 +89,84 @@ std::string ConflictReport::to_string() const {
 
 // --- ExtentSink --------------------------------------------------------------
 
-void ExtentSink::put(std::vector<Entry>* target, const void* ptr, std::size_t len) const {
-  if (target == nullptr || ptr == nullptr || len == 0) return;
+void ExtentSink::declare(const RegionBinding& binding, std::uint64_t item, Channels& into) {
+  ExtentSink sink(into, item);
+  binding.commit_extents(item, sink);
+  if (binding.read_extents) binding.read_extents(item, sink);
+}
+
+void ExtentSink::put(Channel channel, const void* ptr, std::size_t len) {
+  if (ptr == nullptr || len == 0) return;
   const auto begin = reinterpret_cast<std::uintptr_t>(ptr);
-  target->push_back(Entry{begin, begin + len, item_});
+  into_[channel].push_back(Entry{begin, begin + len, item_});
 }
 
-void ExtentSink::writes(const void* ptr, std::size_t len) { put(writes_, ptr, len); }
-void ExtentSink::commuting(const void* ptr, std::size_t len) { put(commuting_, ptr, len); }
-void ExtentSink::reads(const void* ptr, std::size_t len) { put(reads_, ptr, len); }
-
-// --- ShardLog ----------------------------------------------------------------
-
-void ShardLog::record_commits(const RegionBinding& binding, std::uint64_t first_item,
-                              sim::LaneMask lanes) {
-  sim::for_each_lane(lanes, [&](int lane) {
-    const std::uint64_t item = first_item + static_cast<std::uint64_t>(lane);
-    ExtentSink sink(&writes_, nullptr, nullptr, item);
-    binding.commit_extents(item, sink);
-  });
-}
-
-void ShardLog::record_reads(const RegionBinding& binding, std::uint64_t first_item,
-                            sim::LaneMask lanes) {
-  sim::for_each_lane(lanes, [&](int lane) {
-    const std::uint64_t item = first_item + static_cast<std::uint64_t>(lane);
-    ExtentSink sink(nullptr, nullptr, &reads_, item);
-    binding.read_extents(item, sink);
-  });
-}
+void ExtentSink::writes(const void* ptr, std::size_t len) { put(kWrites, ptr, len); }
+void ExtentSink::commuting(const void* ptr, std::size_t len) { put(kCommuting, ptr, len); }
+void ExtentSink::reads(const void* ptr, std::size_t len) { put(kReads, ptr, len); }
 
 // --- ExtentImageCache --------------------------------------------------------
 
 std::optional<ExtentImageCache::Shape> ExtentImageCache::probe(const RegionBinding& binding,
                                                                std::uint64_t n) {
   const auto extents_of = [&binding](std::uint64_t item) {
-    std::pair<std::vector<Entry>, std::vector<Entry>> channels;
-    ExtentSink sink(&channels.first, &channels.second, nullptr, item);
-    binding.commit_extents(item, sink);
-    return channels;
+    Channels extents;
+    ExtentSink::declare(binding, item, extents);
+    return extents;
   };
-  const auto first = extents_of(0);
-  const auto second = n > 1 ? extents_of(1) : first;
+  const Channels first = extents_of(0);
+  const Channels second = n > 1 ? extents_of(1) : first;
   // Bases and lengths from item 0, strides (wrapping, so any direction)
   // from item 1; matching item 1 below then checks its lengths.
-  const auto fit = [](const std::vector<Entry>& at0, const std::vector<Entry>& at1,
-                      std::vector<AffineEntry>& model) {
-    if (at0.size() != at1.size()) return false;
-    for (std::size_t k = 0; k < at0.size(); ++k) {
-      model.push_back(AffineEntry{at0[k].begin, at1[k].begin - at0[k].begin,
-                                  static_cast<std::size_t>(at0[k].end - at0[k].begin)});
-    }
-    return true;
-  };
   Shape shape;
-  if (!fit(first.first, second.first, shape.exclusive) ||
-      !fit(first.second, second.second, shape.commuting) ||
-      !matches(shape, second.first, second.second, n > 1 ? 1 : 0)) {
-    return std::nullopt;
+  for (std::size_t c = 0; c < ExtentSink::kChannels; ++c) {
+    if (first[c].size() != second[c].size()) return std::nullopt;
+    for (std::size_t k = 0; k < first[c].size(); ++k) {
+      shape.channels[c].push_back(
+          AffineEntry{first[c][k].begin, second[c][k].begin - first[c][k].begin,
+                      static_cast<std::size_t>(first[c][k].end - first[c][k].begin)});
+    }
   }
-  if (n > 2) {
-    const auto last = extents_of(n - 1);
-    if (!matches(shape, last.first, last.second, n - 1)) return std::nullopt;
-  }
+  const std::array<std::size_t, ExtentSink::kChannels> whole{};
+  if (!matches(shape, second, whole, n > 1 ? 1 : 0)) return std::nullopt;
+  if (n > 2 && !matches(shape, extents_of(n - 1), whole, n - 1)) return std::nullopt;
   return shape;
 }
 
-bool ExtentImageCache::matches(const Shape& shape, std::span<const Entry> exclusive,
-                               std::span<const Entry> commuting, std::uint64_t item) {
-  const auto fits = [item](const std::vector<AffineEntry>& model, std::span<const Entry> entries) {
-    if (entries.size() != model.size()) return false;
+bool ExtentImageCache::matches(const Shape& shape, const Channels& extents,
+                               const std::array<std::size_t, ExtentSink::kChannels>& from,
+                               std::uint64_t item) {
+  for (std::size_t c = 0; c < ExtentSink::kChannels; ++c) {
+    const std::vector<AffineEntry>& model = shape.channels[c];
+    if (extents[c].size() - from[c] != model.size()) return false;
     for (std::size_t k = 0; k < model.size(); ++k) {
-      if (static_cast<std::size_t>(entries[k].end - entries[k].begin) != model[k].len ||
-          entries[k].begin != model[k].base + static_cast<std::uintptr_t>(item) * model[k].stride) {
+      const Entry& entry = extents[c][from[c] + k];
+      if (static_cast<std::size_t>(entry.end - entry.begin) != model[k].len ||
+          entry.begin != model[k].base + static_cast<std::uintptr_t>(item) * model[k].stride) {
         return false;
       }
     }
-    return true;
-  };
-  return fits(shape.exclusive, exclusive) && fits(shape.commuting, commuting);
+  }
+  return true;
 }
 
-std::optional<ExtentImageCache::Image> ExtentImageCache::lookup(const RegionBinding& binding,
-                                                                std::uint64_t n,
-                                                                const Shape& shape) {
+std::shared_ptr<const ExtentImageCache::Declaration> ExtentImageCache::lookup(
+    const RegionBinding& binding, std::uint64_t n, const Shape& shape) {
   common::MutexLock lock(mutex_);
   const auto it = variants_.find(Key{&binding, n});
-  if (it == variants_.end()) return std::nullopt;
+  if (it == variants_.end()) return nullptr;
   for (const Variant& variant : it->second) {
     if (variant.shape == shape) {
       ++stats_.hits;
-      return variant.image;
+      return variant.declared;
     }
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 void ExtentImageCache::store(const RegionBinding& binding, std::uint64_t n,
-                             std::optional<Shape> shape, const Image& image) {
+                             std::optional<Shape> shape,
+                             std::shared_ptr<const Declaration> declared) {
   common::MutexLock lock(mutex_);
   ++stats_.misses;
   if (!shape) {
@@ -198,16 +178,26 @@ void ExtentImageCache::store(const RegionBinding& binding, std::uint64_t n,
     if (variant.shape == *shape) return;  // raced with an identical walk
   }
   if (variants.size() >= kMaxVariants) variants.erase(variants.begin());
-  variants.push_back(Variant{std::move(*shape), image});
+  variants.push_back(Variant{std::move(*shape), std::move(declared)});
 }
 
 // --- LaunchAudit -------------------------------------------------------------
 
-LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
-                         AuditMode mode, bool differential, ExtentImageCache* cache)
-    : binding_(binding),
-      n_(n),
-      name_(binding.name.empty() ? std::string("<unnamed>") : binding.name),
+std::vector<LaunchAudit::Interval> LaunchAudit::merge_sorted(const std::vector<Entry>& sorted) {
+  std::vector<Interval> merged;
+  for (const Entry& e : sorted) {
+    if (!merged.empty() && e.begin <= merged.back().end) {
+      merged.back().end = std::max(merged.back().end, e.end);
+    } else {
+      merged.push_back(Interval{e.begin, e.end});
+    }
+  }
+  return merged;
+}
+
+LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, AuditMode mode,
+                         bool differential, ExtentImageCache* cache)
+    : name_(binding.name.empty() ? std::string("<unnamed>") : binding.name),
       mode_(mode),
       differential_(differential) {
   if (!binding.commit_extents) {
@@ -222,58 +212,108 @@ LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::siz
     conflicts_.push_back(std::move(report));
     return;
   }
-  logs_.resize(std::max<std::size_t>(1, shards));
-
-  if (!differential_) return;
 
   // Cheap path first: three probes give the launch's affine shape, and a
-  // previous launch of this (binding, n) pair may have walk-validated it.
+  // previous launch of this (binding, n) pair may have walked it already.
   std::optional<ExtentImageCache::Shape> shape;
-  if (cache != nullptr) shape = ExtentImageCache::probe(binding, n);
-  std::optional<ExtentImageCache::Image> cached;
-  if (shape) cached = cache->lookup(binding, n, *shape);
-  if (cached) {
-    image_ = std::move(*cached);
-    pre_ = snapshot();
-    return;
+  if (cache != nullptr) {
+    shape = ExtentImageCache::probe(binding, n);
+    if (shape) declared_ = cache->lookup(binding, n, *shape);
   }
-
-  // The byte image the differential re-run must be able to save, restore
-  // and compare.
-  image_ = declared_image(shape);
-  if (cache != nullptr) cache->store(binding, n, std::move(shape), image_);
-  pre_ = snapshot();
+  if (!declared_) {
+    declared_ = walk(binding, n, shape);
+    if (cache != nullptr) cache->store(binding, n, std::move(shape), declared_);
+  }
+  if (differential_) pre_ = snapshot();
 }
 
-ExtentImageCache::Image LaunchAudit::declared_image(
-    std::optional<ExtentImageCache::Shape>& shape) const {
-  // The walk costs one extent callback per item — audit-mode only, and
-  // cheap address arithmetic inside. Each item is checked against the
+std::shared_ptr<const LaunchAudit::Declaration> LaunchAudit::walk(
+    const RegionBinding& binding, std::uint64_t n,
+    std::optional<ExtentImageCache::Shape>& shape) {
+  // The walk costs the extent callbacks once per item — audit-mode only,
+  // and cheap address arithmetic inside. Each item is checked against the
   // probed shape, so a pattern that is affine only at the probes is not
   // cached.
-  std::vector<Entry> exclusive;
-  std::vector<Entry> commuting;
-  for (std::uint64_t item = 0; item < n_; ++item) {
-    const std::size_t exclusive_from = exclusive.size();
-    const std::size_t commuting_from = commuting.size();
-    ExtentSink sink(&exclusive, &commuting, nullptr, item);
-    binding_.commit_extents(item, sink);
-    if (shape && !ExtentImageCache::matches(*shape,
-                                            std::span(exclusive).subspan(exclusive_from),
-                                            std::span(commuting).subspan(commuting_from), item)) {
-      shape.reset();
+  ExtentSink::Channels extents;
+  for (std::uint64_t item = 0; item < n; ++item) {
+    const std::array<std::size_t, ExtentSink::kChannels> from{
+        extents[ExtentSink::kWrites].size(), extents[ExtentSink::kCommuting].size(),
+        extents[ExtentSink::kReads].size()};
+    ExtentSink::declare(binding, item, extents);
+    if (shape && !ExtentImageCache::matches(*shape, extents, from, item)) shape.reset();
+  }
+  std::vector<Entry>& writes = extents[ExtentSink::kWrites];
+  std::vector<Entry>& commuting = extents[ExtentSink::kCommuting];
+  std::vector<Entry>& reads = extents[ExtentSink::kReads];
+
+  auto declared = std::make_shared<Declaration>();
+  // Sorting makes every report independent of the declaration order; a
+  // row-major layout declares its writes in address order already.
+  if (!std::is_sorted(writes.begin(), writes.end(), entry_less)) {
+    std::sort(writes.begin(), writes.end(), entry_less);
+  }
+  declared->exclusive = merge_sorted(writes);
+  if (commuting.empty()) {
+    declared->all = declared->exclusive;
+  } else {
+    std::vector<Entry> both(writes);
+    both.insert(both.end(), commuting.begin(), commuting.end());
+    std::sort(both.begin(), both.end(), entry_less);
+    declared->all = merge_sorted(both);
+  }
+
+  // Write/write: each entry against the sorted tail it overlaps. The
+  // inner scan ends at the first non-overlapping entry, so disjoint
+  // (correct) bindings cost one comparison per entry; findings are
+  // capped, and once the cap is hit the scan stops entirely.
+  std::vector<ExtentImageCache::Overlap>& overlaps = declared->overlaps;
+  for (std::size_t i = 0; i < writes.size() && overlaps.size() < kMaxReports; ++i) {
+    for (std::size_t j = i + 1; j < writes.size() && writes[j].begin < writes[i].end; ++j) {
+      if (writes[i].item == writes[j].item) continue;
+      overlaps.push_back({ConflictReport::Kind::kWriteWrite, writes[i].item, writes[j].item,
+                          std::max(writes[i].begin, writes[j].begin),
+                          std::min(writes[i].end, writes[j].end)});
+      if (overlaps.size() >= kMaxReports) break;
     }
   }
-  ExtentImageCache::Image image;
-  image.exclusive = merge(exclusive);
-  exclusive.insert(exclusive.end(), commuting.begin(), commuting.end());
-  image.all = merge(std::move(exclusive));
-  return image;
+
+  // Read/write: only reads that touch the merged writes can overlap
+  // another item's write, and a correct binding's reads mostly miss them,
+  // so only the touching reads are sorted — none, usually. A two-pointer
+  // sweep then pairs them with the sorted writes: a read overlapping
+  // another item's write observes whichever schedule committed (or did not
+  // yet commit) that write.
+  std::vector<Entry> touching;
+  for (const Entry& r : reads) {
+    const auto it = std::partition_point(
+        declared->exclusive.begin(), declared->exclusive.end(),
+        [&r](const Interval& iv) { return iv.end <= r.begin; });
+    if (it != declared->exclusive.end() && it->begin < r.end) touching.push_back(r);
+  }
+  std::sort(touching.begin(), touching.end(), entry_less);
+  std::size_t w = 0;
+  for (const Entry& r : touching) {
+    if (overlaps.size() >= kMaxReports) break;
+    while (w < writes.size() && writes[w].end <= r.begin) ++w;
+    for (std::size_t j = w; j < writes.size() && writes[j].begin < r.end; ++j) {
+      if (writes[j].item == r.item || writes[j].end <= r.begin) continue;
+      overlaps.push_back({ConflictReport::Kind::kReadWrite, r.item, writes[j].item,
+                          std::max(r.begin, writes[j].begin), std::min(r.end, writes[j].end)});
+      if (overlaps.size() >= kMaxReports) break;
+    }
+  }
+
+  declared->writes = std::move(writes);
+  declared->others = std::move(commuting);
+  declared->others.insert(declared->others.end(), reads.begin(), reads.end());
+  return declared;
 }
 
 std::vector<ConflictReport> LaunchAudit::close(const std::function<void()>& rerun_reversed) {
-  if (!logs_.empty()) {
-    analyze();
+  if (declared_) {
+    for (const ExtentImageCache::Overlap& o : declared_->overlaps) {
+      add_conflict(o.kind, o.item_a, o.item_b, o.begin, o.end);
+    }
     if (differential_) {
       const std::vector<unsigned char> after = snapshot();
       restore(pre_);
@@ -289,19 +329,6 @@ std::vector<ConflictReport> LaunchAudit::close(const std::function<void()>& reru
   return std::move(conflicts_);
 }
 
-std::vector<LaunchAudit::Interval> LaunchAudit::merge(std::vector<Entry> entries) {
-  std::vector<Interval> merged;
-  std::sort(entries.begin(), entries.end(), entry_less);
-  for (const Entry& e : entries) {
-    if (!merged.empty() && e.begin <= merged.back().end) {
-      merged.back().end = std::max(merged.back().end, e.end);
-    } else {
-      merged.push_back(Interval{e.begin, e.end});
-    }
-  }
-  return merged;
-}
-
 void LaunchAudit::add_conflict(ConflictReport::Kind kind, std::uint64_t item_a,
                                std::uint64_t item_b, std::uintptr_t begin,
                                std::uintptr_t end) {
@@ -313,21 +340,14 @@ void LaunchAudit::add_conflict(ConflictReport::Kind kind, std::uint64_t item_a,
   report.item_b = std::max(item_a, item_b);
   if (regions_.empty()) {
     // Offset origins, built on a launch's first finding (a clean launch
-    // never reads them): the contiguous runs of audited bytes (folded
-    // writes, folded reads, and every item's declared commit extents,
-    // which the differential pass already holds). A report's byte range is
-    // expressed relative to its containing run, so multi-array bindings
-    // produce the same offsets regardless of where the allocator placed
-    // each array, and items a technique skipped (perforation logs none)
-    // cannot split a run and move the origin.
-    if (!differential_) {
-      std::optional<ExtentImageCache::Shape> no_shape;
-      image_ = declared_image(no_shape);
-    }
-    std::vector<Entry> all(folded_writes_);
-    all.insert(all.end(), folded_reads_.begin(), folded_reads_.end());
-    for (const Interval& iv : image_.all) all.push_back(Entry{iv.begin, iv.end, 0});
-    regions_ = merge(std::move(all));
+    // never reads them): the contiguous runs of every item's declared
+    // bytes. A report's byte range is expressed relative to its containing
+    // run, so multi-array bindings produce the same offsets regardless of
+    // where the allocator placed each array.
+    std::vector<Entry> all(declared_->writes);
+    all.insert(all.end(), declared_->others.begin(), declared_->others.end());
+    std::sort(all.begin(), all.end(), entry_less);
+    regions_ = merge_sorted(all);
   }
   const std::uintptr_t origin = region_base_of(begin);
   report.begin = static_cast<std::uint64_t>(begin - origin);
@@ -342,62 +362,20 @@ std::uintptr_t LaunchAudit::region_base_of(std::uintptr_t addr) const {
     if (addr < region.end) return region.begin;
     origin = region.begin;
   }
-  return origin;  // unreachable for logged addresses; keep offsets sane anyway
+  return origin;  // unreachable for declared addresses; keep offsets sane anyway
 }
 
 std::uint64_t LaunchAudit::owner_of(std::uintptr_t addr) const {
-  for (const Entry& e : folded_writes_) {
+  for (const Entry& e : declared_->writes) {
     if (e.begin > addr) break;  // sorted by begin: nothing later can cover addr
     if (addr < e.end) return e.item;
   }
   return 0;
 }
 
-void LaunchAudit::analyze() {
-  std::vector<Entry>& writes = folded_writes_;
-  std::vector<Entry>& reads = folded_reads_;
-  for (const ShardLog& log : logs_) {
-    writes.insert(writes.end(), log.writes_.begin(), log.writes_.end());
-    reads.insert(reads.end(), log.reads_.begin(), log.reads_.end());
-  }
-  // Sorting makes the folded multiset — and therefore every report —
-  // independent of which shard executed which warp.
-  std::sort(writes.begin(), writes.end(), entry_less);
-  std::sort(reads.begin(), reads.end(), entry_less);
-
-  // Write/write: each entry against the sorted tail it overlaps. The
-  // inner scan ends at the first non-overlapping entry, so disjoint
-  // (correct) bindings cost one comparison per entry; reports are capped,
-  // and once the cap is hit the scan stops entirely.
-  for (std::size_t i = 0; i < writes.size() && conflicts_.size() < kMaxReports; ++i) {
-    for (std::size_t j = i + 1; j < writes.size() && writes[j].begin < writes[i].end; ++j) {
-      if (writes[i].item == writes[j].item) continue;
-      add_conflict(ConflictReport::Kind::kWriteWrite, writes[i].item, writes[j].item,
-                   std::max(writes[i].begin, writes[j].begin),
-                   std::min(writes[i].end, writes[j].end));
-      if (conflicts_.size() >= kMaxReports) break;
-    }
-  }
-
-  // Read/write: a two-pointer sweep over the sorted interval lists. A
-  // read overlapping another item's write means the reader observes
-  // whichever schedule committed (or did not yet commit) that write.
-  std::size_t w = 0;
-  for (const Entry& r : reads) {
-    if (conflicts_.size() >= kMaxReports) break;
-    while (w < writes.size() && writes[w].end <= r.begin) ++w;
-    for (std::size_t j = w; j < writes.size() && writes[j].begin < r.end; ++j) {
-      if (writes[j].item == r.item || writes[j].end <= r.begin) continue;
-      add_conflict(ConflictReport::Kind::kReadWrite, r.item, writes[j].item,
-                   std::max(r.begin, writes[j].begin), std::min(r.end, writes[j].end));
-      if (conflicts_.size() >= kMaxReports) break;
-    }
-  }
-}
-
 std::vector<unsigned char> LaunchAudit::snapshot() const {
   std::vector<unsigned char> bytes;
-  for (const Interval& iv : image_.all) {
+  for (const Interval& iv : declared_->all) {
     const auto* begin = reinterpret_cast<const unsigned char*>(iv.begin);
     bytes.insert(bytes.end(), begin, begin + (iv.end - iv.begin));
   }
@@ -406,7 +384,7 @@ std::vector<unsigned char> LaunchAudit::snapshot() const {
 
 void LaunchAudit::restore(const std::vector<unsigned char>& bytes) const {
   std::size_t offset = 0;
-  for (const Interval& iv : image_.all) {
+  for (const Interval& iv : declared_->all) {
     const std::size_t len = iv.end - iv.begin;
     std::memcpy(reinterpret_cast<void*>(iv.begin), bytes.data() + offset, len);
     offset += len;
@@ -414,18 +392,19 @@ void LaunchAudit::restore(const std::vector<unsigned char>& bytes) const {
 }
 
 void LaunchAudit::compare_with(const std::vector<unsigned char>& reference) {
-  // Map each exclusive interval into the snapshot's image_.all layout.
-  // Every exclusive interval lies inside exactly one merged all-interval
-  // (the all set is a superset and both are merged).
+  // Map each exclusive interval into the snapshot's `all` layout. Every
+  // exclusive interval lies inside exactly one merged all-interval (the
+  // all set is a superset and both are merged).
+  const std::vector<Interval>& all = declared_->all;
   std::size_t all_index = 0;
   std::size_t all_offset = 0;
-  for (const Interval& iv : image_.exclusive) {
-    while (all_index < image_.all.size() && image_.all[all_index].end <= iv.begin) {
-      all_offset += image_.all[all_index].end - image_.all[all_index].begin;
+  for (const Interval& iv : declared_->exclusive) {
+    while (all_index < all.size() && all[all_index].end <= iv.begin) {
+      all_offset += all[all_index].end - all[all_index].begin;
       ++all_index;
     }
-    if (all_index >= image_.all.size()) break;
-    const std::size_t start = all_offset + (iv.begin - image_.all[all_index].begin);
+    if (all_index >= all.size()) break;
+    const std::size_t start = all_offset + (iv.begin - all[all_index].begin);
     const auto* live = reinterpret_cast<const unsigned char*>(iv.begin);
     const unsigned char* ref = reference.data() + start;
     const std::size_t len = iv.end - iv.begin;

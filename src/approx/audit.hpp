@@ -1,18 +1,18 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/annotated_mutex.hpp"
-#include "sim/warp.hpp"
 
 namespace hpac::approx {
 
@@ -24,13 +24,16 @@ struct RegionBinding;
 ///
 /// The engine's warp-sharded fast path is only sound when region
 /// invocations of different items really touch disjoint state. Instead of
-/// trusting the app author, the auditor tags every committed item with the
-/// byte intervals its commit writes (declared by the binding's
-/// `commit_extents` callback), folds the per-shard interval logs after the
-/// launch, and flags any overlap between distinct items. A differential
-/// mode additionally re-executes the launch under a deliberately different
-/// — but equally legal — schedule and byte-compares the committed output,
-/// catching read-side dependences that address tagging alone cannot see.
+/// trusting the app author, the auditor checks the binding's own
+/// declaration: every item of the launch declares the byte intervals its
+/// commit writes (`commit_extents`) and, optionally, what it reads
+/// (`read_extents`), and any overlap between distinct items is a finding.
+/// The check covers items [0, n) whatever the technique skips, so findings
+/// do not depend on the technique, and the engine's walk carries no audit
+/// code. A differential mode additionally re-executes the launch under a
+/// deliberately different — but equally legal — schedule and
+/// byte-compares the committed output, catching read-side dependences the
+/// declaration does not state.
 namespace audit {
 
 /// What the executor does with audit findings (ExecTuning::audit_mode).
@@ -87,65 +90,45 @@ class ExtentSink {
   void commuting(const void* ptr, std::size_t len);
   void reads(const void* ptr, std::size_t len);
 
-  /// One tagged interval (implementation detail, public only so the log
-  /// containers can name it).
+  /// One declared interval and the channels that collect them
+  /// (implementation detail, public only so the audit's containers can
+  /// name them).
   struct Entry {
     std::uintptr_t begin = 0;
     std::uintptr_t end = 0;
     std::uint64_t item = 0;
   };
+  enum Channel : std::size_t { kWrites, kCommuting, kReads, kChannels };
+  using Channels = std::array<std::vector<Entry>, kChannels>;
 
  private:
-  friend class ShardLog;
   friend class LaunchAudit;
   friend class ExtentImageCache;
 
-  ExtentSink(std::vector<Entry>* writes, std::vector<Entry>* commuting,
-             std::vector<Entry>* reads, std::uint64_t item)
-      : writes_(writes), commuting_(commuting), reads_(reads), item_(item) {}
+  ExtentSink(Channels& into, std::uint64_t item) : into_(into), item_(item) {}
 
-  void put(std::vector<Entry>* target, const void* ptr, std::size_t len) const;
+  /// Append `item`'s declared extents (commits, then reads) to `into`.
+  static void declare(const RegionBinding& binding, std::uint64_t item, Channels& into);
+  void put(Channel channel, const void* ptr, std::size_t len);
 
-  std::vector<Entry>* writes_;     ///< null → channel dropped
-  std::vector<Entry>* commuting_;  ///< null → channel dropped
-  std::vector<Entry>* reads_;      ///< null → channel dropped
+  Channels& into_;
   std::uint64_t item_;
 };
 
-/// Per-shard append-only log of audited intervals. Each executor shard
-/// owns one log and records into it without synchronization (exactly like
-/// the ledgers of its own warps); LaunchAudit folds the logs
-/// deterministically after the join.
-class ShardLog {
- public:
-  /// Record the intervals `binding.commit_extents` declares for item
-  /// `first_item + lane` of every lane in `lanes`.
-  void record_commits(const RegionBinding& binding, std::uint64_t first_item,
-                      sim::LaneMask lanes);
-  /// Record the intervals `binding.read_extents` declares for item
-  /// `first_item + lane` of every lane in `lanes`.
-  void record_reads(const RegionBinding& binding, std::uint64_t first_item, sim::LaneMask lanes);
-
- private:
-  friend class LaunchAudit;
-  std::vector<ExtentSink::Entry> writes_;
-  std::vector<ExtentSink::Entry> reads_;
-};
-
-/// Memoizes the merged extent image a differential audit builds by walking
-/// every item through `commit_extents` — the dominant audit cost in a
-/// sweep, where the same binding launches hundreds of times with identical
-/// extents. Every differential launch first probes items {0, 1, n-1} into
-/// one *affine shape* (entry k of item i lives at `base_k + i * stride_k`
-/// with a constant length — every `bind_row_commit_extents`-style
-/// binding). When the shape equals a stored variant of the (binding, n)
-/// pair, the cached merged intervals are reused and the O(n) walk is
-/// skipped. Otherwise the launch walks every item, checks each against the
-/// same shape and stores it as a variant unless some item broke it. The
-/// shape includes the base addresses, so a binding that commits into a
-/// different buffer each launch (ping-pong stencils) simply occupies one
-/// variant slot per buffer. Non-affine bindings are rebuilt exactly, per
-/// launch.
+/// Memoizes the declared check of a launch — the walk over every item's
+/// `commit_extents` and `read_extents` and everything derived from it —
+/// for the same binding launching hundreds of times with identical
+/// extents, as it does in a sweep. Every audited launch first probes items
+/// {0, 1, n-1} into one *affine shape* (entry k of a channel for item i
+/// lives at `base_k + i * stride_k` with a constant length — every
+/// `bind_row_commit_extents`-style binding). When the shape equals a
+/// stored variant of the (binding, n) pair, the variant's declaration is
+/// reused and the O(n) walk is skipped. Otherwise the launch walks every
+/// item, checks each against the same shape and stores it as a variant
+/// unless some item broke it. The shape includes the base addresses, so a
+/// binding that commits into a different buffer each launch (ping-pong
+/// stencils) simply occupies one variant slot per buffer. Non-affine
+/// bindings are walked exactly, per launch.
 ///
 /// Thread-safe; owned by the RegionExecutor (one cache per executor, so
 /// binding addresses — the cache key — cannot collide across executors
@@ -170,11 +153,29 @@ class ExtentImageCache {
  private:
   friend class LaunchAudit;
   using Entry = ExtentSink::Entry;
+  using Channels = ExtentSink::Channels;
 
   /// A merged contiguous byte range of audited memory.
   struct Interval {
     std::uintptr_t begin = 0;
     std::uintptr_t end = 0;
+  };
+  /// One overlap between distinct items, in absolute addresses; turned
+  /// into a ConflictReport (relative offsets) only when it is raised.
+  struct Overlap {
+    ConflictReport::Kind kind = ConflictReport::Kind::kWriteWrite;
+    std::uint64_t item_a = 0;
+    std::uint64_t item_b = 0;
+    std::uintptr_t begin = 0;
+    std::uintptr_t end = 0;
+  };
+  /// Everything the audit derives from one walk over items [0, n).
+  struct Declaration {
+    std::vector<Interval> exclusive;  ///< merged writes (differential compare)
+    std::vector<Interval> all;        ///< merged writes and commuting (snapshot)
+    std::vector<Entry> writes;        ///< sorted; differential owners
+    std::vector<Entry> others;        ///< commuting and reads, unsorted; offset origins
+    std::vector<Overlap> overlaps;    ///< write/write then read/write, capped
   };
   /// One extent-callback entry under the affine model. `stride` is the
   /// per-item displacement in wrapping address arithmetic, so "negative"
@@ -186,18 +187,12 @@ class ExtentImageCache {
     bool operator==(const AffineEntry&) const = default;
   };
   struct Shape {
-    std::vector<AffineEntry> exclusive;
-    std::vector<AffineEntry> commuting;
+    std::array<std::vector<AffineEntry>, ExtentSink::kChannels> channels;
     bool operator==(const Shape&) const = default;
-  };
-  /// The merged intervals a differential audit snapshots and compares.
-  struct Image {
-    std::vector<Interval> exclusive;  ///< item-exclusive extents only
-    std::vector<Interval> all;        ///< exclusive and commuting
   };
   struct Variant {
     Shape shape;
-    Image image;
+    std::shared_ptr<const Declaration> declared;
   };
   using Key = std::pair<const void*, std::uint64_t>;  ///< (binding, n)
 
@@ -205,17 +200,20 @@ class ExtentImageCache {
   /// lengths, item 1 the strides, item n-1 must match. Nullopt when they
   /// do not fit one shape.
   static std::optional<Shape> probe(const RegionBinding& binding, std::uint64_t n);
-  /// Whether `item`'s logged entries are exactly what `shape` predicts.
-  static bool matches(const Shape& shape, std::span<const Entry> exclusive,
-                      std::span<const Entry> commuting, std::uint64_t item);
+  /// Whether `item`'s entries — those of each channel of `extents` from
+  /// index `from[channel]` on — are exactly what `shape` predicts.
+  static bool matches(const Shape& shape, const Channels& extents,
+                      const std::array<std::size_t, ExtentSink::kChannels>& from,
+                      std::uint64_t item);
 
-  /// The image of the stored variant of (binding, n) with this shape.
-  std::optional<Image> lookup(const RegionBinding& binding, std::uint64_t n,
-                              const Shape& shape);
-  /// Count a full walk and keep its image under the shape that every
-  /// walked item matched (nullopt = non-affine, counted but not stored).
+  /// The declaration of the stored variant of (binding, n) with this shape.
+  std::shared_ptr<const Declaration> lookup(const RegionBinding& binding, std::uint64_t n,
+                                            const Shape& shape);
+  /// Count a full walk and keep its declaration under the shape that
+  /// every walked item matched (nullopt = non-affine, counted but not
+  /// stored).
   void store(const RegionBinding& binding, std::uint64_t n, std::optional<Shape> shape,
-             const Image& image);
+             std::shared_ptr<const Declaration> declared);
 
   mutable common::Mutex mutex_;
   std::map<Key, std::vector<Variant>> variants_ GUARDED_BY(mutex_);
@@ -225,55 +223,50 @@ class ExtentImageCache {
 /// The audit of one region launch, opened before it executes and closed
 /// after its shards join:
 ///
-///   LaunchAudit audit(binding, n, shards, mode, differential, cache);
-///   ... shard s logs its committed extents into audit.log(s) ...
+///   LaunchAudit audit(binding, n, mode, differential, cache);
+///   ... the launch runs, unaware of the audit ...
 ///   conflicts = audit.close(rerun_reversed);
 ///
-/// Opening before the launch makes the differential pre-image the true
-/// initial state. Closing folds the shard logs, and with the differential
-/// pass re-executes the launch through `rerun_reversed` from the restored
-/// pre-image. Under kEnforce every finding becomes a ConfigError.
+/// Opening checks the declaration: one walk over items [0, n) (or a cache
+/// hit) gives the write/write and read/write overlaps, and with the
+/// differential pass snapshots the declared bytes, so the pre-image is the
+/// true initial state. Closing re-executes the launch through
+/// `rerun_reversed` from the restored pre-image when the differential
+/// pass is on, then raises every finding. Under kEnforce any finding
+/// becomes a ConfigError.
 class LaunchAudit {
  public:
-  /// `shards` is the launch's host-shard count (>= 1). Throws ConfigError
-  /// under kEnforce when the binding declares no `commit_extents` (the
-  /// independence claim cannot be verified); under kReport that launch is
-  /// not instrumented and closes with one kMissingExtents report. When
-  /// `differential` is set, builds the merged image of every item's
-  /// declared extents (served by `cache` when it holds this shape) and
-  /// snapshots its bytes; otherwise that image is built only if the launch
-  /// has a finding, for its report offsets. `binding` must outlive the
-  /// audit.
-  LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
-              AuditMode mode, bool differential, ExtentImageCache* cache);
+  /// Throws ConfigError under kEnforce when the binding declares no
+  /// `commit_extents` (the independence claim cannot be verified); under
+  /// kReport that launch is not checked and closes with one
+  /// kMissingExtents report. The walk is served by `cache` when it holds
+  /// this launch's shape. `binding` must outlive the constructor only.
+  LaunchAudit(const RegionBinding& binding, std::uint64_t n, AuditMode mode, bool differential,
+              ExtentImageCache* cache);
 
-  /// Shard `shard`'s log; null when the launch is not instrumented.
-  ShardLog* log(std::size_t shard) { return logs_.empty() ? nullptr : &logs_[shard]; }
-
-  /// Close the audit once every shard has finished. Folds the shard logs
-  /// and detects write/write and read/write overlaps between distinct
-  /// items; the folded multiset is independent of the shard decomposition
-  /// and reports come out in address order, at most kMaxReports. With the
-  /// differential pass: snapshots the audited post-image, restores the
-  /// pre-image, calls `rerun_reversed` (which must re-execute the launch
-  /// on another legal schedule), byte-compares the item-exclusive extents
-  /// and restores the audited post-image, so the application observes the
-  /// audited run's bytes. Returns the findings (empty when clean); under
-  /// kEnforce any finding throws ConfigError instead.
+  /// Close the audit once every shard has finished. With the differential
+  /// pass: snapshots the audited post-image, restores the pre-image, calls
+  /// `rerun_reversed` (which must re-execute the launch on another legal
+  /// schedule), byte-compares the item-exclusive extents and restores the
+  /// audited post-image, so the application observes the audited run's
+  /// bytes. Reports come out overlaps first, in address order, then
+  /// differential mismatches, at most kMaxReports. Returns the findings
+  /// (empty when clean); under kEnforce any finding throws ConfigError
+  /// instead.
   std::vector<ConflictReport> close(const std::function<void()>& rerun_reversed);
 
  private:
   using Interval = ExtentImageCache::Interval;
   using Entry = ExtentSink::Entry;
+  using Declaration = ExtentImageCache::Declaration;
   static constexpr std::size_t kMaxReports = 8;
 
-  /// Sort `entries` and merge overlapping or touching ones.
-  static std::vector<Interval> merge(std::vector<Entry> entries);
-  /// Walk every item's `commit_extents` into the merged image of the
-  /// launch's declared extents; resets `shape` at the first item that does
-  /// not fit it.
-  ExtentImageCache::Image declared_image(std::optional<ExtentImageCache::Shape>& shape) const;
-  void analyze();
+  /// Merge sorted entries into their overlapping or touching runs.
+  static std::vector<Interval> merge_sorted(const std::vector<Entry>& sorted);
+  /// Walk every item's declared extents and derive the declaration;
+  /// resets `shape` at the first item that does not fit it.
+  static std::shared_ptr<const Declaration> walk(const RegionBinding& binding, std::uint64_t n,
+                                                 std::optional<ExtentImageCache::Shape>& shape);
   std::vector<unsigned char> snapshot() const;
   void restore(const std::vector<unsigned char>& bytes) const;
   /// Compare `reference` (the audited run's post-image) against live
@@ -282,24 +275,19 @@ class LaunchAudit {
   void compare_with(const std::vector<unsigned char>& reference);
   void add_conflict(ConflictReport::Kind kind, std::uint64_t item_a, std::uint64_t item_b,
                     std::uintptr_t begin, std::uintptr_t end);
-  /// Item of the folded write entry covering `addr` (first in sort order).
+  /// Item of the declared write entry covering `addr` (first in sort order).
   std::uint64_t owner_of(std::uintptr_t addr) const;
   /// Base address of the contiguous audited run containing `addr` — the
   /// offset origin that keeps reports independent of heap layout.
   std::uintptr_t region_base_of(std::uintptr_t addr) const;
 
-  const RegionBinding& binding_;
-  std::uint64_t n_;
   std::string name_;
   AuditMode mode_;
   bool differential_;
-  std::vector<ShardLog> logs_;  ///< empty when the launch is not instrumented
+  std::shared_ptr<const Declaration> declared_;  ///< null when commit_extents is missing
   std::vector<ConflictReport> conflicts_;
-  std::vector<Entry> folded_writes_;  ///< sorted, kept by analyze()
-  std::vector<Entry> folded_reads_;   ///< sorted, kept by analyze()
-  std::vector<Interval> regions_;     ///< offset origins, built on the first finding
-  ExtentImageCache::Image image_;     ///< differential, or built on the first finding
-  std::vector<unsigned char> pre_;    ///< image bytes taken at construction
+  std::vector<Interval> regions_;   ///< offset origins, built on the first finding
+  std::vector<unsigned char> pre_;  ///< declared bytes taken at construction (differential)
 };
 
 }  // namespace audit

@@ -113,12 +113,12 @@ struct IactPolicy {
 /// TAF states belong to one thread and iACT tables to one warp, so a
 /// context touches only the AC state of its own warps; a `level(block)`
 /// decision needs every warp of a team, so such launches are cut on team
-/// boundaries. An audited context logs each executed item's declared
-/// extents into its own shard log right after the binding call that
-/// touched them, once each: reads at the gather for iACT, at the accurate
-/// call otherwise. AC state (TAF windows, iACT tables) is allocated once per
-/// context, as one block per policy, and `reset()` between teams instead
-/// of reallocated — the launch-invariant hoisting half of the fast path.
+/// boundaries. A context knows nothing of auditing: the commit-conflict
+/// audit checks the binding's declared extents before the launch and
+/// re-executes it through fresh contexts after. AC state (TAF windows,
+/// iACT tables) is allocated once per context, as one block per policy,
+/// and `reset()` between teams instead of reallocated — the
+/// launch-invariant hoisting half of the fast path.
 /// Whether that state fits the block's shared memory was decided by
 /// `validate_launch` before any context exists, so nothing here can fail
 /// on it.
@@ -126,8 +126,7 @@ class RunContext {
  public:
   RunContext(const RuntimeCosts& costs, const ApproxSpec& spec, const RegionBinding& binding,
              std::uint64_t n, const pragma::PerfoParams* composed_perfo,
-             sim::KernelTracker& tracker, std::uint64_t warp_begin, std::uint64_t warp_end,
-             audit::ShardLog* audit_log)
+             sim::KernelTracker& tracker, std::uint64_t warp_begin, std::uint64_t warp_end)
       : dev_(tracker.device()),
         perfo_(composed_perfo != nullptr                   ? composed_perfo
                : spec.technique == Technique::kPerforation ? &*spec.perfo
@@ -145,8 +144,6 @@ class RunContext {
         warp_begin_(warp_begin),
         warp_end_(warp_end),
         tracker_(tracker),
-        commit_log_(audit_log),
-        read_log_(binding.read_extents ? audit_log : nullptr),
         coalesce_(dev_),
         warp_size_(dev_.warp_size),
         threads_per_team_(tracker.launch().threads_per_team),
@@ -337,16 +334,10 @@ class RunContext {
             const auto in = Policy::kGathers ? std::span<const double>(s.in)
                                              : std::span<const double>();
             binding_.accurate_batch(first_item, acc_mask, in, out);
-            // A gathering policy logged every active lane's reads at the
-            // gather in `decide`.
-            if constexpr (!Policy::kGathers) {
-              if (read_log_ != nullptr) read_log_->record_reads(binding_, first_item, acc_mask);
-            }
           }
           std::array<double, 2> paths{0.0, 0.0};  // accurate, approximate
           if constexpr (Policy::kMemoizes) paths[1] = reuse(policy, w, s, approx_mask);
           binding_.commit_batch(first_item, s.active, out);
-          if (commit_log_ != nullptr) commit_log_->record_commits(binding_, first_item, s.active);
           if (acc_mask != 0) {
             paths[0] = binding_.accurate_cost_batch(first_item, acc_mask);
             if constexpr (Policy::kMemoizes) paths[0] += record(policy, w, s, acc_mask, ledger);
@@ -465,7 +456,6 @@ class RunContext {
     IactTable* tables = warp_tables(policy, w);
     const int lanes_per_table = policy.lanes_per_table;
     binding_.gather_batch(first_item, s.active, std::span<double>(s.in));
-    if (read_log_ != nullptr) read_log_->record_reads(binding_, first_item, s.active);
     std::array<const double*, 64> probes;
     std::array<int, 64> probe_lane;
     std::array<IactTable::Match, 64> found;
@@ -566,8 +556,6 @@ class RunContext {
   std::uint64_t warp_begin_;
   std::uint64_t warp_end_;
   sim::KernelTracker& tracker_;
-  audit::ShardLog* commit_log_;  ///< null unless the launch is audited
-  audit::ShardLog* read_log_;    ///< null unless audited and reads are declared
   sim::CoalescingModel coalesce_;
   int warp_size_;
   std::uint32_t threads_per_team_;
@@ -582,7 +570,7 @@ class RunContext {
 /// Unit range [begin, end) of shard `s` when `units` (warps or teams) are
 /// cut into `shards` contiguous, near-equal ranges: shard s gets one extra
 /// unit while the remainder lasts. The live shards and the differential
-/// audit's reversed-shard pass both cut with this.
+/// audit's reversed-shard pass both cut the launch's units with this.
 std::pair<std::uint64_t, std::uint64_t> shard_unit_range(std::uint64_t units,
                                                          std::uint64_t shards,
                                                          std::uint64_t s) {
@@ -696,14 +684,15 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
                                  : 1;
 
   // Commit-conflict auditing: validates the independent_items declaration
-  // instead of assuming it. The audit is opened before the launch runs
-  // (its differential pre-image must be the true initial state) and
-  // audits regardless of whether *this* launch actually sharded — a
-  // mislabeled binding is a hazard on every machine, not just the one it
-  // raced on. Fully inert when audit_mode == kOff: not even constructed.
+  // instead of assuming it. The audit checks the declared extents of items
+  // [0, n) and is opened before the launch runs (its differential
+  // pre-image must be the true initial state). It audits regardless of
+  // whether *this* launch actually sharded — a mislabeled binding is a
+  // hazard on every machine, not just the one it raced on. Fully inert
+  // when audit_mode == kOff: not even constructed.
   std::optional<audit::LaunchAudit> auditor;
   if (tuning_.audit_mode != audit::AuditMode::kOff && binding.independent_items && n > 0) {
-    auditor.emplace(binding, n, shards, tuning_.audit_mode, tuning_.audit_differential,
+    auditor.emplace(binding, n, tuning_.audit_mode, tuning_.audit_differential,
                     tuning_.audit_extent_cache ? &audit_extent_cache_ : nullptr);
   }
 
@@ -719,8 +708,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
       [&](std::size_t, std::size_t s) {
         const auto [begin, end] = shard_unit_range(units, shards, s);
         shard_stats[s] = RunContext(costs_, spec, binding, n, composed_perfo, tracker,
-                                    begin * unit_warps, end * unit_warps,
-                                    auditor ? auditor->log(s) : nullptr)
+                                    begin * unit_warps, end * unit_warps)
                              .execute();
       },
       /*max_participants=*/shards);
@@ -733,18 +721,21 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
 
   if (auditor) {
     // The differential pass re-executes the launch under a reversed
-    // team-shard serial schedule — a legal schedule of the sharded run,
+    // serial schedule of the live launch's units (warps, or teams under a
+    // `level(block)` memo spec) — a legal schedule of the sharded run,
     // since per-warp AC state and per-team resets make results
-    // decomposition- and order-invariant *when items are independent*. The
-    // shard count is a fixed constant (not the machine's), so findings are
-    // deterministic across hosts.
+    // decomposition- and order-invariant *when items are independent*.
+    // Cutting by unit keeps a one-team launch, which the live launch
+    // shards by warp, from re-running in its own order. The shard count is
+    // a fixed constant (not the machine's), so findings are deterministic
+    // across hosts.
     report.stats.conflicts = auditor->close([&] {
-      const std::uint64_t diff_shards = std::min(teams, kDifferentialShards);
+      const std::uint64_t diff_shards = std::min(units, kDifferentialShards);
       sim::KernelTracker scratch(dev_, launch, ac_bytes);
       for (std::uint64_t s = diff_shards; s-- > 0;) {
-        const auto [begin, end] = shard_unit_range(teams, diff_shards, s);
-        RunContext(costs_, spec, binding, n, composed_perfo, scratch, begin * warps_per_team,
-                   end * warps_per_team, nullptr)
+        const auto [begin, end] = shard_unit_range(units, diff_shards, s);
+        RunContext(costs_, spec, binding, n, composed_perfo, scratch, begin * unit_warps,
+                   end * unit_warps)
             .execute();
       }
     });

@@ -215,24 +215,27 @@ struct ExecTuning {
   /// slower (4 vCPUs, GCC 12 Release, AVX2; see README "Launch sharding").
   std::uint64_t min_items = 1u << 13;
   /// Commit-conflict auditing of `independent_items` bindings (see
-  /// `hpac::approx::audit`). `kOff` constructs no `audit::LaunchAudit`,
-  /// so no shard logs anything. Otherwise each such launch opens one
-  /// audit before it runs and closes it after its shards join: `kReport`
-  /// collects findings into `ExecStats::conflicts`; `kEnforce` throws
-  /// `hpac::ConfigError` on the first conflicting launch, and before the
-  /// launch runs when the binding declares no `commit_extents`.
+  /// `hpac::approx::audit`). `kOff` constructs no `audit::LaunchAudit`.
+  /// Otherwise each such launch opens one audit before it runs, which
+  /// checks the declared extents of items [0, n), and closes it after its
+  /// shards join; no shard logs anything, so the walk is the same with
+  /// auditing on or off. `kReport` collects findings into
+  /// `ExecStats::conflicts`; `kEnforce` throws `hpac::ConfigError` on the
+  /// first conflicting launch, and before the launch runs when the binding
+  /// declares no `commit_extents`.
   audit::AuditMode audit_mode = audit::AuditMode::kOff;
   /// With auditing on, the close additionally re-executes the launch
-  /// under a reversed-shard serial schedule and byte-compares the
-  /// committed output — catches read-side dependences that address
-  /// tagging cannot see. Roughly doubles the cost of audited launches;
-  /// application state is restored afterwards, so results are unchanged.
+  /// under a reversed serial schedule of its warps (teams under a
+  /// `level(block)` memo spec) and byte-compares the committed output —
+  /// catches read-side dependences the declaration does not state.
+  /// Roughly doubles the cost of audited launches; application state is
+  /// restored afterwards, so results are unchanged.
   bool audit_differential = false;
-  /// Memoize the merged extent image differential audits build (see
-  /// `audit::ExtentImageCache`): a launch whose three probed items give
-  /// the affine shape of a stored variant of the same (binding, n) pair
-  /// skips the walk over all items. Off → no probe; every audited launch
-  /// walks.
+  /// Memoize the whole declared check (see `audit::ExtentImageCache`), in
+  /// both audit modes: a launch whose three probed items give the affine
+  /// shape of a stored variant of the same (binding, n) pair reuses its
+  /// findings, image and owners and skips the walk over all items. Off →
+  /// no probe; every audited launch walks.
   bool audit_extent_cache = true;
 };
 
@@ -309,8 +312,8 @@ class RegionExecutor {
   /// audited.
   static void set_default_audit(audit::AuditMode mode);
 
-  /// Extent-image memoization counters of this executor's differential
-  /// audits (hits = O(n) walks skipped).
+  /// Declared-check memoization counters of this executor's audits
+  /// (hits = O(n) walks skipped).
   audit::ExtentImageCache::Stats audit_cache_stats() const {
     return audit_extent_cache_.stats();
   }

@@ -3,8 +3,8 @@
 // Deliberately mislabeled benchmark fixtures for the commit-conflict
 // auditor (hpac::approx::audit): every variant *claims*
 // `independent_items` while violating it in a different way, so the tests
-// can check that each detection surface — write/write address tagging,
-// declared read/write overlap, and the differential re-run — catches the
+// can check that each detection surface — the declared write/write and
+// read/write overlap checks, and the differential re-run — catches the
 // class of bug it is responsible for.
 //
 // The shared-cell variant commits through relaxed atomic stores: the

@@ -1,6 +1,6 @@
 // Tests for the commit-conflict auditor (hpac::approx::audit): the layer
 // that validates `independent_items` declarations at runtime instead of
-// trusting them. Coverage:
+// trusting them, by checking every item's declared extents. Coverage:
 //   * every registered app passes audit_mode=enforce (with differential
 //     re-runs) across TAF / iACT / perforation on both device presets,
 //     one test entry per app and device;
@@ -9,13 +9,16 @@
 //     run under ThreadSanitizer in CI — the fixture commits through
 //     relaxed atomics so the only races left are semantic ones);
 //   * the differential re-run catches hidden read-side dependence that
-//     address tagging cannot see, and restores application state so
+//     the declaration does not state, at every items-per-thread point
+//     (one-team launches included), and restores application state so
 //     auditing never changes results;
 //   * report determinism, missing-extents handling, off-mode inertness,
 //     the verbatim enforce-mode error texts, which reports survive the cap;
-//   * iACT logs each declared read once (at its gather), serially and
-//     sharded;
-//   * the extent-image cache's hit, miss and non-affine accounting.
+//   * findings do not depend on the technique: items iACT approximates
+//     or perforation skips are checked like the rest, serially and
+//     sharded, with and without the differential pass;
+//   * the declared-check cache's hit, miss and non-affine accounting,
+//     its findings on a hit, and its read channel.
 
 #include <gtest/gtest.h>
 
@@ -74,10 +77,11 @@ approx::ExecTuning sharded_audit(AuditMode mode, bool differential) {
   return tuning;
 }
 
-harness::RunOutput run_fixture(Flaw flaw, const approx::ExecTuning& tuning) {
+harness::RunOutput run_fixture(Flaw flaw, const approx::ExecTuning& tuning,
+                              std::uint64_t items_per_thread = 8) {
   TuningGuard guard(tuning);
   testing_fixture bench(flaw);
-  return bench.run(pragma::ApproxSpec{}, bench.default_items_per_thread(), sim::v100());
+  return bench.run(pragma::ApproxSpec{}, items_per_thread, sim::v100());
 }
 
 bool has_kind(const std::vector<ConflictReport>& conflicts, ConflictReport::Kind kind) {
@@ -226,10 +230,17 @@ TEST(Audit, HiddenReadNeighborInvisibleToAddressTaggingAlone) {
 }
 
 TEST(Audit, HiddenReadNeighborCaughtByDifferential) {
-  const harness::RunOutput output =
-      run_fixture(Flaw::kHiddenReadNeighbor, serial_audit(AuditMode::kReport, true));
-  ASSERT_FALSE(output.stats.conflicts.empty());
-  EXPECT_TRUE(has_kind(output.stats.conflicts, ConflictReport::Kind::kDifferential));
+  // At ipt 128 the fixture's 16,384 items make one team of 128 threads,
+  // which the live launch shards by warp. The reversed re-run must cut
+  // the same units, not teams, or it replays the live order and sees
+  // nothing. Each ipt fills the report cap.
+  for (const std::uint64_t ipt : {8u, 32u, 128u}) {
+    const harness::RunOutput output =
+        run_fixture(Flaw::kHiddenReadNeighbor, serial_audit(AuditMode::kReport, true), ipt);
+    EXPECT_EQ(output.stats.conflicts.size(), 8u) << "ipt " << ipt;
+    EXPECT_TRUE(has_kind(output.stats.conflicts, ConflictReport::Kind::kDifferential))
+        << "ipt " << ipt;
+  }
 }
 
 TEST(Audit, DifferentialRestoresApplicationState) {
@@ -353,9 +364,9 @@ TEST(Audit, ReportCapKeepsWriteWriteFirstInAddressOrder) {
 }
 
 TEST(Audit, IactLogsEachDeclaredReadOnce) {
-  // iACT gathers every active lane's inputs, approximated lanes included,
-  // so its reads are logged at the gather; the accurate lanes must not log
-  // them again. Perforation logs at the accurate call.
+  // Under iACT items 256 and 320 are approximated and never run the
+  // accurate path; their declared reads are checked all the same, and
+  // each finding is reported once.
   NeighborReadRegion region;
   const approx::ExecTuning tuning = serial_audit(AuditMode::kReport, true);
   EXPECT_EQ(texts_of(region.run("memo(in:8:0.5) in(x) out(y)", tuning)), kNeighborReadFindings);
@@ -365,13 +376,55 @@ TEST(Audit, IactLogsEachDeclaredReadOnce) {
 }
 
 TEST(Audit, ReportOffsetsIgnoreSkippedItemsWithoutDifferential) {
-  // Perforation skips grid-stride steps 1 and 3, so their items log no
-  // writes and the logged runs break at byte 1024. The offsets must not
-  // move: items 256/257 still read bytes [2056,2064), not [8,16).
+  // Perforation skips grid-stride steps 1 and 3, whose items commit
+  // nothing. The offsets must not move: items 256/257 still read bytes
+  // [2056,2064) of the declared run, not [8,16).
   NeighborReadRegion region;
   const approx::ExecTuning tuning = serial_audit(AuditMode::kReport, false);
   for (const char* clause : {"perfo(small:2)", "memo(in:8:0.5) in(x) out(y)"}) {
     EXPECT_EQ(texts_of(region.run(clause, tuning)), kNeighborReadFindings) << clause;
+  }
+}
+
+TEST(Audit, FindingsInPerforatedStepsMatchNone) {
+  // At ipt 4 (128 threads over 4 teams of 32, four grid-stride steps)
+  // perfo(small:2) skips steps 1 and 3, items 128..255 and 384..511. The
+  // binding's only false claims lie there: item 160 also writes item
+  // 161's cell, and item 200 declares a read of item 201's cell. The
+  // check covers every item's declaration, so the perforated launch
+  // reports them exactly as the accurate one does.
+  constexpr std::uint64_t kItems = 512;
+  std::vector<double> cells(kItems, 0.0);
+  approx::RegionBinding binding;
+  binding.name = "audit.skipped";
+  apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
+  apps::bind_constant_cost(binding, 16.0);
+  apps::bind_commit(binding, [&cells](std::uint64_t i, const double* o) {
+    cells[i] = o[0];
+    if (i == 160) cells[161] = o[0];
+  });
+  binding.independent_items = true;
+  binding.commit_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
+    sink.writes(cells.data() + i, sizeof(double));
+    if (i == 160) sink.writes(cells.data() + 161, sizeof(double));
+  };
+  binding.read_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
+    if (i == 200) sink.reads(cells.data() + 201, sizeof(double));
+  };
+  const std::vector<std::string> expected = {
+      "write/write overlap: items 160 and 161, bytes [1288,1296) of 'audit.skipped'",
+      "read/write overlap: items 200 and 201, bytes [1608,1616) of 'audit.skipped'",
+  };
+  approx::RegionExecutor executor(sim::v100());
+  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(kItems, 4, 32);
+  for (const bool differential : {false, true}) {
+    executor.set_tuning(serial_audit(AuditMode::kReport, differential));
+    for (const char* clause : {"none", "perfo(small:2)"}) {
+      const approx::RegionReport report =
+          executor.run(pragma::parse_approx(clause), binding, kItems, launch);
+      EXPECT_EQ(texts_of(report.stats.conflicts), expected)
+          << clause << (differential ? " with" : " without") << " differential";
+    }
   }
 }
 
@@ -505,7 +558,7 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(entry.param) + "_" + std::get<1>(entry.param);
     });
 
-// --- extent-image memoization (audit::ExtentImageCache) ----------------------
+// --- declared-check memoization (audit::ExtentImageCache) --------------------
 
 /// A minimal honest region whose commit extents the cache can model:
 /// item i writes one double at `target[index_of(i)]`.
@@ -656,6 +709,80 @@ TEST(AuditExtentCache, AffineOnlyAtTheProbesIsNeverServedFromCache) {
   const approx::RegionBinding binding = region.binding([](std::uint64_t i) -> std::uint64_t {
     return i == 2 ? 3 : i == 3 ? 2 : i;
   });
+
+  run_once(executor, region, binding);
+  run_once(executor, region, binding);
+  const auto stats = executor.audit_cache_stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.non_affine, 2u);
+}
+
+TEST(AuditExtentCache, OverlappingAffineBindingHitKeepsItsFindings) {
+  // Item i writes cells i and i+1: an affine shape (one 16-byte entry of
+  // stride 8) whose items overlap. A hit reuses the walk's findings, so
+  // the second launch reports the same texts and enforce still throws.
+  constexpr std::uint64_t kItems = 256;
+  std::vector<double> cells(kItems + 1, 0.0);
+  approx::RegionBinding binding;
+  binding.name = "cache.overlap";
+  apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
+  apps::bind_constant_cost(binding, 16.0);
+  apps::bind_commit(binding, [&cells](std::uint64_t i, const double* o) {
+    cells[i] = o[0];
+    cells[i + 1] = o[0];
+  });
+  binding.independent_items = true;  // a false claim
+  binding.commit_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
+    sink.writes(cells.data() + i, 2 * sizeof(double));
+  };
+  std::vector<std::string> expected;
+  for (int k = 0; k < 8; ++k) {
+    expected.push_back("write/write overlap: items " + std::to_string(k) + " and " +
+                       std::to_string(k + 1) + ", bytes [" + std::to_string(8 * (k + 1)) +
+                       "," + std::to_string(8 * (k + 2)) + ") of 'cache.overlap'");
+  }
+  approx::RegionExecutor executor(sim::v100());
+  executor.set_tuning(cache_tuning());
+  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(kItems, 1, 128);
+  const auto conflicts = [&] {
+    return texts_of(
+        executor.run(pragma::parse_approx("none"), binding, kItems, launch).stats.conflicts);
+  };
+
+  EXPECT_EQ(conflicts(), expected);
+  EXPECT_EQ(executor.audit_cache_stats().misses, 1u);
+  EXPECT_EQ(executor.audit_cache_stats().hits, 0u);
+  EXPECT_EQ(conflicts(), expected);
+  EXPECT_EQ(executor.audit_cache_stats().misses, 1u);
+  EXPECT_EQ(executor.audit_cache_stats().hits, 1u);
+
+  approx::ExecTuning enforce = cache_tuning();
+  enforce.audit_mode = AuditMode::kEnforce;
+  executor.set_tuning(enforce);
+  try {
+    conflicts();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(expected.front()), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(executor.audit_cache_stats().misses, 1u);
+  EXPECT_EQ(executor.audit_cache_stats().hits, 2u);
+}
+
+TEST(AuditExtentCache, ReadsAffineOnlyAtTheProbesAreNeverServedFromCache) {
+  CacheRegion region;
+  approx::RegionExecutor executor(sim::v100());
+  executor.set_tuning(cache_tuning());
+  // The commits are the identity, affine everywhere; the declared reads of
+  // the other buffer are the identity at the probed items 0, 1 and n-1,
+  // but items 2 and 3 swap cells. Only the walk's per-item check of the
+  // read channel can tell.
+  approx::RegionBinding binding = region.binding();
+  binding.read_extents = [&region](std::uint64_t i, approx::audit::ExtentSink& sink) {
+    const std::uint64_t cell = i == 2 ? 3 : i == 3 ? 2 : i;
+    sink.reads(region.alt.data() + cell, sizeof(double));
+  };
 
   run_once(executor, region, binding);
   run_once(executor, region, binding);

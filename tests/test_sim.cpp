@@ -232,9 +232,10 @@ TEST(Timing, BlocksDistributeAcrossSms) {
 
 namespace {
 
-/// One SM with four schedulers and room for 8 warps or 2 blocks, a 1 GHz
-/// clock (one cycle is one nanosecond) and a 0.5 us launch overhead. Every
-/// intermediate below is exact in binary floating point.
+/// One SM with four schedulers, room for 8 warps or 2 blocks and 96 KiB
+/// (98,304 bytes) of shared memory, a 1 GHz clock (one cycle is one
+/// nanosecond) and a 0.5 us launch overhead. Every intermediate below is
+/// exact in binary floating point.
 DeviceConfig worked_example_device() {
   DeviceConfig dev;
   dev.name = "worked";
@@ -242,6 +243,8 @@ DeviceConfig worked_example_device() {
   dev.warp_size = 32;
   dev.max_warps_per_sm = 8;
   dev.max_blocks_per_sm = 2;
+  dev.shared_mem_per_block = 96u << 10;
+  dev.shared_mem_per_sm = 96u << 10;
   dev.issue_width = 4;
   dev.cycles_per_transaction = 2.0;
   dev.mem_latency_cycles = 400.0;
@@ -315,6 +318,65 @@ TEST(TimingWorkedExample, TwoWavesLimitedByBlocksPerSm) {
   EXPECT_EQ(timing.occupancy, 0.5);
   EXPECT_EQ(timing.total_transactions, 4u * 5 + 4u * 300);
   EXPECT_EQ(timing.compute_cycles_total, 4 * 800.0 + 4 * 100.0);
+}
+
+TEST(TimingWorkedExample, ThreeWavesLimitedByWarpsPerSm) {
+  const DeviceConfig dev = worked_example_device();
+  // Three blocks of five warps. max_blocks_per_sm would allow 2 resident
+  // blocks; the warp slots allow floor(8 / 5) = 1, so the SM runs one
+  // block per wave and leaves 3 of its 8 warp slots idle.
+  auto tracker = make_tracker(dev, 3, 160);
+  EXPECT_EQ(tracker.resident_blocks_per_sm(), 1);
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    for (std::uint32_t w = 0; w < 5; ++w) {
+      tracker.warp(b, w).charge_compute(400);
+      tracker.warp(b, w).charge_memory(10, 2);
+    }
+  }
+  const KernelTiming timing = tracker.finalize();
+  // Each wave: compute = 5 x 400 / min(4, 5 warps) = 500
+  //            memory  = 5 x 10 x 2               = 100
+  //            exposed = 2 x 400 / (5 warps x 4)  = 40
+  //            wave    = max(500, 100) + 40       = 540
+  // Three waves back to back: 3 x 540 = 1620 cycles. (Two resident
+  // blocks would give waves of 1020 and 540, 1560 cycles.)
+  EXPECT_EQ(timing.critical_path_cycles, 1620.0);
+  EXPECT_EQ(timing.seconds, 1620.0 / 1e9 + 0.5e-6);
+  // The first wave's 1 block x 5 warps fill 5 of 8 warp slots.
+  EXPECT_EQ(timing.resident_blocks_per_sm, 1);
+  EXPECT_EQ(timing.occupancy, 0.625);
+  EXPECT_EQ(timing.total_transactions, 15u * 10);
+  EXPECT_EQ(timing.compute_cycles_total, 15 * 400.0);
+}
+
+TEST(TimingWorkedExample, ThreeWavesLimitedBySharedBytesPerBlock) {
+  const DeviceConfig dev = worked_example_device();
+  // Three blocks of two warps. Blocks allow 2 resident, warps 8 / 2 = 4.
+  // The SM's 98,304 shared bytes hold floor(98304 / 49153) = 1 block of
+  // 49,153 bytes: one byte over half. At exactly half, two fit.
+  EXPECT_EQ(make_tracker(dev, 3, 64, 49152).resident_blocks_per_sm(), 2);
+  auto tracker = make_tracker(dev, 3, 64, 49153);
+  EXPECT_EQ(tracker.resident_blocks_per_sm(), 1);
+  for (std::uint64_t b = 0; b < 3; ++b) {
+    for (std::uint32_t w = 0; w < 2; ++w) {
+      tracker.warp(b, w).charge_compute(600);
+      tracker.warp(b, w).charge_memory(50, 1);
+    }
+  }
+  const KernelTiming timing = tracker.finalize();
+  // Each wave: compute = 2 x 600 / min(4, 2 warps) = 600
+  //            memory  = 2 x 50 x 2               = 200
+  //            exposed = 1 x 400 / (2 warps x 4)  = 50
+  //            wave    = max(600, 200) + 50       = 650
+  // Three waves back to back: 3 x 650 = 1950 cycles. (Two resident
+  // blocks would give waves of 625 and 650, 1275 cycles.)
+  EXPECT_EQ(timing.critical_path_cycles, 1950.0);
+  EXPECT_EQ(timing.seconds, 1950.0 / 1e9 + 0.5e-6);
+  // The first wave's 1 block x 2 warps fill 2 of 8 warp slots.
+  EXPECT_EQ(timing.resident_blocks_per_sm, 1);
+  EXPECT_EQ(timing.occupancy, 0.25);
+  EXPECT_EQ(timing.total_transactions, 6u * 50);
+  EXPECT_EQ(timing.compute_cycles_total, 6 * 600.0);
 }
 
 TEST(Coalescing, NonPowerOfTwoSegmentsAndScatteredMasks) {
