@@ -11,12 +11,87 @@ namespace hpac::approx::audit {
 
 namespace {
 
-using Entry = ExtentSink::Entry;
+/// The rows of `extents` that declare bytes, with item ranges clamped to
+/// [0, n); rows left covering no item are dropped. `ptr` stays item
+/// `first`'s bytes, since clamping only lowers `last`.
+std::vector<Extent> clamped(const std::vector<Extent>& extents, std::uint64_t n) {
+  std::vector<Extent> rows;
+  for (Extent row : extents) {
+    row.last = std::min(row.last, n);
+    if (row.ptr == nullptr || row.len == 0 || row.first >= row.last) continue;
+    rows.push_back(row);
+  }
+  return rows;
+}
 
-bool entry_less(const Entry& a, const Entry& b) {
-  if (a.begin != b.begin) return a.begin < b.begin;
-  if (a.end != b.end) return a.end < b.end;
-  return a.item < b.item;
+std::uintptr_t address(const Extent& row) { return reinterpret_cast<std::uintptr_t>(row.ptr); }
+
+/// |stride| in bytes.
+std::size_t magnitude(const Extent& row) {
+  return row.stride < 0 ? static_cast<std::size_t>(0) - static_cast<std::size_t>(row.stride)
+                        : static_cast<std::size_t>(row.stride);
+}
+
+/// The address range [lo, hi) spanned by a clamped row's items.
+struct Hull {
+  std::uintptr_t lo = 0;
+  std::uintptr_t hi = 0;
+};
+
+Hull hull(const Extent& row) {
+  const std::uintptr_t reach = (row.last - row.first - 1) * magnitude(row);
+  const std::uintptr_t lo = row.stride < 0 ? address(row) - reach : address(row);
+  return Hull{lo, lo + reach + row.len};
+}
+
+/// Call fn(begin, end, item) for every item of a clamped row.
+template <typename Fn>
+void for_each_item(const Extent& row, Fn fn) {
+  std::uintptr_t begin = address(row);
+  const auto step = static_cast<std::uintptr_t>(row.stride);  // wraps for negative strides
+  for (std::uint64_t item = row.first; item < row.last; ++item, begin += step) {
+    fn(begin, begin + row.len, item);
+  }
+}
+
+/// Exact for any row the audit sees: addresses, strides and item indices
+/// each fit 64 bits, so products of two of them fit 128.
+using Wide = __int128;
+
+Wide floor_div(Wide a, Wide b) {  // b > 0
+  return a / b - (a % b != 0 && a < 0 ? 1 : 0);
+}
+
+/// Whether some item i of clamped row `a` and some item j != i of clamped
+/// row `b` may cover overlapping bytes, given that their hulls overlap.
+/// Rows of unequal stride are assumed to. With a common stride s, item i
+/// of `a` starts d0 + k * s bytes past item j of `b`, where k = i - j and
+/// d0 is fixed, so the two overlap exactly when -len_a < d0 + k * s <
+/// len_b: the offsets k inside that window, among those the item ranges
+/// realize, must all be zero.
+bool distinct_items_may_meet(const Extent& a, const Extent& b) {
+  if (a.stride != b.stride) return true;
+  Wide s = a.stride;
+  const Wide d0 = static_cast<Wide>(address(a)) - static_cast<Wide>(address(b)) -
+                  (static_cast<Wide>(a.first) - static_cast<Wide>(b.first)) * s;
+  Wide k_min = static_cast<Wide>(a.first) - static_cast<Wide>(b.last - 1);
+  Wide k_max = static_cast<Wide>(a.last - 1) - static_cast<Wide>(b.first);
+  const Wide len_a = static_cast<Wide>(a.len);
+  const Wide len_b = static_cast<Wide>(b.len);
+  if (s == 0) {
+    if (d0 <= -len_a || d0 >= len_b) return false;
+  } else {
+    if (s < 0) {  // k -> -k: the same offsets at stride |s|
+      s = -s;
+      const Wide lo = -k_max;
+      k_max = -k_min;
+      k_min = lo;
+    }
+    // -len_a - d0 < k * s < len_b - d0
+    k_min = std::max(k_min, floor_div(-len_a - d0, s) + 1);
+    k_max = std::min(k_max, -floor_div(d0 - len_b, s) - 1);
+  }
+  return k_min <= k_max && (k_min != 0 || k_max != 0);
 }
 
 const char* kind_name(ConflictReport::Kind kind) {
@@ -87,120 +162,15 @@ std::string ConflictReport::to_string() const {
                          static_cast<unsigned long long>(end), binding.c_str());
 }
 
-// --- ExtentSink --------------------------------------------------------------
-
-void ExtentSink::declare(const RegionBinding& binding, std::uint64_t item, Channels& into) {
-  ExtentSink sink(into, item);
-  binding.commit_extents(item, sink);
-  if (binding.read_extents) binding.read_extents(item, sink);
-}
-
-void ExtentSink::put(Channel channel, const void* ptr, std::size_t len) {
-  if (ptr == nullptr || len == 0) return;
-  const auto begin = reinterpret_cast<std::uintptr_t>(ptr);
-  into_[channel].push_back(Entry{begin, begin + len, item_});
-}
-
-void ExtentSink::writes(const void* ptr, std::size_t len) { put(kWrites, ptr, len); }
-void ExtentSink::commuting(const void* ptr, std::size_t len) { put(kCommuting, ptr, len); }
-void ExtentSink::reads(const void* ptr, std::size_t len) { put(kReads, ptr, len); }
-
-// --- ExtentImageCache --------------------------------------------------------
-
-std::optional<ExtentImageCache::Shape> ExtentImageCache::probe(const RegionBinding& binding,
-                                                               std::uint64_t n) {
-  const auto extents_of = [&binding](std::uint64_t item) {
-    Channels extents;
-    ExtentSink::declare(binding, item, extents);
-    return extents;
-  };
-  const Channels first = extents_of(0);
-  const Channels second = n > 1 ? extents_of(1) : first;
-  // Bases and lengths from item 0, strides (wrapping, so any direction)
-  // from item 1; matching item 1 below then checks its lengths.
-  Shape shape;
-  for (std::size_t c = 0; c < ExtentSink::kChannels; ++c) {
-    if (first[c].size() != second[c].size()) return std::nullopt;
-    for (std::size_t k = 0; k < first[c].size(); ++k) {
-      shape.channels[c].push_back(
-          AffineEntry{first[c][k].begin, second[c][k].begin - first[c][k].begin,
-                      static_cast<std::size_t>(first[c][k].end - first[c][k].begin)});
-    }
-  }
-  const std::array<std::size_t, ExtentSink::kChannels> whole{};
-  if (!matches(shape, second, whole, n > 1 ? 1 : 0)) return std::nullopt;
-  if (n > 2 && !matches(shape, extents_of(n - 1), whole, n - 1)) return std::nullopt;
-  return shape;
-}
-
-bool ExtentImageCache::matches(const Shape& shape, const Channels& extents,
-                               const std::array<std::size_t, ExtentSink::kChannels>& from,
-                               std::uint64_t item) {
-  for (std::size_t c = 0; c < ExtentSink::kChannels; ++c) {
-    const std::vector<AffineEntry>& model = shape.channels[c];
-    if (extents[c].size() - from[c] != model.size()) return false;
-    for (std::size_t k = 0; k < model.size(); ++k) {
-      const Entry& entry = extents[c][from[c] + k];
-      if (static_cast<std::size_t>(entry.end - entry.begin) != model[k].len ||
-          entry.begin != model[k].base + static_cast<std::uintptr_t>(item) * model[k].stride) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-std::shared_ptr<const ExtentImageCache::Declaration> ExtentImageCache::lookup(
-    const RegionBinding& binding, std::uint64_t n, const Shape& shape) {
-  common::MutexLock lock(mutex_);
-  const auto it = variants_.find(Key{&binding, n});
-  if (it == variants_.end()) return nullptr;
-  for (const Variant& variant : it->second) {
-    if (variant.shape == shape) {
-      ++stats_.hits;
-      return variant.declared;
-    }
-  }
-  return nullptr;
-}
-
-void ExtentImageCache::store(const RegionBinding& binding, std::uint64_t n,
-                             std::optional<Shape> shape,
-                             std::shared_ptr<const Declaration> declared) {
-  common::MutexLock lock(mutex_);
-  ++stats_.misses;
-  if (!shape) {
-    ++stats_.non_affine;
-    return;
-  }
-  std::vector<Variant>& variants = variants_[Key{&binding, n}];
-  for (const Variant& variant : variants) {
-    if (variant.shape == *shape) return;  // raced with an identical walk
-  }
-  if (variants.size() >= kMaxVariants) variants.erase(variants.begin());
-  variants.push_back(Variant{std::move(*shape), std::move(declared)});
-}
-
 // --- LaunchAudit -------------------------------------------------------------
 
-std::vector<LaunchAudit::Interval> LaunchAudit::merge_sorted(const std::vector<Entry>& sorted) {
-  std::vector<Interval> merged;
-  for (const Entry& e : sorted) {
-    if (!merged.empty() && e.begin <= merged.back().end) {
-      merged.back().end = std::max(merged.back().end, e.end);
-    } else {
-      merged.push_back(Interval{e.begin, e.end});
-    }
-  }
-  return merged;
-}
-
 LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, AuditMode mode,
-                         bool differential, ExtentImageCache* cache)
+                         bool differential, bool prove)
     : name_(binding.name.empty() ? std::string("<unnamed>") : binding.name),
       mode_(mode),
-      differential_(differential) {
-  if (!binding.commit_extents) {
+      differential_(differential),
+      declared_(!binding.commit_extents.empty()) {
+  if (!declared_) {
     if (mode_ == AuditMode::kEnforce) {
       throw ConfigError(std::string(kConflictToken) + " audit: binding '" + name_ +
                         "' declares independent_items but no commit_extents; the claim "
@@ -212,68 +182,115 @@ LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, AuditMod
     conflicts_.push_back(std::move(report));
     return;
   }
+  commit_rows_ = clamped(binding.commit_extents, n);
+  read_rows_ = clamped(binding.read_extents, n);
 
-  // Cheap path first: three probes give the launch's affine shape, and a
-  // previous launch of this (binding, n) pair may have walked it already.
-  std::optional<ExtentImageCache::Shape> shape;
-  if (cache != nullptr) {
-    shape = ExtentImageCache::probe(binding, n);
-    if (shape) declared_ = cache->lookup(binding, n, *shape);
+  // Cheap path first: a launch the rows prove clean has no overlap to
+  // report, so it is never walked. Any other launch walks every item.
+  exclusive_ = image_of(commit_rows_, /*with_commuting=*/false);
+  if (!prove || !prove_clean()) {
+    expand();
+    add_overlaps();
   }
-  if (!declared_) {
-    declared_ = walk(binding, n, shape);
-    if (cache != nullptr) cache->store(binding, n, std::move(shape), declared_);
+  if (differential_) {
+    all_ = image_of(commit_rows_, /*with_commuting=*/true);
+    pre_ = snapshot();
   }
-  if (differential_) pre_ = snapshot();
 }
 
-std::shared_ptr<const LaunchAudit::Declaration> LaunchAudit::walk(
-    const RegionBinding& binding, std::uint64_t n,
-    std::optional<ExtentImageCache::Shape>& shape) {
-  // The walk costs the extent callbacks once per item — audit-mode only,
-  // and cheap address arithmetic inside. Each item is checked against the
-  // probed shape, so a pattern that is affine only at the probes is not
-  // cached.
-  ExtentSink::Channels extents;
-  for (std::uint64_t item = 0; item < n; ++item) {
-    const std::array<std::size_t, ExtentSink::kChannels> from{
-        extents[ExtentSink::kWrites].size(), extents[ExtentSink::kCommuting].size(),
-        extents[ExtentSink::kReads].size()};
-    ExtentSink::declare(binding, item, extents);
-    if (shape && !ExtentImageCache::matches(*shape, extents, from, item)) shape.reset();
+std::vector<LaunchAudit::Interval> LaunchAudit::merged(std::vector<Interval> spans) {
+  std::sort(spans.begin(), spans.end(),
+            [](const Interval& a, const Interval& b) { return a.begin < b.begin; });
+  std::vector<Interval> runs;
+  for (const Interval& iv : spans) {
+    if (!runs.empty() && iv.begin <= runs.back().end) {
+      runs.back().end = std::max(runs.back().end, iv.end);
+    } else {
+      runs.push_back(iv);
+    }
   }
-  std::vector<Entry>& writes = extents[ExtentSink::kWrites];
-  std::vector<Entry>& commuting = extents[ExtentSink::kCommuting];
-  std::vector<Entry>& reads = extents[ExtentSink::kReads];
+  return runs;
+}
 
-  auto declared = std::make_shared<Declaration>();
+std::vector<LaunchAudit::Interval> LaunchAudit::image_of(const std::vector<Extent>& rows,
+                                                         bool with_commuting) {
+  std::vector<Interval> spans;
+  for (const Extent& row : rows) {
+    if (row.commuting && !with_commuting) continue;
+    if (row.last - row.first == 1 || magnitude(row) <= row.len) {
+      const Hull h = hull(row);
+      spans.push_back(Interval{h.lo, h.hi});
+    } else {
+      for_each_item(row, [&spans](std::uintptr_t begin, std::uintptr_t end, std::uint64_t) {
+        spans.push_back(Interval{begin, end});
+      });
+    }
+  }
+  return merged(std::move(spans));
+}
+
+bool LaunchAudit::prove_clean() const {
+  struct Hulled {
+    Hull hull;
+    const Extent* row;
+    bool write;
+  };
+  std::vector<Hulled> rows;
+  for (const Extent& w : commit_rows_) {
+    if (w.commuting) continue;
+    // Self-disjoint: consecutive items' bytes never meet.
+    if (w.last - w.first > 1 && magnitude(w) < w.len) return false;
+    rows.push_back(Hulled{hull(w), &w, true});
+  }
+  for (const Extent& r : read_rows_) rows.push_back(Hulled{hull(r), &r, false});
+  // Sweep in hull order: each row meets only the later rows whose hulls
+  // start inside its own, so disjoint rows cost a sort, however many
+  // single-item rows an irregular pattern declares.
+  std::sort(rows.begin(), rows.end(),
+            [](const Hulled& a, const Hulled& b) { return a.hull.lo < b.hull.lo; });
+  for (std::size_t a = 0; a < rows.size(); ++a) {
+    for (std::size_t b = a + 1; b < rows.size() && rows[b].hull.lo < rows[a].hull.hi; ++b) {
+      if ((rows[a].write || rows[b].write) &&
+          distinct_items_may_meet(*rows[a].row, *rows[b].row)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+void LaunchAudit::expand() {
+  walked_ = true;
+  // The walk costs a few address computations per item and row, and only
+  // on launches the rows do not prove clean (or that have a finding).
+  for (const Extent& row : commit_rows_) {
+    std::vector<Entry>& into = row.commuting ? commuting_ : writes_;
+    for_each_item(row, [&into](std::uintptr_t begin, std::uintptr_t end, std::uint64_t item) {
+      into.push_back(Entry{begin, end, item});
+    });
+  }
+  for (const Extent& row : read_rows_) {
+    for_each_item(row, [this](std::uintptr_t begin, std::uintptr_t end, std::uint64_t item) {
+      reads_.push_back(Entry{begin, end, item});
+    });
+  }
   // Sorting makes every report independent of the declaration order; a
-  // row-major layout declares its writes in address order already.
-  if (!std::is_sorted(writes.begin(), writes.end(), entry_less)) {
-    std::sort(writes.begin(), writes.end(), entry_less);
-  }
-  declared->exclusive = merge_sorted(writes);
-  if (commuting.empty()) {
-    declared->all = declared->exclusive;
-  } else {
-    std::vector<Entry> both(writes);
-    both.insert(both.end(), commuting.begin(), commuting.end());
-    std::sort(both.begin(), both.end(), entry_less);
-    declared->all = merge_sorted(both);
-  }
+  // single row-major write row is in address order already.
+  if (!std::is_sorted(writes_.begin(), writes_.end())) std::sort(writes_.begin(), writes_.end());
+}
 
+void LaunchAudit::add_overlaps() {
   // Write/write: each entry against the sorted tail it overlaps. The
   // inner scan ends at the first non-overlapping entry, so disjoint
   // (correct) bindings cost one comparison per entry; findings are
   // capped, and once the cap is hit the scan stops entirely.
-  std::vector<ExtentImageCache::Overlap>& overlaps = declared->overlaps;
-  for (std::size_t i = 0; i < writes.size() && overlaps.size() < kMaxReports; ++i) {
-    for (std::size_t j = i + 1; j < writes.size() && writes[j].begin < writes[i].end; ++j) {
-      if (writes[i].item == writes[j].item) continue;
-      overlaps.push_back({ConflictReport::Kind::kWriteWrite, writes[i].item, writes[j].item,
-                          std::max(writes[i].begin, writes[j].begin),
-                          std::min(writes[i].end, writes[j].end)});
-      if (overlaps.size() >= kMaxReports) break;
+  for (std::size_t i = 0; i < writes_.size() && conflicts_.size() < kMaxReports; ++i) {
+    for (std::size_t j = i + 1; j < writes_.size() && writes_[j].begin < writes_[i].end; ++j) {
+      if (writes_[i].item == writes_[j].item) continue;
+      add_conflict(ConflictReport::Kind::kWriteWrite, writes_[i].item, writes_[j].item,
+                   std::max(writes_[i].begin, writes_[j].begin),
+                   std::min(writes_[i].end, writes_[j].end));
+      if (conflicts_.size() >= kMaxReports) break;
     }
   }
 
@@ -284,43 +301,33 @@ std::shared_ptr<const LaunchAudit::Declaration> LaunchAudit::walk(
   // another item's write observes whichever schedule committed (or did not
   // yet commit) that write.
   std::vector<Entry> touching;
-  for (const Entry& r : reads) {
-    const auto it = std::partition_point(
-        declared->exclusive.begin(), declared->exclusive.end(),
-        [&r](const Interval& iv) { return iv.end <= r.begin; });
-    if (it != declared->exclusive.end() && it->begin < r.end) touching.push_back(r);
+  for (const Entry& r : reads_) {
+    const auto it =
+        std::partition_point(exclusive_.begin(), exclusive_.end(),
+                             [&r](const Interval& iv) { return iv.end <= r.begin; });
+    if (it != exclusive_.end() && it->begin < r.end) touching.push_back(r);
   }
-  std::sort(touching.begin(), touching.end(), entry_less);
+  std::sort(touching.begin(), touching.end());
   std::size_t w = 0;
   for (const Entry& r : touching) {
-    if (overlaps.size() >= kMaxReports) break;
-    while (w < writes.size() && writes[w].end <= r.begin) ++w;
-    for (std::size_t j = w; j < writes.size() && writes[j].begin < r.end; ++j) {
-      if (writes[j].item == r.item || writes[j].end <= r.begin) continue;
-      overlaps.push_back({ConflictReport::Kind::kReadWrite, r.item, writes[j].item,
-                          std::max(r.begin, writes[j].begin), std::min(r.end, writes[j].end)});
-      if (overlaps.size() >= kMaxReports) break;
+    if (conflicts_.size() >= kMaxReports) break;
+    while (w < writes_.size() && writes_[w].end <= r.begin) ++w;
+    for (std::size_t j = w; j < writes_.size() && writes_[j].begin < r.end; ++j) {
+      if (writes_[j].item == r.item || writes_[j].end <= r.begin) continue;
+      add_conflict(ConflictReport::Kind::kReadWrite, r.item, writes_[j].item,
+                   std::max(r.begin, writes_[j].begin), std::min(r.end, writes_[j].end));
+      if (conflicts_.size() >= kMaxReports) break;
     }
   }
-
-  declared->writes = std::move(writes);
-  declared->others = std::move(commuting);
-  declared->others.insert(declared->others.end(), reads.begin(), reads.end());
-  return declared;
 }
 
 std::vector<ConflictReport> LaunchAudit::close(const std::function<void()>& rerun_reversed) {
-  if (declared_) {
-    for (const ExtentImageCache::Overlap& o : declared_->overlaps) {
-      add_conflict(o.kind, o.item_a, o.item_b, o.begin, o.end);
-    }
-    if (differential_) {
-      const std::vector<unsigned char> after = snapshot();
-      restore(pre_);
-      rerun_reversed();
-      compare_with(after);
-      restore(after);
-    }
+  if (declared_ && differential_) {
+    const std::vector<unsigned char> after = snapshot();
+    restore(pre_);
+    rerun_reversed();
+    compare_with(after);
+    restore(after);
   }
   if (!conflicts_.empty() && mode_ == AuditMode::kEnforce) {
     throw ConfigError(std::string(kConflictToken) + " audit failed for binding '" + name_ +
@@ -338,24 +345,26 @@ void LaunchAudit::add_conflict(ConflictReport::Kind kind, std::uint64_t item_a,
   report.binding = name_;
   report.item_a = std::min(item_a, item_b);
   report.item_b = std::max(item_a, item_b);
-  if (regions_.empty()) {
-    // Offset origins, built on a launch's first finding (a clean launch
-    // never reads them): the contiguous runs of every item's declared
-    // bytes. A report's byte range is expressed relative to its containing
-    // run, so multi-array bindings produce the same offsets regardless of
-    // where the allocator placed each array.
-    std::vector<Entry> all(declared_->writes);
-    all.insert(all.end(), declared_->others.begin(), declared_->others.end());
-    std::sort(all.begin(), all.end(), entry_less);
-    regions_ = merge_sorted(all);
-  }
   const std::uintptr_t origin = region_base_of(begin);
   report.begin = static_cast<std::uint64_t>(begin - origin);
   report.end = static_cast<std::uint64_t>(end - origin);
   conflicts_.push_back(std::move(report));
 }
 
-std::uintptr_t LaunchAudit::region_base_of(std::uintptr_t addr) const {
+std::uintptr_t LaunchAudit::region_base_of(std::uintptr_t addr) {
+  if (regions_.empty()) {
+    // Offset origins, built on a launch's first finding (a clean launch
+    // never reads them): the contiguous runs of every item's declared
+    // bytes. A report's byte range is expressed relative to its containing
+    // run, so multi-array bindings produce the same offsets regardless of
+    // where the allocator placed each array.
+    if (!walked_) expand();
+    std::vector<Interval> spans;
+    for (const std::vector<Entry>* entries : {&writes_, &commuting_, &reads_}) {
+      for (const Entry& e : *entries) spans.push_back(Interval{e.begin, e.end});
+    }
+    regions_ = merged(std::move(spans));
+  }
   std::uintptr_t origin = 0;
   for (const Interval& region : regions_) {
     if (region.begin > addr) break;  // sorted: nothing later can contain addr
@@ -365,8 +374,9 @@ std::uintptr_t LaunchAudit::region_base_of(std::uintptr_t addr) const {
   return origin;  // unreachable for declared addresses; keep offsets sane anyway
 }
 
-std::uint64_t LaunchAudit::owner_of(std::uintptr_t addr) const {
-  for (const Entry& e : declared_->writes) {
+std::uint64_t LaunchAudit::owner_of(std::uintptr_t addr) {
+  if (!walked_) expand();
+  for (const Entry& e : writes_) {
     if (e.begin > addr) break;  // sorted by begin: nothing later can cover addr
     if (addr < e.end) return e.item;
   }
@@ -375,7 +385,7 @@ std::uint64_t LaunchAudit::owner_of(std::uintptr_t addr) const {
 
 std::vector<unsigned char> LaunchAudit::snapshot() const {
   std::vector<unsigned char> bytes;
-  for (const Interval& iv : declared_->all) {
+  for (const Interval& iv : all_) {
     const auto* begin = reinterpret_cast<const unsigned char*>(iv.begin);
     bytes.insert(bytes.end(), begin, begin + (iv.end - iv.begin));
   }
@@ -384,7 +394,7 @@ std::vector<unsigned char> LaunchAudit::snapshot() const {
 
 void LaunchAudit::restore(const std::vector<unsigned char>& bytes) const {
   std::size_t offset = 0;
-  for (const Interval& iv : declared_->all) {
+  for (const Interval& iv : all_) {
     const std::size_t len = iv.end - iv.begin;
     std::memcpy(reinterpret_cast<void*>(iv.begin), bytes.data() + offset, len);
     offset += len;
@@ -395,16 +405,15 @@ void LaunchAudit::compare_with(const std::vector<unsigned char>& reference) {
   // Map each exclusive interval into the snapshot's `all` layout. Every
   // exclusive interval lies inside exactly one merged all-interval (the
   // all set is a superset and both are merged).
-  const std::vector<Interval>& all = declared_->all;
   std::size_t all_index = 0;
   std::size_t all_offset = 0;
-  for (const Interval& iv : declared_->exclusive) {
-    while (all_index < all.size() && all[all_index].end <= iv.begin) {
-      all_offset += all[all_index].end - all[all_index].begin;
+  for (const Interval& iv : exclusive_) {
+    while (all_index < all_.size() && all_[all_index].end <= iv.begin) {
+      all_offset += all_[all_index].end - all_[all_index].begin;
       ++all_index;
     }
-    if (all_index >= all.size()) break;
-    const std::size_t start = all_offset + (iv.begin - all[all_index].begin);
+    if (all_index >= all_.size()) break;
+    const std::size_t start = all_offset + (iv.begin - all_[all_index].begin);
     const auto* live = reinterpret_cast<const unsigned char*>(iv.begin);
     const unsigned char* ref = reference.data() + start;
     const std::size_t len = iv.end - iv.begin;

@@ -1,18 +1,14 @@
 #pragma once
 
-#include <array>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
-
-#include "common/annotated_mutex.hpp"
 
 namespace hpac::approx {
 
@@ -25,8 +21,8 @@ struct RegionBinding;
 /// The engine's warp-sharded fast path is only sound when region
 /// invocations of different items really touch disjoint state. Instead of
 /// trusting the app author, the auditor checks the binding's own
-/// declaration: every item of the launch declares the byte intervals its
-/// commit writes (`commit_extents`) and, optionally, what it reads
+/// declaration: rows of data (`Extent`) give the bytes each item's commit
+/// writes (`commit_extents`) and, optionally, what it reads
 /// (`read_extents`), and any overlap between distinct items is a finding.
 /// The check covers items [0, n) whatever the technique skips, so findings
 /// do not depend on the technique, and the engine's walk carries no audit
@@ -78,171 +74,62 @@ struct ConflictReport {
   std::string to_string() const;
 };
 
-/// The channel a binding's extent callbacks declare intervals through.
-/// `commit_extents` uses `writes` for item-exclusive output ranges and
-/// `commuting` for shared state whose updates commute exactly (atomic
-/// counters): commuting ranges are exempt from the overlap check but are
-/// still snapshot/restored around differential re-runs so auditing never
-/// changes what the application observes. `read_extents` uses `reads`.
-class ExtentSink {
- public:
-  void writes(const void* ptr, std::size_t len);
-  void commuting(const void* ptr, std::size_t len);
-  void reads(const void* ptr, std::size_t len);
+/// One row of a binding's declared extents (`RegionBinding::commit_extents`
+/// or `read_extents`): each item i of [first, last) covers the `len` bytes
+/// at `ptr + (i - first) * stride`, so `ptr` points at item `first`'s
+/// bytes. The item range is clamped to the launch's [0, n); the default
+/// covers every item. The stride may be negative (a reversed layout) or
+/// zero (every item touches the same bytes). A null `ptr` or a zero `len`
+/// declares nothing.
+struct Extent {
+  static constexpr std::uint64_t kAllItems = std::numeric_limits<std::uint64_t>::max();
 
-  /// One declared interval and the channels that collect them
-  /// (implementation detail, public only so the audit's containers can
-  /// name them).
-  struct Entry {
-    std::uintptr_t begin = 0;
-    std::uintptr_t end = 0;
-    std::uint64_t item = 0;
-  };
-  enum Channel : std::size_t { kWrites, kCommuting, kReads, kChannels };
-  using Channels = std::array<std::vector<Entry>, kChannels>;
-
- private:
-  friend class LaunchAudit;
-  friend class ExtentImageCache;
-
-  ExtentSink(Channels& into, std::uint64_t item) : into_(into), item_(item) {}
-
-  /// Append `item`'s declared extents (commits, then reads) to `into`.
-  static void declare(const RegionBinding& binding, std::uint64_t item, Channels& into);
-  void put(Channel channel, const void* ptr, std::size_t len);
-
-  Channels& into_;
-  std::uint64_t item_;
+  const void* ptr = nullptr;
+  std::ptrdiff_t stride = 0;
+  std::size_t len = 0;
+  std::uint64_t first = 0;
+  std::uint64_t last = kAllItems;
+  /// Commit rows only: shared state whose updates commute exactly (an
+  /// atomic counter). Commuting rows are exempt from the overlap check but
+  /// are still snapshot/restored around differential re-runs, so auditing
+  /// never changes what the application observes.
+  bool commuting = false;
 };
 
-/// Memoizes the declared check of a launch — the walk over every item's
-/// `commit_extents` and `read_extents` and everything derived from it —
-/// for the same binding launching hundreds of times with identical
-/// extents, as it does in a sweep. Every audited launch first probes items
-/// {0, 1, n-1} into one *affine shape* (entry k of a channel for item i
-/// lives at `base_k + i * stride_k` with a constant length — every
-/// `bind_row_commit_extents`-style binding). When the shape equals a
-/// stored variant of the (binding, n) pair, the variant's declaration is
-/// reused and the O(n) walk is skipped. Otherwise the launch walks every
-/// item, checks each against the same shape and stores it as a variant
-/// unless some item broke it. The shape includes the base addresses, so a
-/// binding that commits into a different buffer each launch (ping-pong
-/// stencils) simply occupies one variant slot per buffer. Non-affine
-/// bindings are walked exactly, per launch.
-///
-/// Thread-safe; owned by the RegionExecutor (one cache per executor, so
-/// binding addresses — the cache key — cannot collide across executors
-/// whose bindings' lifetimes overlap).
-class ExtentImageCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;        ///< walks skipped (probe matched a variant)
-    std::uint64_t misses = 0;      ///< full walks performed
-    std::uint64_t non_affine = 0;  ///< walks whose pattern was not cacheable
-  };
-
-  Stats stats() const {
-    common::MutexLock lock(mutex_);
-    return stats_;
-  }
-
-  /// Variants retained per (binding, n) key — enough for a ping-pong pair
-  /// plus slack; the oldest variant is evicted beyond this.
-  static constexpr std::size_t kMaxVariants = 4;
-
- private:
-  friend class LaunchAudit;
-  using Entry = ExtentSink::Entry;
-  using Channels = ExtentSink::Channels;
-
-  /// A merged contiguous byte range of audited memory.
-  struct Interval {
-    std::uintptr_t begin = 0;
-    std::uintptr_t end = 0;
-  };
-  /// One overlap between distinct items, in absolute addresses; turned
-  /// into a ConflictReport (relative offsets) only when it is raised.
-  struct Overlap {
-    ConflictReport::Kind kind = ConflictReport::Kind::kWriteWrite;
-    std::uint64_t item_a = 0;
-    std::uint64_t item_b = 0;
-    std::uintptr_t begin = 0;
-    std::uintptr_t end = 0;
-  };
-  /// Everything the audit derives from one walk over items [0, n).
-  struct Declaration {
-    std::vector<Interval> exclusive;  ///< merged writes (differential compare)
-    std::vector<Interval> all;        ///< merged writes and commuting (snapshot)
-    std::vector<Entry> writes;        ///< sorted; differential owners
-    std::vector<Entry> others;        ///< commuting and reads, unsorted; offset origins
-    std::vector<Overlap> overlaps;    ///< write/write then read/write, capped
-  };
-  /// One extent-callback entry under the affine model. `stride` is the
-  /// per-item displacement in wrapping address arithmetic, so "negative"
-  /// strides work unchanged.
-  struct AffineEntry {
-    std::uintptr_t base = 0;
-    std::uintptr_t stride = 0;
-    std::size_t len = 0;
-    bool operator==(const AffineEntry&) const = default;
-  };
-  struct Shape {
-    std::array<std::vector<AffineEntry>, ExtentSink::kChannels> channels;
-    bool operator==(const Shape&) const = default;
-  };
-  struct Variant {
-    Shape shape;
-    std::shared_ptr<const Declaration> declared;
-  };
-  using Key = std::pair<const void*, std::uint64_t>;  ///< (binding, n)
-
-  /// The affine shape of items {0, 1, n-1}: item 0 fixes bases and
-  /// lengths, item 1 the strides, item n-1 must match. Nullopt when they
-  /// do not fit one shape.
-  static std::optional<Shape> probe(const RegionBinding& binding, std::uint64_t n);
-  /// Whether `item`'s entries — those of each channel of `extents` from
-  /// index `from[channel]` on — are exactly what `shape` predicts.
-  static bool matches(const Shape& shape, const Channels& extents,
-                      const std::array<std::size_t, ExtentSink::kChannels>& from,
-                      std::uint64_t item);
-
-  /// The declaration of the stored variant of (binding, n) with this shape.
-  std::shared_ptr<const Declaration> lookup(const RegionBinding& binding, std::uint64_t n,
-                                            const Shape& shape);
-  /// Count a full walk and keep its declaration under the shape that
-  /// every walked item matched (nullopt = non-affine, counted but not
-  /// stored).
-  void store(const RegionBinding& binding, std::uint64_t n, std::optional<Shape> shape,
-             std::shared_ptr<const Declaration> declared);
-
-  mutable common::Mutex mutex_;
-  std::map<Key, std::vector<Variant>> variants_ GUARDED_BY(mutex_);
-  Stats stats_ GUARDED_BY(mutex_);
-};
+/// The dense row: item i covers the `per_item` consecutive `T`s at
+/// `base + i * per_item`.
+template <typename T>
+Extent dense(const T* base, std::size_t per_item = 1) {
+  const std::size_t len = per_item * sizeof(T);
+  return Extent{base, static_cast<std::ptrdiff_t>(len), len};
+}
 
 /// The audit of one region launch, opened before it executes and closed
 /// after its shards join:
 ///
-///   LaunchAudit audit(binding, n, mode, differential, cache);
+///   LaunchAudit audit(binding, n, mode, differential, prove);
 ///   ... the launch runs, unaware of the audit ...
 ///   conflicts = audit.close(rerun_reversed);
 ///
-/// Opening checks the declaration: one walk over items [0, n) (or a cache
-/// hit) gives the write/write and read/write overlaps, and with the
-/// differential pass snapshots the declared bytes, so the pre-image is the
-/// true initial state. Closing re-executes the launch through
-/// `rerun_reversed` from the restored pre-image when the differential
-/// pass is on, then raises every finding. Under kEnforce any finding
-/// becomes a ConfigError.
+/// Opening checks the declaration over items [0, n). With `prove`, the
+/// rows alone are first tried: every write row must be self-disjoint,
+/// and every pair of write rows and every read/write pair must be
+/// hull-disjoint or share a stride at which no two distinct items'
+/// bytes meet. A launch the rows prove clean is never walked. Otherwise
+/// one walk over every item's entries gives the write/write and
+/// read/write overlaps. With the differential pass, opening snapshots the
+/// declared bytes, so the pre-image is the true initial state. Closing
+/// re-executes the launch through `rerun_reversed` from the restored
+/// pre-image when the differential pass is on, then raises every
+/// finding. Under kEnforce any finding becomes a ConfigError.
 class LaunchAudit {
  public:
   /// Throws ConfigError under kEnforce when the binding declares no
   /// `commit_extents` (the independence claim cannot be verified); under
   /// kReport that launch is not checked and closes with one
-  /// kMissingExtents report. The walk is served by `cache` when it holds
-  /// this launch's shape. `binding` must outlive the constructor only.
+  /// kMissingExtents report. `binding` must outlive the constructor only.
   LaunchAudit(const RegionBinding& binding, std::uint64_t n, AuditMode mode, bool differential,
-              ExtentImageCache* cache);
+              bool prove);
 
   /// Close the audit once every shard has finished. With the differential
   /// pass: snapshots the audited post-image, restores the pre-image, calls
@@ -256,17 +143,37 @@ class LaunchAudit {
   std::vector<ConflictReport> close(const std::function<void()>& rerun_reversed);
 
  private:
-  using Interval = ExtentImageCache::Interval;
-  using Entry = ExtentSink::Entry;
-  using Declaration = ExtentImageCache::Declaration;
   static constexpr std::size_t kMaxReports = 8;
 
-  /// Merge sorted entries into their overlapping or touching runs.
-  static std::vector<Interval> merge_sorted(const std::vector<Entry>& sorted);
-  /// Walk every item's declared extents and derive the declaration;
-  /// resets `shape` at the first item that does not fit it.
-  static std::shared_ptr<const Declaration> walk(const RegionBinding& binding, std::uint64_t n,
-                                                 std::optional<ExtentImageCache::Shape>& shape);
+  /// A merged contiguous byte range of audited memory.
+  struct Interval {
+    std::uintptr_t begin = 0;
+    std::uintptr_t end = 0;
+  };
+  /// One item's bytes of one row, as the walk expands them; ordered by
+  /// begin, then end, then item.
+  struct Entry {
+    std::uintptr_t begin = 0;
+    std::uintptr_t end = 0;
+    std::uint64_t item = 0;
+    auto operator<=>(const Entry&) const = default;
+  };
+
+  /// The merged union of the rows' bytes: write rows, plus commuting
+  /// rows when `with_commuting`. A row whose items' bytes abut or overlap
+  /// adds its hull; any other row adds each item's bytes.
+  static std::vector<Interval> image_of(const std::vector<Extent>& rows, bool with_commuting);
+  /// Sort `spans` and merge them into their overlapping or touching runs.
+  static std::vector<Interval> merged(std::vector<Interval> spans);
+  /// Whether the rows alone show that no two distinct items' writes
+  /// overlap and no item reads another's writes.
+  bool prove_clean() const;
+  /// Expand every row into its items' entries (the walk); the writes come
+  /// out sorted, so they give differential owners.
+  void expand();
+  /// The walk's write/write and read/write overlaps between distinct
+  /// items, in address order, raised as findings.
+  void add_overlaps();
   std::vector<unsigned char> snapshot() const;
   void restore(const std::vector<unsigned char>& bytes) const;
   /// Compare `reference` (the audited run's post-image) against live
@@ -276,17 +183,25 @@ class LaunchAudit {
   void add_conflict(ConflictReport::Kind kind, std::uint64_t item_a, std::uint64_t item_b,
                     std::uintptr_t begin, std::uintptr_t end);
   /// Item of the declared write entry covering `addr` (first in sort order).
-  std::uint64_t owner_of(std::uintptr_t addr) const;
+  std::uint64_t owner_of(std::uintptr_t addr);
   /// Base address of the contiguous audited run containing `addr` — the
   /// offset origin that keeps reports independent of heap layout.
-  std::uintptr_t region_base_of(std::uintptr_t addr) const;
+  std::uintptr_t region_base_of(std::uintptr_t addr);
 
   std::string name_;
   AuditMode mode_;
   bool differential_;
-  std::shared_ptr<const Declaration> declared_;  ///< null when commit_extents is missing
+  bool declared_ = false;  ///< the binding declares commit_extents
+  bool walked_ = false;
+  std::vector<Extent> commit_rows_;  ///< clamped to [0, n); rows covering nothing dropped
+  std::vector<Extent> read_rows_;
+  std::vector<Interval> exclusive_;  ///< merged writes (walk, differential compare)
+  std::vector<Interval> all_;        ///< merged writes and commuting (snapshot)
+  std::vector<Entry> writes_;        ///< walked, sorted; differential owners
+  std::vector<Entry> commuting_;     ///< walked; offset origins
+  std::vector<Entry> reads_;         ///< walked; read/write overlaps, offset origins
+  std::vector<Interval> regions_;    ///< offset origins, built on the first finding
   std::vector<ConflictReport> conflicts_;
-  std::vector<Interval> regions_;   ///< offset origins, built on the first finding
   std::vector<unsigned char> pre_;  ///< declared bytes taken at construction (differential)
 };
 

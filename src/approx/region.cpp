@@ -693,7 +693,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   std::optional<audit::LaunchAudit> auditor;
   if (tuning_.audit_mode != audit::AuditMode::kOff && binding.independent_items && n > 0) {
     auditor.emplace(binding, n, tuning_.audit_mode, tuning_.audit_differential,
-                    tuning_.audit_extent_cache ? &audit_extent_cache_ : nullptr);
+                    tuning_.audit_extent_cache);
   }
 
   // Every launch, sharded or not, charges one tracker: each shard owns a

@@ -99,26 +99,28 @@ struct RegionBinding {
 
   // --- audit introspection (optional) --------------------------------------
 
-  /// Declare the byte intervals `commit` writes for `item`, through
-  /// `sink.writes(ptr, len)` (item-exclusive output) and
-  /// `sink.commuting(ptr, len)` (shared state whose updates commute
-  /// exactly, e.g. an atomic counter). The commit-conflict auditor
-  /// (`ExecTuning::audit_mode`) verifies that exclusive intervals of
-  /// distinct items never overlap — the property `independent_items`
-  /// asserts. The declaration must be *complete*: `commit` must write no
-  /// bytes outside the declared intervals, since the differential re-run
-  /// snapshots and restores exactly these bytes (an under-declared
-  /// order-dependent write is invisible to the auditor and would survive
-  /// the re-run). Cheap address arithmetic only; never invoked when
-  /// auditing is off. An `independent_items` binding without this
-  /// callback fails `enforce` audits (the claim cannot be verified).
-  std::function<void(std::uint64_t item, audit::ExtentSink& sink)> commit_extents;
+  /// The bytes `commit` writes, as rows of data (`audit::Extent`): each
+  /// row gives, for every item of its range, `len` bytes at
+  /// `ptr + (item - first) * stride`. Rows are item-exclusive output, or
+  /// `commuting` for shared state whose updates commute exactly (an atomic
+  /// counter). The commit-conflict auditor (`ExecTuning::audit_mode`)
+  /// verifies that exclusive bytes of distinct items never overlap — the
+  /// property `independent_items` asserts. The declaration must be
+  /// *complete*: `commit` must write no bytes outside the declared rows,
+  /// since the differential re-run snapshots and restores exactly these
+  /// bytes (an under-declared order-dependent write is invisible to the
+  /// auditor and would survive the re-run). Rows hold raw pointers, so a
+  /// binding whose buffers move between launches (ping-pong swaps)
+  /// re-declares them before each launch. Never read when auditing is off.
+  /// An `independent_items` binding without rows fails `enforce` audits
+  /// (the claim cannot be verified).
+  std::vector<audit::Extent> commit_extents;
 
-  /// Declare the byte intervals the gather/accurate path reads for `item`
-  /// through `sink.reads(ptr, len)`. Optional: enables static read-vs-
-  /// write overlap detection; read-side dependences of bindings without
-  /// it are only caught by the differential audit re-run.
-  std::function<void(std::uint64_t item, audit::ExtentSink& sink)> read_extents;
+  /// The bytes the gather/accurate path reads, as rows (`commuting` is
+  /// ignored). Optional: enables static read-vs-write overlap detection;
+  /// read-side dependences of bindings without it are only caught by the
+  /// differential audit re-run.
+  std::vector<audit::Extent> read_extents;
 };
 
 /// Execution counters produced by a region run.
@@ -231,11 +233,13 @@ struct ExecTuning {
   /// Roughly doubles the cost of audited launches; application state is
   /// restored afterwards, so results are unchanged.
   bool audit_differential = false;
-  /// Memoize the whole declared check (see `audit::ExtentImageCache`), in
-  /// both audit modes: a launch whose three probed items give the affine
-  /// shape of a stored variant of the same (binding, n) pair reuses its
-  /// findings, image and owners and skips the walk over all items. Off →
-  /// no probe; every audited launch walks.
+  /// Try to prove each audited launch clean from its binding's rows
+  /// alone (every write row self-disjoint, every write/write and
+  /// read/write pair of rows hull-disjoint or meeting only within one
+  /// item), so a provably clean launch is never walked. False → every
+  /// audited launch walks its items' extents, the reference the proof
+  /// must agree with. Findings are the same either way. (The name
+  /// predates the rows, when this switched a cache of walked launches.)
   bool audit_extent_cache = true;
 };
 
@@ -312,12 +316,6 @@ class RegionExecutor {
   /// audited.
   static void set_default_audit(audit::AuditMode mode);
 
-  /// Declared-check memoization counters of this executor's audits
-  /// (hits = O(n) walks skipped).
-  audit::ExtentImageCache::Stats audit_cache_stats() const {
-    return audit_extent_cache_.stats();
-  }
-
  private:
   RegionReport run_impl(const pragma::ApproxSpec& spec, const RegionBinding& binding,
                         std::uint64_t n, const sim::LaunchConfig& launch,
@@ -326,9 +324,6 @@ class RegionExecutor {
   sim::DeviceConfig dev_;
   RuntimeCosts costs_;
   ExecTuning tuning_;
-  /// Mutable because `run()` is const (launching does not change what the
-  /// executor computes) while the cache learns shapes as launches go by.
-  mutable audit::ExtentImageCache audit_extent_cache_;
 };
 
 }  // namespace hpac::approx

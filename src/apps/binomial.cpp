@@ -125,7 +125,7 @@ harness::RunOutput BinomialOptions::run(const pragma::ApproxSpec& spec,
     bind_constant_cost(binding, 3.0 * steps * steps / 2.0 + 40.0);
     bind_commit(binding, commit_one);
     binding.independent_items = true;  // each item touches only prices[i]
-    bind_row_commit_extents(binding, prices, 1);
+    binding.commit_extents = {approx::audit::dense(prices.data())};
 
     const sim::LaunchConfig launch =
         sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());

@@ -134,16 +134,12 @@ harness::RunOutput Blackscholes::run(const pragma::ApproxSpec& spec,
     bind_constant_cost(binding, 180.0);
     bind_commit(binding, commit_one);
     binding.independent_items = true;  // each item touches only prices[i]
-    bind_row_commit_extents(binding, prices, 1);
+    using approx::audit::dense;
+    binding.commit_extents = {dense(prices.data())};
     // Read extents too: the five per-item input rows are disjoint from the
     // committed prices, which the auditor's read/write check confirms.
-    binding.read_extents = [this](std::uint64_t i, approx::audit::ExtentSink& sink) {
-      sink.reads(spot_.data() + i, sizeof(double));
-      sink.reads(strike_.data() + i, sizeof(double));
-      sink.reads(rate_.data() + i, sizeof(double));
-      sink.reads(volatility_.data() + i, sizeof(double));
-      sink.reads(expiry_.data() + i, sizeof(double));
-    };
+    binding.read_extents = {dense(spot_.data()), dense(strike_.data()), dense(rate_.data()),
+                            dense(volatility_.data()), dense(expiry_.data())};
 
     const sim::LaunchConfig launch =
         sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());

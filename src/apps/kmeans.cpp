@@ -135,11 +135,9 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   };
   bind_commit(binding, commit_one);
   binding.independent_items = true;  // membership[i] writes + commuting counter
-  binding.commit_extents = [&membership, &changed](std::uint64_t i,
-                                                   approx::audit::ExtentSink& sink) {
-    sink.writes(membership.data() + i, sizeof(int));
-    sink.commuting(&changed, sizeof(changed));
-  };
+  binding.commit_extents = {
+      approx::audit::dense(membership.data()),
+      {.ptr = &changed, .stride = 0, .len = sizeof(changed), .commuting = true}};
 
   const sim::LaunchConfig launch =
       sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());

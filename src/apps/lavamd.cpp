@@ -178,10 +178,8 @@ harness::RunOutput LavaMd::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   };
   bind_commit(force_binding, commit_one);
   force_binding.independent_items = true;
-  force_binding.commit_extents = [&](std::uint64_t item, approx::audit::ExtentSink& sink) {
-    sink.writes(contribution.data() + item * 4, 4 * sizeof(double));
-    sink.writes(committed.data() + item, 1);
-  };
+  force_binding.commit_extents = {approx::audit::dense(contribution.data(), 4),
+                                  approx::audit::dense(committed.data())};
 
   // `items_per_thread` counts particles per thread; every particle brings
   // 27 neighbor-box region invocations.
@@ -226,7 +224,7 @@ harness::RunOutput LavaMd::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   };
   bind_commit(move_binding, commit_move);
   move_binding.independent_items = true;  // each item touches only new_pos[i]
-  bind_row_commit_extents(move_binding, new_pos, 3);
+  move_binding.commit_extents = {approx::audit::dense(new_pos.data(), 3)};
   const sim::LaunchConfig move_launch =
       sim::launch_for_items_per_thread(n_particles, 1, threads_per_team());
   launch_kernel(dev, executor, apps::accurate_spec(), move_binding, n_particles, move_launch,

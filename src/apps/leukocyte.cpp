@@ -111,36 +111,31 @@ harness::RunOutput Leukocyte::run(const pragma::ApproxSpec& spec,
   };
   bind_commit(imgvf, commit_one);
   imgvf.independent_items = true;  // reads `field`, writes only next[item]
-  // `next` is captured by reference: the helper resolves the live buffer
-  // at audit time, so the swap between launches keeps extents truthful.
-  bind_row_commit_extents(imgvf, next, 1);
-  // The 5-point stencil reads the *previous* field (ping-ponged, hence the
-  // reference capture) plus the pixel's image value — all disjoint from
-  // the `next` rows this launch writes, which the auditor's read/write
-  // overlap check can now verify instead of taking on faith.
-  imgvf.read_extents = [this, s, &field, decode](std::uint64_t item,
-                                                 approx::audit::ExtentSink& sink) {
-    const auto [cell, i, j] = decode(item);
-    const auto point = [&](int row, int col) {
-      row = std::clamp(row, 0, s - 1);
-      col = std::clamp(col, 0, s - 1);
-      const std::size_t index =
-          (static_cast<std::size_t>(cell) * s + static_cast<std::size_t>(row)) * s +
-          static_cast<std::size_t>(col);
-      sink.reads(field.data() + index, sizeof(double));
-    };
-    sink.reads(image_.data() + item, sizeof(double));
-    point(i, j);
-    point(i - 1, j);
-    point(i + 1, j);
-    point(i, j - 1);
-    point(i, j + 1);
+  // Rows hold raw pointers and `field` and `next` swap buffers between
+  // iterations, so the rows are re-declared before every launch. The
+  // 5-point stencil clamps at its cell's border, so a pixel reads only
+  // its own cell of the *previous* field: each cell's pixels declare a
+  // read of that whole cell. The superset is harmless because this
+  // launch does not write `field`, and the auditor's read/write check
+  // verifies that instead of taking it on faith.
+  const std::uint64_t cell_pixels = static_cast<std::uint64_t>(s) * s;
+  const auto declare_extents = [&] {
+    imgvf.commit_extents = {approx::audit::dense(next.data())};
+    imgvf.read_extents = {approx::audit::dense(image_.data())};
+    for (std::uint64_t first = 0; first < n; first += cell_pixels) {
+      imgvf.read_extents.push_back({.ptr = field.data() + first,
+                                    .stride = 0,
+                                    .len = cell_pixels * sizeof(double),
+                                    .first = first,
+                                    .last = first + cell_pixels});
+    }
   };
 
   const sim::LaunchConfig launch =
       sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());
 
   for (int iter = 0; iter < params_.iterations; ++iter) {
+    declare_extents();
     launch_kernel(dev, executor, spec, imgvf, n, launch, &output.stats);
     std::swap(field, next);
     next = field;  // perforated pixels keep their previous value next round

@@ -41,6 +41,14 @@ harness::RunOutput Lulesh::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   std::vector<double> dt_bound(n);
   for (std::uint64_t j = 0; j < n; ++j) dt_bound[j] = courant_bound(j);
 
+  // Audit rows: `dense(f.data())` is element j's own f[j], and
+  // `node_pair(nodes)` its node pair nodes[j], nodes[j+1].
+  using approx::audit::dense;
+  const auto node_pair = [](const std::vector<double>& nodes) {
+    return approx::audit::Extent{
+        .ptr = nodes.data(), .stride = sizeof(double), .len = 2 * sizeof(double)};
+  };
+
   offload::Device dev(device);
   approx::RegionExecutor executor(device);
   harness::RunOutput output;
@@ -80,16 +88,12 @@ harness::RunOutput Lulesh::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   bind_constant_cost(hourglass_control, 220.0);
   bind_commit(hourglass_control, [&](std::uint64_t j, const double* out) { q[j] = out[0]; });
   hourglass_control.independent_items = true;  // writes only q[j]
-  bind_row_commit_extents(hourglass_control, q, 1);
+  hourglass_control.commit_extents = {dense(q.data())};
   // Element j reads its own state plus the u[j], u[j+1] node pair — the
   // stencil that makes this worth declaring: u is not written here, so
   // the cross-item overlap on u[j+1] is read/read and audits clean.
-  hourglass_control.read_extents = [&](std::uint64_t j, approx::audit::ExtentSink& sink) {
-    sink.reads(rho.data() + j, sizeof(double));
-    sink.reads(e.data() + j, sizeof(double));
-    sink.reads(p.data() + j, sizeof(double));
-    sink.reads(u.data() + j, 2 * sizeof(double));
-  };
+  hourglass_control.read_extents = {dense(rho.data()), dense(e.data()), dense(p.data()),
+                                    node_pair(u)};
 
   // --- kernel 2: CalcFBHourglassForceForElems (approximated) -------------
   approx::RegionBinding fb_hourglass;
@@ -113,13 +117,9 @@ harness::RunOutput Lulesh::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   bind_constant_cost(fb_hourglass, 180.0);
   bind_commit(fb_hourglass, [&](std::uint64_t j, const double* out) { sigma[j] = out[0]; });
   fb_hourglass.independent_items = true;  // writes only sigma[j]
-  bind_row_commit_extents(fb_hourglass, sigma, 1);
-  fb_hourglass.read_extents = [&](std::uint64_t j, approx::audit::ExtentSink& sink) {
-    sink.reads(p.data() + j, sizeof(double));
-    sink.reads(q.data() + j, sizeof(double));
-    sink.reads(rho.data() + j, sizeof(double));
-    sink.reads(u.data() + j, 2 * sizeof(double));  // u[j], u[j+1]
-  };
+  fb_hourglass.commit_extents = {dense(sigma.data())};
+  fb_hourglass.read_extents = {dense(p.data()), dense(q.data()), dense(rho.data()),
+                               node_pair(u)};
 
   // --- kernel 3: node update (accurate) -----------------------------------
   double dt = 1e-6;
@@ -151,19 +151,17 @@ harness::RunOutput Lulesh::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   });
   // Item i reads only its own u[i]/x[i] plus sigma (not written here).
   node_update.independent_items = true;
-  node_update.commit_extents = [&u, &x](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    sink.writes(u.data() + i, sizeof(double));
-    sink.writes(x.data() + i, sizeof(double));
-  };
+  node_update.commit_extents = {dense(u.data()), dense(x.data())};
   // Node i reads the two adjacent element stresses (sigma is not written
   // by this launch) and its own u/x — the same-item overlap with the
   // writes above is exempt from the read/write check by construction.
-  node_update.read_extents = [&, n](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    sink.reads(u.data() + i, sizeof(double));
-    sink.reads(x.data() + i, sizeof(double));
-    if (i > 0) sink.reads(sigma.data() + (i - 1), sizeof(double));
-    if (i < n) sink.reads(sigma.data() + i, sizeof(double));
-  };
+  // The wall node 0 has no left element and node n no right one, so
+  // sigma[i-1] covers nodes [1, n+1) and sigma[i] nodes [0, n).
+  node_update.read_extents = {
+      dense(u.data()), dense(x.data()),
+      {.ptr = sigma.data(), .stride = sizeof(double), .len = sizeof(double), .first = 1,
+       .last = n + 1},
+      {.ptr = sigma.data(), .stride = sizeof(double), .len = sizeof(double), .last = n}};
 
   // --- kernel 4: element update, EOS (accurate) ---------------------------
   approx::RegionBinding elem_update;
@@ -193,23 +191,12 @@ harness::RunOutput Lulesh::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   });
   // Item j reads x[j+1] (not written here) and its own element fields.
   elem_update.independent_items = true;
-  elem_update.commit_extents = [&e, &rho, &volume, &p, &dt_bound](
-                                   std::uint64_t j, approx::audit::ExtentSink& sink) {
-    sink.writes(e.data() + j, sizeof(double));
-    sink.writes(rho.data() + j, sizeof(double));
-    sink.writes(volume.data() + j, sizeof(double));
-    sink.writes(p.data() + j, sizeof(double));
-    sink.writes(dt_bound.data() + j, sizeof(double));
-  };
+  elem_update.commit_extents = {dense(e.data()), dense(rho.data()), dense(volume.data()),
+                                dense(p.data()), dense(dt_bound.data())};
   // Element j reads the x[j], x[j+1] node pair (not written here) and its
   // own element fields; q is read-only in this launch.
-  elem_update.read_extents = [&](std::uint64_t j, approx::audit::ExtentSink& sink) {
-    sink.reads(x.data() + j, 2 * sizeof(double));
-    sink.reads(volume.data() + j, sizeof(double));
-    sink.reads(e.data() + j, sizeof(double));
-    sink.reads(p.data() + j, sizeof(double));
-    sink.reads(q.data() + j, sizeof(double));
-  };
+  elem_update.read_extents = {node_pair(x), dense(volume.data()), dense(e.data()),
+                              dense(p.data()), dense(q.data())};
 
   const sim::LaunchConfig approx_launch =
       sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());

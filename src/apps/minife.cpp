@@ -81,7 +81,7 @@ harness::RunOutput MiniFe::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   };
   bind_commit(spmv, [&ap](std::uint64_t row, const double* out) { ap[row] = out[0]; });
   spmv.independent_items = true;  // reads p (stable here), writes only ap[row]
-  bind_row_commit_extents(spmv, ap, 1);
+  spmv.commit_extents = {approx::audit::dense(ap.data())};
 
   // --- vector kernels (accurate) -------------------------------------------
   double dot_acc = 0.0;
@@ -112,10 +112,7 @@ harness::RunOutput MiniFe::run(const pragma::ApproxSpec& spec, std::uint64_t ite
     r[i] = out[1];
   });
   update_x_r.independent_items = true;  // touches only x[i], r[i]
-  update_x_r.commit_extents = [&x, &r](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    sink.writes(x.data() + i, sizeof(double));
-    sink.writes(r.data() + i, sizeof(double));
-  };
+  update_x_r.commit_extents = {approx::audit::dense(x.data()), approx::audit::dense(r.data())};
 
   double rr_acc = 0.0;
   approx::RegionBinding dot_rr;
@@ -138,7 +135,7 @@ harness::RunOutput MiniFe::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   bind_constant_cost(update_p, 4.0);
   bind_commit(update_p, [&p](std::uint64_t i, const double* out) { p[i] = out[0]; });
   update_p.independent_items = true;  // touches only p[i]
-  bind_row_commit_extents(update_p, p, 1);
+  update_p.commit_extents = {approx::audit::dense(p.data())};
 
   const sim::LaunchConfig spmv_launch =
       sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());

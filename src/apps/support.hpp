@@ -65,22 +65,6 @@ inline void bind_constant_cost(approx::RegionBinding& binding, double cycles) {
   binding.accurate_cost_batch = [cycles](std::uint64_t, sim::LaneMask) { return cycles; };
 }
 
-/// `commit_extents` for the ubiquitous dense-row commit layout: item i's
-/// commit writes the `dims` consecutive elements at `target[i * dims]`.
-/// The container is captured by reference, so ping-pong buffers that are
-/// swapped between launches (leukocyte) resolve to the live buffer at
-/// audit time. Bindings with a non-row shape (several arrays, commuting
-/// counters) set `commit_extents` directly.
-template <typename T>
-void bind_row_commit_extents(approx::RegionBinding& binding, const std::vector<T>& target,
-                             int dims) {
-  binding.commit_extents = [&target, dims](std::uint64_t item,
-                                           approx::audit::ExtentSink& sink) {
-    sink.writes(target.data() + item * static_cast<std::size_t>(dims),
-                static_cast<std::size_t>(dims) * sizeof(T));
-  };
-}
-
 /// Accumulate the counters of one kernel launch into an aggregate (apps
 /// launch their approximated kernels many times per run).
 inline void accumulate_stats(approx::ExecStats& total, const approx::ExecStats& part) {

@@ -82,19 +82,23 @@ class MislabeledBenchmark : public harness::Benchmark {
     };
     apps::bind_commit(binding, commit_one);
     binding.independent_items = true;  // the (false, for most flaws) claim under test
-    if (flaw != Flaw::kUndeclaredExtents) {
-      // The extents themselves are truthful — the author knows *where*
-      // they write; the subtle judgment the auditor validates is whether
-      // those writes are independent across items.
-      binding.commit_extents = [&cells, cell_of](std::uint64_t i,
-                                                 approx::audit::ExtentSink& sink) {
-        sink.writes(cells.data() + cell_of(i), sizeof(double));
-      };
+    // The extents themselves are truthful — the author knows *where* they
+    // write; the subtle judgment the auditor validates is whether those
+    // writes are independent across items.
+    if (flaw == Flaw::kSharedCell) {
+      // Item i's cell i/2 is not a row pattern, so each item declares its
+      // own single-item row.
+      for (std::uint64_t i = 0; i < n; ++i) {
+        binding.commit_extents.push_back(
+            {.ptr = cells.data() + cell_of(i), .len = sizeof(double), .first = i, .last = i + 1});
+      }
+    } else if (flaw != Flaw::kUndeclaredExtents) {
+      binding.commit_extents = {approx::audit::dense(cells.data())};
     }
     if (flaw == Flaw::kDeclaredReadNeighbor) {
-      binding.read_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
-        if (i > 0) sink.reads(cells.data() + (i - 1), sizeof(double));
-      };
+      // Items 1.. read the previous item's cell.
+      binding.read_extents = {
+          {.ptr = cells.data(), .stride = sizeof(double), .len = sizeof(double), .first = 1}};
     }
 
     const sim::LaunchConfig launch =

@@ -17,13 +17,19 @@
 //   * findings do not depend on the technique: items iACT approximates
 //     or perforation skips are checked like the rest, serially and
 //     sharded, with and without the differential pass;
-//   * the declared-check cache's hit, miss and non-affine accounting,
-//     its findings on a hit, and its read channel.
+//   * the row proof agrees with the walk: seeded random row sets (negative
+//     and zero strides, item ranges, overlapping rows) give the same
+//     findings and committed bytes with the proof on and off, and so do a
+//     reversed row, ping-pong rows re-declared between launches and rows
+//     whose items overlap;
+//   * every app's audited records equal its unaudited ones.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -31,7 +37,9 @@
 #include "approx/audit.hpp"
 #include "approx/region.hpp"
 #include "apps/registry.hpp"
+#include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "harness/campaign.hpp"
 #include "harness/explorer.hpp"
 #include "harness/params.hpp"
@@ -97,6 +105,13 @@ std::vector<std::string> texts_of(const std::vector<ConflictReport>& conflicts) 
   return texts;
 }
 
+/// A record as its CSV row.
+std::string row_text(const harness::RunRecord& record) {
+  std::ostringstream os;
+  write_csv_row(os, record.to_row());
+  return os.str();
+}
+
 /// An iACT-capable region (one gathered input) whose items 0, 64, 256
 /// and 320 declare a read of the next item's committed cell: four
 /// read/write findings. At ipt 4 (128 threads, four grid-stride steps)
@@ -125,10 +140,11 @@ struct NeighborReadRegion {
     apps::bind_constant_cost(b, 50.0);
     apps::bind_commit(b, [this](std::uint64_t i, const double* o) { cells[i] = o[0]; });
     b.independent_items = true;  // a false claim, as the declared reads below show
-    apps::bind_row_commit_extents(b, cells, 1);
-    b.read_extents = [this](std::uint64_t i, approx::audit::ExtentSink& sink) {
-      if (i % 64 == 0 && i % 256 < 128) sink.reads(cells.data() + i + 1, sizeof(double));
-    };
+    b.commit_extents = {approx::audit::dense(cells.data())};
+    for (const std::uint64_t i : {0u, 64u, 256u, 320u}) {
+      b.read_extents.push_back(
+          {.ptr = cells.data() + i + 1, .len = sizeof(double), .first = i, .last = i + 1});
+    }
     return b;
   }
 
@@ -301,9 +317,10 @@ TEST(Audit, EnforceErrorTextsAreVerbatim) {
   EXPECT_EQ(commits, 0u);
   EXPECT_EQ(cells, std::vector<double>(64, -1.0));
 
-  binding.commit_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    sink.writes(cells.data() + i / 2, sizeof(double));
-  };
+  for (std::uint64_t i = 0; i < cells.size(); ++i) {
+    binding.commit_extents.push_back(
+        {.ptr = cells.data() + i / 2, .len = sizeof(double), .first = i, .last = i + 1});
+  }
   EXPECT_EQ(message(),
             "config error: commit-conflict audit failed for binding 'audit.text': "
             "write/write overlap: items 0 and 1, bytes [0,8) of 'audit.text'; "
@@ -325,13 +342,15 @@ TEST(Audit, ReportCapKeepsWriteWriteFirstInAddressOrder) {
   apps::bind_constant_cost(binding, 16.0);
   apps::bind_commit(binding, [&cells](std::uint64_t i, const double* o) { cells[i] = o[0]; });
   binding.independent_items = true;
-  binding.commit_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    sink.writes(cells.data() + i, sizeof(double));
-    if (i == 21 || i == 23 || i == 25) sink.writes(cells.data() + i - 1, sizeof(double));
-  };
-  binding.read_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    if (i < 12) sink.reads(cells.data() + i + 1, sizeof(double));
-  };
+  binding.commit_extents = {approx::audit::dense(cells.data())};
+  for (const std::uint64_t i : {21u, 23u, 25u}) {
+    binding.commit_extents.push_back(
+        {.ptr = cells.data() + i - 1, .len = sizeof(double), .first = i, .last = i + 1});
+  }
+  binding.read_extents = {{.ptr = cells.data() + 1,
+                           .stride = sizeof(double),
+                           .len = sizeof(double),
+                           .last = 12}};
   approx::RegionExecutor executor(sim::v100());
   const sim::LaunchConfig launch = sim::launch_for_items_per_thread(cells.size(), 1, 32);
 
@@ -404,13 +423,11 @@ TEST(Audit, FindingsInPerforatedStepsMatchNone) {
     if (i == 160) cells[161] = o[0];
   });
   binding.independent_items = true;
-  binding.commit_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    sink.writes(cells.data() + i, sizeof(double));
-    if (i == 160) sink.writes(cells.data() + 161, sizeof(double));
-  };
-  binding.read_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    if (i == 200) sink.reads(cells.data() + 201, sizeof(double));
-  };
+  binding.commit_extents = {
+      approx::audit::dense(cells.data()),
+      {.ptr = cells.data() + 161, .len = sizeof(double), .first = 160, .last = 161}};
+  binding.read_extents = {
+      {.ptr = cells.data() + 201, .len = sizeof(double), .first = 200, .last = 201}};
   const std::vector<std::string> expected = {
       "write/write overlap: items 160 and 161, bytes [1288,1296) of 'audit.skipped'",
       "read/write overlap: items 200 and 201, bytes [1608,1616) of 'audit.skipped'",
@@ -524,6 +541,299 @@ TEST(AuditHarness, CampaignCountsCleanEnforceRunAsZeroFlagged) {
   EXPECT_EQ(result.audit_flagged, 0u);
 }
 
+// --- the row proof against the walk -----------------------------------------
+
+/// The proof (`audit_extent_cache = true`) and the walk (`false`) in
+/// report mode, optionally with the differential pass.
+approx::ExecTuning proof_tuning(bool prove, bool differential) {
+  approx::ExecTuning tuning = serial_audit(AuditMode::kReport, differential);
+  tuning.audit_extent_cache = prove;
+  return tuning;
+}
+
+/// One declared row of a RowRegion, placed by buffer and byte offset.
+struct RowSpec {
+  std::size_t buffer = 0;
+  std::ptrdiff_t offset = 0;  ///< of item `first`'s bytes
+  std::ptrdiff_t stride = 0;
+  std::size_t len = 0;
+  std::uint64_t first = 0;
+  std::uint64_t last = approx::audit::Extent::kAllItems;
+  bool commuting = false;
+};
+
+/// A region over two byte buffers whose declaration is a list of rows.
+/// Item i's accurate path sums the bytes of its declared reads and of its
+/// hidden (undeclared) reads; its commit stores that sum's low byte over
+/// its bytes of every exclusive row, and adds one to its bytes of every
+/// commuting row. The commits write exactly the declared bytes, so a set
+/// whose rows overlap across items is a false `independent_items` claim
+/// the audit must report, and a hidden read is one only the differential
+/// pass can see.
+struct RowRegion {
+  static constexpr std::size_t kBufferBytes = 12 * 1024;
+  std::uint64_t n = 0;
+  std::vector<RowSpec> commits, reads, hidden;
+  std::vector<std::vector<unsigned char>> buffers =
+      std::vector<std::vector<unsigned char>>(2, std::vector<unsigned char>(kBufferBytes));
+
+  /// Item i's bytes of `row`, or null when the row does not cover i.
+  unsigned char* bytes_of(const RowSpec& row, std::uint64_t i) {
+    if (i < row.first || i >= std::min(row.last, n)) return nullptr;
+    return buffers[row.buffer].data() + row.offset +
+           static_cast<std::ptrdiff_t>(i - row.first) * row.stride;
+  }
+
+  std::vector<approx::audit::Extent> extents(const std::vector<RowSpec>& rows) {
+    std::vector<approx::audit::Extent> out;
+    for (const RowSpec& row : rows) {
+      out.push_back({.ptr = buffers[row.buffer].data() + row.offset,
+                     .stride = row.stride,
+                     .len = row.len,
+                     .first = row.first,
+                     .last = row.last,
+                     .commuting = row.commuting});
+    }
+    return out;
+  }
+
+  approx::RegionBinding binding() {
+    approx::RegionBinding b;
+    b.name = "audit.rows";
+    apps::bind_accurate(b, [this](std::uint64_t i, double* o) {
+      unsigned sum = static_cast<unsigned>(i) * 31u;
+      for (const auto* rows : {&reads, &hidden}) {
+        for (const RowSpec& row : *rows) {
+          if (const unsigned char* p = bytes_of(row, i)) {
+            for (std::size_t k = 0; k < row.len; ++k) sum += p[k];
+          }
+        }
+      }
+      o[0] = static_cast<double>(sum & 0xffu);
+    });
+    apps::bind_constant_cost(b, 16.0);
+    apps::bind_commit(b, [this](std::uint64_t i, const double* o) {
+      for (const RowSpec& row : commits) {
+        unsigned char* p = bytes_of(row, i);
+        if (p == nullptr) continue;
+        for (std::size_t k = 0; k < row.len; ++k) {
+          p[k] = row.commuting ? static_cast<unsigned char>(p[k] + 1)
+                               : static_cast<unsigned char>(o[0]);
+        }
+      }
+    });
+    b.independent_items = true;  // the claim under test
+    b.commit_extents = extents(commits);
+    b.read_extents = extents(reads);
+    return b;
+  }
+
+  /// Findings and final buffer bytes of one launch from a fixed initial
+  /// image.
+  struct Outcome {
+    std::vector<std::string> texts;
+    std::vector<std::vector<unsigned char>> bytes;
+  };
+  Outcome run(const approx::ExecTuning& tuning, std::uint64_t items_per_thread) {
+    for (auto& buffer : buffers) {
+      for (std::size_t k = 0; k < buffer.size(); ++k) buffer[k] = static_cast<unsigned char>(k * 7);
+    }
+    approx::RegionExecutor executor(sim::v100());
+    executor.set_tuning(tuning);
+    const approx::RegionReport report =
+        executor.run(pragma::parse_approx("none"), binding(), n,
+                     sim::launch_for_items_per_thread(n, items_per_thread, 32));
+    return Outcome{texts_of(report.stats.conflicts), buffers};
+  }
+};
+
+/// A random row for a launch of `n` items, placed inside one buffer.
+/// Half the rows reuse `family_stride` (when it fits their length), so
+/// equal-stride pairs whose hulls overlap are common, and half are
+/// packed into the buffer's first bytes, so overlapping hulls are too.
+RowSpec random_row(Xoshiro256& rng, std::uint64_t n, std::ptrdiff_t family_stride) {
+  RowSpec row;
+  row.buffer = rng.uniform_index(2);
+  row.len = 1 + rng.uniform_index(12);
+  const auto len = static_cast<std::ptrdiff_t>(row.len);
+  row.stride = static_cast<std::ptrdiff_t>(rng.uniform_index(4 * row.len + 1)) - 2 * len;
+  if (rng.uniform_index(2) == 0 && family_stride >= -2 * len && family_stride <= 2 * len) {
+    row.stride = family_stride;
+  }
+  if (rng.uniform_index(2) == 0) row.first = rng.uniform_index(n);
+  if (rng.uniform_index(3) != 0) row.last = row.first + 1 + rng.uniform_index(n + 8 - row.first);
+  const std::uint64_t count = std::min(row.last, n) - row.first;
+  const std::size_t reach = (count - 1) * static_cast<std::size_t>(std::abs(row.stride));
+  const std::size_t room = RowRegion::kBufferBytes - reach - row.len + 1;
+  const bool packed = rng.uniform_index(2) == 0;
+  const std::size_t lo = rng.uniform_index(packed ? std::min<std::size_t>(room, 64) : room);
+  row.offset = static_cast<std::ptrdiff_t>(row.stride < 0 ? lo + reach : lo);
+  return row;
+}
+
+TEST(AuditRows, ProofMatchesTheWalkOnRandomRows) {
+  Xoshiro256 rng(0x5EEDu);
+  int clean = 0;
+  int flagged = 0;
+  for (int set = 0; set < 400; ++set) {
+    RowRegion region;
+    region.n = 1 + rng.uniform_index(300);
+    const std::ptrdiff_t family_stride = static_cast<std::ptrdiff_t>(rng.uniform_index(33)) - 16;
+    const auto rows = [&](std::size_t count, bool may_commute) {
+      std::vector<RowSpec> out;
+      for (std::size_t r = 0; r < count; ++r) {
+        out.push_back(random_row(rng, region.n, family_stride));
+        out.back().commuting = may_commute && rng.uniform_index(5) == 0;
+      }
+      return out;
+    };
+    region.commits = rows(1 + rng.uniform_index(4), true);
+    region.reads = rows(1 + rng.uniform_index(4), false);
+    region.hidden = rows(rng.uniform_index(2), false);
+    const std::uint64_t ipt = std::uint64_t{1} << rng.uniform_index(3);
+    for (const bool differential : {false, true}) {
+      SCOPED_TRACE("set " + std::to_string(set) + (differential ? " with" : " without") +
+                   " differential");
+      const RowRegion::Outcome proved = region.run(proof_tuning(true, differential), ipt);
+      const RowRegion::Outcome walked = region.run(proof_tuning(false, differential), ipt);
+      EXPECT_EQ(proved.texts, walked.texts);
+      EXPECT_TRUE(proved.bytes == walked.bytes);
+      if (!differential) ++(walked.texts.empty() ? clean : flagged);
+    }
+  }
+  // Both outcomes are common, so the proof is exercised both ways.
+  EXPECT_GT(clean, 50);
+  EXPECT_GT(flagged, 50);
+}
+
+TEST(AuditRows, NegativeStrideRowsMatchTheWalk) {
+  // Item i writes out[n-1-i], a reversed row of stride -8, which audits
+  // clean. Declaring that item i also reads out[n-2-i], the cell item i+1
+  // writes, gives a read/write finding per item pair, reported from the
+  // lowest address up.
+  constexpr std::uint64_t kItems = 256;
+  std::vector<double> out(kItems, 0.0);
+  approx::RegionBinding binding;
+  binding.name = "audit.reversed";
+  apps::bind_accurate(binding, [](std::uint64_t, double* o) { o[0] = 1.0; });
+  apps::bind_constant_cost(binding, 16.0);
+  apps::bind_commit(binding,
+                    [&out](std::uint64_t i, const double* o) { out[kItems - 1 - i] = o[0]; });
+  binding.independent_items = true;
+  binding.commit_extents = {{.ptr = out.data() + kItems - 1,
+                             .stride = -static_cast<std::ptrdiff_t>(sizeof(double)),
+                             .len = sizeof(double)}};
+  std::vector<std::string> expected;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    expected.push_back("read/write overlap: items " + std::to_string(kItems - 2 - k) + " and " +
+                       std::to_string(kItems - 1 - k) + ", bytes [" + std::to_string(8 * k) +
+                       "," + std::to_string(8 * (k + 1)) + ") of 'audit.reversed'");
+  }
+  approx::RegionExecutor executor(sim::v100());
+  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(kItems, 1, 128);
+  for (const bool prove : {true, false}) {
+    SCOPED_TRACE(prove ? "proof" : "walk");
+    executor.set_tuning(proof_tuning(prove, true));
+    binding.read_extents.clear();
+    out.assign(kItems, 0.0);
+    EXPECT_TRUE(executor.run(pragma::parse_approx("none"), binding, kItems, launch)
+                    .stats.conflicts.empty());
+    EXPECT_EQ(out, std::vector<double>(kItems, 1.0));  // every cell committed once
+
+    executor.set_tuning(proof_tuning(prove, false));
+    binding.read_extents = {{.ptr = out.data() + kItems - 2,
+                             .stride = -static_cast<std::ptrdiff_t>(sizeof(double)),
+                             .len = sizeof(double),
+                             .last = kItems - 1}};
+    EXPECT_EQ(texts_of(executor.run(pragma::parse_approx("none"), binding, kItems, launch)
+                           .stats.conflicts),
+              expected);
+  }
+}
+
+TEST(AuditRows, PingPongRowsRedeclaredBeforeEachLaunch) {
+  // A stencil that reads one buffer and writes the other, swapping them
+  // between launches as leukocyte does. Rows hold raw pointers, so they
+  // are re-declared before each launch; every launch then audits clean,
+  // with the proof and with the walk, and leaves the bytes an unaudited
+  // run leaves.
+  constexpr std::uint64_t kItems = 256;
+  const auto laps = [](const approx::ExecTuning& tuning) {
+    std::vector<double> field(kItems + 1, 1.0);
+    std::vector<double> next(kItems + 1, 0.0);
+    approx::RegionBinding binding;
+    binding.name = "audit.pingpong";
+    apps::bind_accurate(binding, [&](std::uint64_t i, double* o) {
+      o[0] = 0.5 * (field[i] + field[i + 1]) + static_cast<double>(i);
+    });
+    apps::bind_constant_cost(binding, 16.0);
+    apps::bind_commit(binding, [&](std::uint64_t i, const double* o) { next[i] = o[0]; });
+    binding.independent_items = true;
+    approx::RegionExecutor executor(sim::v100());
+    executor.set_tuning(tuning);
+    const sim::LaunchConfig launch = sim::launch_for_items_per_thread(kItems, 1, 128);
+    std::size_t findings = 0;
+    for (int lap = 0; lap < 4; ++lap) {
+      binding.commit_extents = {approx::audit::dense(next.data())};
+      binding.read_extents = {{.ptr = field.data(),
+                               .stride = sizeof(double),
+                               .len = 2 * sizeof(double)}};
+      const approx::RegionReport report =
+          executor.run(pragma::parse_approx("none"), binding, kItems, launch);
+      findings += report.stats.conflicts.size();
+      std::swap(field, next);
+    }
+    EXPECT_EQ(findings, 0u);
+    return field;
+  };
+  const std::vector<double> plain = laps(serial_audit(AuditMode::kOff, false));
+  EXPECT_EQ(laps(proof_tuning(true, true)), plain);
+  EXPECT_EQ(laps(proof_tuning(false, true)), plain);
+}
+
+TEST(AuditRows, OverlappingRowKeepsItsFindings) {
+  // Item i writes cells i and i+1: one 16-byte row of stride 8, whose
+  // items overlap. The proof must give the row to the walk, which reports
+  // the same 8 texts as without the proof, and enforce throws.
+  constexpr std::uint64_t kItems = 256;
+  std::vector<double> cells(kItems + 1, 0.0);
+  approx::RegionBinding binding;
+  binding.name = "audit.overlap";
+  apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
+  apps::bind_constant_cost(binding, 16.0);
+  apps::bind_commit(binding, [&cells](std::uint64_t i, const double* o) {
+    cells[i] = o[0];
+    cells[i + 1] = o[0];
+  });
+  binding.independent_items = true;  // a false claim
+  binding.commit_extents = {
+      {.ptr = cells.data(), .stride = sizeof(double), .len = 2 * sizeof(double)}};
+  std::vector<std::string> expected;
+  for (int k = 0; k < 8; ++k) {
+    expected.push_back("write/write overlap: items " + std::to_string(k) + " and " +
+                       std::to_string(k + 1) + ", bytes [" + std::to_string(8 * (k + 1)) +
+                       "," + std::to_string(8 * (k + 2)) + ") of 'audit.overlap'");
+  }
+  approx::RegionExecutor executor(sim::v100());
+  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(kItems, 1, 128);
+  for (const bool prove : {true, false}) {
+    SCOPED_TRACE(prove ? "proof" : "walk");
+    executor.set_tuning(proof_tuning(prove, true));
+    EXPECT_EQ(texts_of(executor.run(pragma::parse_approx("none"), binding, kItems, launch)
+                           .stats.conflicts),
+              expected);
+    approx::ExecTuning enforce = proof_tuning(prove, true);
+    enforce.audit_mode = AuditMode::kEnforce;
+    executor.set_tuning(enforce);
+    try {
+      executor.run(pragma::parse_approx("none"), binding, kItems, launch);
+      FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected.front()), std::string::npos) << e.what();
+    }
+  }
+}
+
 // --- the seven registered apps audit clean -----------------------------------
 
 /// One entry per (registered app, device), so `ctest -j` spreads the
@@ -531,7 +841,6 @@ TEST(AuditHarness, CampaignCountsCleanEnforceRunAsZeroFlagged) {
 class AuditApps : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(AuditApps, PassesEnforceAcrossTechniques) {
-  TuningGuard guard(serial_audit(AuditMode::kEnforce, true));
   const std::vector<std::string> clauses = {
       "memo(out:3:4:0.3) level(thread)",   // TAF
       "memo(in:8:0.5) level(thread) in(x) out(y)",  // iACT
@@ -539,14 +848,26 @@ TEST_P(AuditApps, PassesEnforceAcrossTechniques) {
   };
   const auto& [name, device] = GetParam();
   auto app = apps::make_benchmark(name);
+  auto plain_app = apps::make_benchmark(name);
   harness::Explorer explorer(*app, sim::device_by_name(device));
+  harness::Explorer plain(*plain_app, sim::device_by_name(device));
   for (const auto& clause : clauses) {
-    const harness::RunRecord record = explorer.run_config(pragma::parse_approx(clause), 8);
+    harness::RunRecord record;
+    {
+      TuningGuard guard(serial_audit(AuditMode::kEnforce, true));
+      record = explorer.run_config(pragma::parse_approx(clause), 8);
+    }
     // Some (app, technique) pairs are legitimately infeasible (iACT
     // without uniform inputs); what must never appear is an audit
     // finding — every registered app's declarations hold up.
     EXPECT_EQ(record.note.find("commit-conflict"), std::string::npos)
         << name << " on " << device << " '" << clause << "': " << record.note;
+    // Auditing never changes results. A row left pointing at a buffer
+    // that was swapped away would snapshot and restore the wrong bytes
+    // around the differential re-run.
+    TuningGuard guard(serial_audit(AuditMode::kOff, false));
+    EXPECT_EQ(row_text(record), row_text(plain.run_config(pragma::parse_approx(clause), 8)))
+        << name << " on " << device << " '" << clause << "'";
   }
 }
 
@@ -557,253 +878,5 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<std::string, std::string>>& entry) {
       return std::get<0>(entry.param) + "_" + std::get<1>(entry.param);
     });
-
-// --- declared-check memoization (audit::ExtentImageCache) --------------------
-
-/// A minimal honest region whose commit extents the cache can model:
-/// item i writes one double at `target[index_of(i)]`.
-struct CacheRegion {
-  std::uint64_t n = 256;
-  std::vector<double> out;
-  std::vector<double> alt;  ///< second buffer for the ping-pong case
-
-  /// `index_of` maps item -> element of the committed buffer (identity by
-  /// default) and must stay a permutation: the regions here are honest,
-  /// the cache is what is under test. `flip()` swaps the committed buffer
-  /// between launches (ping-pong).
-  approx::RegionBinding binding(std::function<std::uint64_t(std::uint64_t)> index_of =
-                                    [](std::uint64_t i) { return i; }) {
-    out.assign(n, -1.0);
-    alt.assign(n, -1.0);
-    current_ = &out;
-    index_of_ = std::move(index_of);
-    approx::RegionBinding b;
-    b.name = "cache.region";
-    b.in_dims = 1;
-    b.out_dims = 1;
-    apps::bind_gather(b, [](std::uint64_t i, double* in) { in[0] = static_cast<double>(i % 5); });
-    apps::bind_accurate(b, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
-    apps::bind_constant_cost(b, 50.0);
-    apps::bind_commit(b, [this](std::uint64_t i, const double* o) {
-      (*current_)[index_of_(i)] = o[0];
-    });
-    b.independent_items = true;  // index_of is a permutation
-    b.commit_extents = [this](std::uint64_t i, approx::audit::ExtentSink& sink) {
-      sink.writes(current_->data() + index_of_(i), sizeof(double));
-    };
-    return b;
-  }
-
-  void flip() { current_ = current_ == &out ? &alt : &out; }
-  std::vector<double>& current() { return *current_; }
-
- private:
-  std::vector<double>* current_ = nullptr;
-  std::function<std::uint64_t(std::uint64_t)> index_of_;
-};
-
-approx::ExecTuning cache_tuning(bool extent_cache = true) {
-  approx::ExecTuning tuning = serial_audit(AuditMode::kReport, true);
-  tuning.audit_extent_cache = extent_cache;
-  return tuning;
-}
-
-void run_once(const approx::RegionExecutor& executor, CacheRegion& region,
-              const approx::RegionBinding& binding) {
-  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 1, 128);
-  const approx::RegionReport report =
-      executor.run(pragma::parse_approx("none"), binding, region.n, launch);
-  EXPECT_TRUE(report.stats.conflicts.empty());
-  for (std::uint64_t i = 0; i < region.n; ++i) {
-    SCOPED_TRACE(i);
-    // A permutation of identity values covers every element exactly once.
-    EXPECT_GE(region.current()[i], 0.0);
-  }
-}
-
-TEST(AuditExtentCache, RepeatedLaunchSkipsTheWalk) {
-  CacheRegion region;
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
-  const approx::RegionBinding binding = region.binding();
-
-  run_once(executor, region, binding);
-  auto stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.non_affine, 0u);
-
-  run_once(executor, region, binding);
-  run_once(executor, region, binding);
-  stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 1u);  // one full walk total
-  EXPECT_EQ(stats.hits, 2u);
-
-  // A different item count is a different image: full walk again.
-  const std::uint64_t full = region.n;
-  region.n = full / 2;
-  run_once(executor, region, binding);
-  stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 2u);
-  region.n = full;
-}
-
-TEST(AuditExtentCache, NegativeStrideIsAffineToo) {
-  CacheRegion region;
-  const std::uint64_t n = region.n;
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
-  // Reversal: base = &out[n-1], per-item displacement -sizeof(double) in
-  // wrapping address arithmetic.
-  const approx::RegionBinding binding =
-      region.binding([n](std::uint64_t i) { return n - 1 - i; });
-
-  run_once(executor, region, binding);
-  run_once(executor, region, binding);
-  const auto stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.non_affine, 0u);
-}
-
-TEST(AuditExtentCache, PingPongBuffersOccupySeparateVariants) {
-  CacheRegion region;
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
-  const approx::RegionBinding binding = region.binding();
-
-  // First lap over each buffer walks; every later lap probes and hits.
-  for (int lap = 0; lap < 4; ++lap) {
-    run_once(executor, region, binding);
-    region.flip();
-  }
-  const auto stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 2u);  // one walk per buffer
-  EXPECT_EQ(stats.hits, 2u);
-}
-
-TEST(AuditExtentCache, NonAffinePatternIsNeverServedFromCache) {
-  CacheRegion region;
-  const std::uint64_t n = region.n;
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
-  // Piecewise-affine permutation (even items first): item 2 breaks the
-  // stride fixed by items 0 and 1, so no single affine model fits.
-  const approx::RegionBinding binding = region.binding(
-      [n](std::uint64_t i) { return i % 2 == 0 ? i / 2 : n / 2 + i / 2; });
-
-  run_once(executor, region, binding);
-  run_once(executor, region, binding);
-  const auto stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 2u);  // rebuilt exactly, per launch
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.non_affine, 2u);
-}
-
-TEST(AuditExtentCache, AffineOnlyAtTheProbesIsNeverServedFromCache) {
-  CacheRegion region;
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
-  // Identity at the probed items 0, 1 and n-1, but items 2 and 3 swap
-  // cells: only the walk's per-item check can tell.
-  const approx::RegionBinding binding = region.binding([](std::uint64_t i) -> std::uint64_t {
-    return i == 2 ? 3 : i == 3 ? 2 : i;
-  });
-
-  run_once(executor, region, binding);
-  run_once(executor, region, binding);
-  const auto stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.non_affine, 2u);
-}
-
-TEST(AuditExtentCache, OverlappingAffineBindingHitKeepsItsFindings) {
-  // Item i writes cells i and i+1: an affine shape (one 16-byte entry of
-  // stride 8) whose items overlap. A hit reuses the walk's findings, so
-  // the second launch reports the same texts and enforce still throws.
-  constexpr std::uint64_t kItems = 256;
-  std::vector<double> cells(kItems + 1, 0.0);
-  approx::RegionBinding binding;
-  binding.name = "cache.overlap";
-  apps::bind_accurate(binding, [](std::uint64_t i, double* o) { o[0] = static_cast<double>(i); });
-  apps::bind_constant_cost(binding, 16.0);
-  apps::bind_commit(binding, [&cells](std::uint64_t i, const double* o) {
-    cells[i] = o[0];
-    cells[i + 1] = o[0];
-  });
-  binding.independent_items = true;  // a false claim
-  binding.commit_extents = [&cells](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    sink.writes(cells.data() + i, 2 * sizeof(double));
-  };
-  std::vector<std::string> expected;
-  for (int k = 0; k < 8; ++k) {
-    expected.push_back("write/write overlap: items " + std::to_string(k) + " and " +
-                       std::to_string(k + 1) + ", bytes [" + std::to_string(8 * (k + 1)) +
-                       "," + std::to_string(8 * (k + 2)) + ") of 'cache.overlap'");
-  }
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
-  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(kItems, 1, 128);
-  const auto conflicts = [&] {
-    return texts_of(
-        executor.run(pragma::parse_approx("none"), binding, kItems, launch).stats.conflicts);
-  };
-
-  EXPECT_EQ(conflicts(), expected);
-  EXPECT_EQ(executor.audit_cache_stats().misses, 1u);
-  EXPECT_EQ(executor.audit_cache_stats().hits, 0u);
-  EXPECT_EQ(conflicts(), expected);
-  EXPECT_EQ(executor.audit_cache_stats().misses, 1u);
-  EXPECT_EQ(executor.audit_cache_stats().hits, 1u);
-
-  approx::ExecTuning enforce = cache_tuning();
-  enforce.audit_mode = AuditMode::kEnforce;
-  executor.set_tuning(enforce);
-  try {
-    conflicts();
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find(expected.front()), std::string::npos) << e.what();
-  }
-  EXPECT_EQ(executor.audit_cache_stats().misses, 1u);
-  EXPECT_EQ(executor.audit_cache_stats().hits, 2u);
-}
-
-TEST(AuditExtentCache, ReadsAffineOnlyAtTheProbesAreNeverServedFromCache) {
-  CacheRegion region;
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
-  // The commits are the identity, affine everywhere; the declared reads of
-  // the other buffer are the identity at the probed items 0, 1 and n-1,
-  // but items 2 and 3 swap cells. Only the walk's per-item check of the
-  // read channel can tell.
-  approx::RegionBinding binding = region.binding();
-  binding.read_extents = [&region](std::uint64_t i, approx::audit::ExtentSink& sink) {
-    const std::uint64_t cell = i == 2 ? 3 : i == 3 ? 2 : i;
-    sink.reads(region.alt.data() + cell, sizeof(double));
-  };
-
-  run_once(executor, region, binding);
-  run_once(executor, region, binding);
-  const auto stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.non_affine, 2u);
-}
-
-TEST(AuditExtentCache, KnobOffLeavesTheCacheUntouched) {
-  CacheRegion region;
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning(/*extent_cache=*/false));
-  const approx::RegionBinding binding = region.binding();
-
-  run_once(executor, region, binding);
-  run_once(executor, region, binding);
-  const auto stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.non_affine, 0u);
-}
 
 }  // namespace

@@ -3,9 +3,9 @@
 // Rules:
 //   independent-items-extents  every app binding that declares
 //                              `independent_items = true` must also declare
-//                              commit extents (directly or via
-//                              bind_row_commit_extents) so the audit layer
-//                              can verify the independence claim.
+//                              commit extents (`<var>.commit_extents`) so
+//                              the audit layer can verify the independence
+//                              claim.
 //   banned-function            no rand()/time()/locale-dependent parsing
 //                              (strtod, atoi, sscanf, ...) anywhere in src/:
 //                              results must be reproducible and checkpoint
@@ -241,14 +241,12 @@ void check_independent_items(const std::string& file,
         code.find("true", eq) == std::string::npos) {
       continue;
     }
-    // The matching extents declaration must follow nearby: either
-    // `<var>.commit_extents = ...` or `bind_row_commit_extents(<var>, ...)`.
+    // The matching `<var>.commit_extents` declaration must follow nearby.
     constexpr std::size_t kWindow = 20;
     bool declared = false;
     for (std::size_t j = i + 1; j < lines.size() && j <= i + kWindow; ++j) {
       const std::string nearby = strip_line_comment(lines[j]);
-      if (nearby.find(var + ".commit_extents") != std::string::npos ||
-          nearby.find("bind_row_commit_extents(" + var) != std::string::npos) {
+      if (nearby.find(var + ".commit_extents") != std::string::npos) {
         declared = true;
         break;
       }
