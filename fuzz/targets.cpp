@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "harness/lease_journal.hpp"
+#include "harness/record.hpp"
 #include "pragma/parser.hpp"
 #include "service/protocol.hpp"
 
@@ -75,15 +76,15 @@ int run_csv(const std::uint8_t* data, std::size_t size) {
   const bool drop_torn_tail = (data[0] & 1) != 0;
   std::istringstream in{std::string(as_text(data + 1, size - 1))};
   try {
-    const CsvTable table = CsvTable::load(in, drop_torn_tail);
-    // Whatever load accepted must re-serialize stably: write -> load ->
+    const harness::ResultDb db = harness::ResultDb::read(in, drop_torn_tail);
+    // Whatever read accepted must re-serialize stably: write -> read ->
     // write is byte-identical (the property the result-store journal and
     // its canonical rewrite rely on).
     std::ostringstream first;
-    table.write(first);
+    db.to_csv().write(first);
     std::istringstream again{first.str()};
     std::ostringstream second;
-    CsvTable::load(again).write(second);
+    harness::ResultDb::read(again).to_csv().write(second);
     check(first.str() == second.str());
   } catch (const Error&) {
   }

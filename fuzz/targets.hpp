@@ -21,8 +21,9 @@ namespace hpac::fuzz {
 /// first input byte selects the decoder; the rest is the payload.
 int run_protocol(const std::uint8_t* data, std::size_t size);
 
-/// common/csv.cpp: CsvTable::load (first byte selects drop_torn_tail),
-/// checking write/load round-trip stability of whatever is accepted.
+/// harness/record.cpp: ResultDb::read over the record schema (first byte
+/// selects drop_torn_tail), checking write/read round-trip stability of
+/// whatever is accepted.
 int run_csv(const std::uint8_t* data, std::size_t size);
 
 /// harness/lease_journal.cpp: LeaseJournal::inspect_bytes over a raw

@@ -1,6 +1,11 @@
 #include "harness/record.hpp"
 
+#include <fstream>
+#include <istream>
+#include <limits>
+
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace hpac::harness {
 
@@ -25,54 +30,89 @@ void RunRecord::set_spec(const pragma::ApproxSpec& spec) {
   }
 }
 
+namespace {
+
+CsvCell to_cell(const std::string& value) { return value; }
+CsvCell to_cell(double value) { return value; }
+CsvCell to_cell(int value) { return static_cast<long long>(value); }
+CsvCell to_cell(std::uint64_t value) { return static_cast<long long>(value); }
+CsvCell to_cell(bool value) { return static_cast<long long>(value ? 1 : 0); }
+CsvCell to_cell(pragma::Technique value) { return pragma::technique_name(value); }
+CsvCell to_cell(pragma::HierarchyLevel value) { return pragma::hierarchy_name(value); }
+
+// The inverses of `to_cell`: false when the whole cell does not parse as
+// the field's type (the enum parsers throw ParseError themselves).
+bool from_cell(const std::string& cell, std::string& out) {
+  out = cell;
+  return true;
+}
+
+bool from_cell(const std::string& cell, double& out) { return strings::parse_double(cell, out); }
+
+bool from_cell(const std::string& cell, int& out) {
+  long long value = 0;
+  if (!strings::parse_int(cell, value) || value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  out = static_cast<int>(value);
+  return true;
+}
+
+bool from_cell(const std::string& cell, std::uint64_t& out) {
+  long long value = 0;
+  if (!strings::parse_int(cell, value)) return false;
+  out = static_cast<std::uint64_t>(value);  // mirrors to_cell's conversion
+  return true;
+}
+
+bool from_cell(const std::string& cell, bool& out) {
+  long long value = 0;
+  if (!strings::parse_int(cell, value)) return false;
+  out = value != 0;
+  return true;
+}
+
+bool from_cell(const std::string& cell, pragma::Technique& out) {
+  out = pragma::technique_from_name(cell);
+  return true;
+}
+
+bool from_cell(const std::string& cell, pragma::HierarchyLevel& out) {
+  out = pragma::hierarchy_from_name(cell);
+  return true;
+}
+
+}  // namespace
+
 const std::vector<std::string>& RunRecord::csv_columns() {
-  static const std::vector<std::string> columns{
-      "benchmark", "device", "technique", "spec", "level", "items_per_thread",
-      "feasible", "note", "speedup", "error_percent", "approx_ratio",
-      "kernel_seconds", "end_to_end_seconds", "iterations", "baseline_iterations",
-      "threshold", "history_size", "prediction_size", "table_size",
-      "tables_per_warp", "perfo_kind", "perfo_stride", "perfo_fraction"};
+  static const std::vector<std::string> columns = [] {
+    std::vector<std::string> names;
+    const RunRecord r;
+    for_each_field(r, [&names](const char* column, const auto&) { names.emplace_back(column); });
+    return names;
+  }();
   return columns;
 }
 
 std::vector<CsvCell> RunRecord::to_row() const {
-  return {benchmark, device, pragma::technique_name(technique), spec_text,
-          pragma::hierarchy_name(level), static_cast<long long>(items_per_thread),
-          static_cast<long long>(feasible ? 1 : 0), note, speedup,
-          error_percent, approx_ratio, kernel_seconds, end_to_end_seconds,
-          iterations, baseline_iterations, threshold,
-          static_cast<long long>(history_size),
-          static_cast<long long>(prediction_size),
-          static_cast<long long>(table_size),
-          static_cast<long long>(tables_per_warp), perfo_kind,
-          static_cast<long long>(perfo_stride), perfo_fraction};
+  std::vector<CsvCell> row;
+  row.reserve(csv_columns().size());
+  for_each_field(*this, [&row](const char*, const auto& field) { row.push_back(to_cell(field)); });
+  return row;
 }
 
-RunRecord RunRecord::from_row(const CsvTable& csv, std::size_t row) {
+RunRecord RunRecord::from_cells(const std::vector<std::string>& cells) {
+  HPAC_REQUIRE(cells.size() == csv_columns().size(),
+               strings::format("CSV record has %zu cells, the schema has %zu", cells.size(),
+                               csv_columns().size()));
   RunRecord r;
-  r.benchmark = csv.text_at(row, "benchmark");
-  r.device = csv.text_at(row, "device");
-  r.technique = pragma::technique_from_name(csv.text_at(row, "technique"));
-  r.spec_text = csv.text_at(row, "spec");
-  r.level = pragma::hierarchy_from_name(csv.text_at(row, "level"));
-  r.items_per_thread = static_cast<std::uint64_t>(csv.number_at(row, "items_per_thread"));
-  r.feasible = csv.number_at(row, "feasible") != 0;
-  r.note = csv.text_at(row, "note");
-  r.speedup = csv.number_at(row, "speedup");
-  r.error_percent = csv.number_at(row, "error_percent");
-  r.approx_ratio = csv.number_at(row, "approx_ratio");
-  r.kernel_seconds = csv.number_at(row, "kernel_seconds");
-  r.end_to_end_seconds = csv.number_at(row, "end_to_end_seconds");
-  r.iterations = csv.number_at(row, "iterations");
-  r.baseline_iterations = csv.number_at(row, "baseline_iterations");
-  r.threshold = csv.number_at(row, "threshold");
-  r.history_size = static_cast<int>(csv.number_at(row, "history_size"));
-  r.prediction_size = static_cast<int>(csv.number_at(row, "prediction_size"));
-  r.table_size = static_cast<int>(csv.number_at(row, "table_size"));
-  r.tables_per_warp = static_cast<int>(csv.number_at(row, "tables_per_warp"));
-  r.perfo_kind = csv.text_at(row, "perfo_kind");
-  r.perfo_stride = static_cast<int>(csv.number_at(row, "perfo_stride"));
-  r.perfo_fraction = csv.number_at(row, "perfo_fraction");
+  std::size_t i = 0;
+  for_each_field(r, [&](const char* column, auto& field) {
+    const std::string& cell = cells[i++];
+    HPAC_REQUIRE(from_cell(cell, field),
+                 std::string("CSV column ") + column + " cannot hold '" + cell + "'");
+  });
   return r;
 }
 
@@ -86,22 +126,32 @@ CsvTable ResultDb::to_csv() const {
 
 void ResultDb::save(const std::string& path) const { to_csv().save(path); }
 
-ResultDb ResultDb::load(const std::string& path, bool drop_torn_tail) {
-  const CsvTable csv = CsvTable::load_file(path, drop_torn_tail);
-  HPAC_REQUIRE(csv.columns() == RunRecord::csv_columns(),
-               "CSV columns do not match the result database schema: " + path);
+ResultDb ResultDb::read(std::istream& is, bool drop_torn_tail) {
+  CsvReader reader(is);
+  HPAC_REQUIRE(reader.next_row() == RunRecord::csv_columns(),
+               "CSV columns do not match the result database schema");
   ResultDb db;
-  for (std::size_t row = 0; row < csv.row_count(); ++row) {
+  // A writer killed mid-append leaves at most the last record torn: cut
+  // short of its newline (every writer ends a row with one), which may
+  // also leave it ragged, inside an open quote or with a truncated cell.
+  for (;;) {
     try {
-      db.add(RunRecord::from_row(csv, row));
+      const auto cells = reader.next_row();
+      // eof() right after a record means it ended without its newline.
+      if (!cells || (drop_torn_tail && is.eof())) break;
+      db.add(RunRecord::from_cells(*cells));
     } catch (const Error&) {
-      // A torn final row can keep the right cell count yet hold a
-      // truncated numeric cell (e.g. "0." loads as text); drop it too.
-      if (drop_torn_tail && row + 1 == csv.row_count()) break;
-      throw;
+      if (!drop_torn_tail || is.peek() != std::char_traits<char>::eof()) throw;
+      break;
     }
   }
   return db;
+}
+
+ResultDb ResultDb::load(const std::string& path, bool drop_torn_tail) {
+  std::ifstream in(path, std::ios::binary);
+  HPAC_REQUIRE(in.good(), "cannot open CSV input file: " + path);
+  return read(in, drop_torn_tail);
 }
 
 }  // namespace hpac::harness

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -43,15 +44,49 @@ struct RunRecord {
   /// Populate the denormalized parameter fields from a spec.
   void set_spec(const pragma::ApproxSpec& spec);
 
-  /// The result database's canonical column set, in `to_row` order.
+  /// The record's schema, written once: calls `fn(column_name, field)`
+  /// for every field, in CSV column order — which is also protocol v2's
+  /// wire order. `Self` is `RunRecord` or `const RunRecord`, so the same
+  /// list drives the encoders and the decoders (CSV here, the wire in
+  /// service/protocol.cpp).
+  template <typename Self, typename Fn>
+  static void for_each_field(Self& r, Fn&& fn) {
+    fn("benchmark", r.benchmark);
+    fn("device", r.device);
+    fn("technique", r.technique);
+    fn("spec", r.spec_text);
+    fn("level", r.level);
+    fn("items_per_thread", r.items_per_thread);
+    fn("feasible", r.feasible);
+    fn("note", r.note);
+    fn("speedup", r.speedup);
+    fn("error_percent", r.error_percent);
+    fn("approx_ratio", r.approx_ratio);
+    fn("kernel_seconds", r.kernel_seconds);
+    fn("end_to_end_seconds", r.end_to_end_seconds);
+    fn("iterations", r.iterations);
+    fn("baseline_iterations", r.baseline_iterations);
+    fn("threshold", r.threshold);
+    fn("history_size", r.history_size);
+    fn("prediction_size", r.prediction_size);
+    fn("table_size", r.table_size);
+    fn("tables_per_warp", r.tables_per_warp);
+    fn("perfo_kind", r.perfo_kind);
+    fn("perfo_stride", r.perfo_stride);
+    fn("perfo_fraction", r.perfo_fraction);
+  }
+
+  /// The result database's canonical column set, in `for_each_field` order.
   static const std::vector<std::string>& csv_columns();
 
-  /// One CSV row (matching `csv_columns`), and its inverse. A record
-  /// round-trips: `from_row` of a loaded `to_row` reproduces every field,
-  /// and re-serializing yields byte-identical CSV — the property campaign
-  /// resume depends on.
+  /// One CSV row (matching `csv_columns`), and its positional inverse,
+  /// which parses each cell once as its field's type and throws
+  /// hpac::Error on a wrong cell count or an unparsable cell. A record
+  /// round-trips: `from_cells` of a written `to_row` reproduces every
+  /// field, and re-serializing yields byte-identical CSV — the property
+  /// campaign resume depends on.
   std::vector<CsvCell> to_row() const;
-  static RunRecord from_row(const CsvTable& csv, std::size_t row);
+  static RunRecord from_cells(const std::vector<std::string>& cells);
 };
 
 /// Append-only database of run records, persistable as CSV — the library
@@ -76,11 +111,16 @@ class ResultDb {
   CsvTable to_csv() const;
   void save(const std::string& path) const;
 
-  /// Rehydrate a database previously written by `save`. Throws
-  /// hpac::Error when the file's columns do not match `csv_columns`.
-  /// `drop_torn_tail` additionally tolerates — by dropping — a malformed
-  /// final record, so a journal whose writer was killed mid-append still
-  /// loads (the campaign resume path relies on this).
+  /// Rehydrate a database previously written by `save`: the header must
+  /// equal `csv_columns`, and every record goes through `from_cells`.
+  /// Throws hpac::Error otherwise — except that with `drop_torn_tail` the
+  /// input's last record is dropped when it fails to read or to parse or
+  /// lacks its final newline, so a journal whose writer was killed
+  /// mid-append still loads and never keeps a half-written row (campaign
+  /// resume and the fleet merge rely on this). An earlier bad record
+  /// throws either way.
+  static ResultDb read(std::istream& is, bool drop_torn_tail = false);
+  /// `read` of the file at `path`; throws when it cannot be opened.
   static ResultDb load(const std::string& path, bool drop_torn_tail = false);
 
  private:

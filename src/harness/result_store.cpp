@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -14,34 +16,6 @@
 #include "harness/campaign.hpp"
 
 namespace hpac::harness {
-
-namespace {
-
-bool file_has_content(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return in.good() && in.peek() != std::char_traits<char>::eof();
-}
-
-/// Bytes of `path` up to and including its final newline — the durable
-/// prefix of the journal. Anything past it is a torn row from a writer
-/// killed mid-append.
-std::streamoff durable_prefix(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::streamoff keep = 0;
-  std::streamoff pos = 0;
-  char buffer[4096];
-  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-    const std::streamsize n = in.gcount();
-    for (std::streamsize i = 0; i < n; ++i) {
-      if (buffer[i] == '\n') keep = pos + i + 1;
-    }
-    pos += n;
-    if (n < static_cast<std::streamsize>(sizeof(buffer))) break;
-  }
-  return keep;
-}
-
-}  // namespace
 
 // --- Log ---------------------------------------------------------------------
 
@@ -127,18 +101,24 @@ ResultStore::ResultStore(std::string path, bool read_only)
   // filesystems where the lock file cannot be created).
   std::optional<fileops::FileLock> open_lock;
   if (persistent() && !read_only_) open_lock.emplace(path_ + ".lock");
-  // The durable prefix decides everything: a file whose final newline is
-  // its last durable byte resumes normally; a file with NO newline (a
-  // writer killed mid-header-write) has nothing durable at all and must
-  // not even be parsed — ResultDb::load would reject its torn header.
-  const std::streamoff durable =
-      persistent() && file_has_content(path_) ? durable_prefix(path_) : 0;
-  bool resuming = durable > 0;
+  // One read of the journal decides everything. Its durable prefix — the
+  // bytes through the final newline — resumes; anything past it is a torn
+  // row from a writer killed mid-append. A file with NO newline (a writer
+  // killed mid-header-write) has nothing durable at all and must not even
+  // be parsed — ResultDb::read would reject its torn header.
+  std::string bytes;
+  if (persistent()) fileops::read_file(path_, bytes);
+  const std::size_t last_newline = bytes.rfind('\n');
+  const std::size_t durable = last_newline == std::string::npos ? 0 : last_newline + 1;
+  const bool torn = durable < bytes.size();
+  const bool resuming = durable > 0;
   HPAC_REQUIRE(!read_only_ || resuming,
                "read-only result store needs an existing journal: " + path_);
   if (resuming) {
+    bytes.resize(durable);
+    std::istringstream in(std::move(bytes));
     // drop_torn_tail: a writer killed mid-append must not brick the store.
-    const ResultDb journal = ResultDb::load(path_, /*drop_torn_tail=*/true);
+    const ResultDb journal = ResultDb::read(in, /*drop_torn_tail=*/true);
     for (const RunRecord& record : journal.records()) {
       if (log_->add(key_of(record), record) == 0) {
         ++load_stats_.duplicates;  // e.g. two writers raced on one file
@@ -148,19 +128,13 @@ ResultStore::ResultStore(std::string path, bool read_only)
     }
   }
   if (persistent() && !read_only_) {
-    if (file_has_content(path_)) {
-      // The load above *skipped* a torn trailing row (or, when nothing
-      // durable survived, the whole file); the file must shed it too, or
-      // the append stream below would glue the next row onto the half row
-      // — turning a recoverable torn tail into a corrupt mid-file line on
-      // the following reload.
-      std::ifstream probe(path_, std::ios::binary | std::ios::ate);
-      const std::streamoff size = probe.tellg();
-      probe.close();
-      if (durable < size) {
-        HPAC_REQUIRE(::truncate(path_.c_str(), durable) == 0,
-                     "cannot drop torn tail of result store journal: " + path_);
-      }
+    // The file must shed what lies past its durable prefix too, or the
+    // append stream below would glue the next row onto the half row —
+    // turning a recoverable torn tail into a corrupt mid-file line on the
+    // following reload.
+    if (torn) {
+      HPAC_REQUIRE(::truncate(path_.c_str(), static_cast<off_t>(durable)) == 0,
+                   "cannot drop torn tail of result store journal: " + path_);
     }
     journal_.open(path_, std::ios::app);
     HPAC_REQUIRE(journal_.good(), "cannot open result store journal: " + path_);

@@ -174,58 +174,49 @@ namespace {
 
 // The record travels field-by-field (not as a CSV row) so the wire format
 // is governed by the protocol version alone, independent of how the store
-// happens to serialize its journal.
+// happens to serialize its journal. RunRecord::for_each_field fixes the
+// field order; this file fixes only each C++ type's wire encoding.
+void put_field(std::string& out, const std::string& value) { put_string(out, value); }
+void put_field(std::string& out, double value) { put_f64(out, value); }
+void put_field(std::string& out, int value) { put_i32(out, value); }
+void put_field(std::string& out, std::uint64_t value) { put_u64(out, value); }
+void put_field(std::string& out, bool value) { put_u8(out, value ? 1 : 0); }
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+void put_field(std::string& out, Enum value) {
+  put_u16(out, static_cast<std::uint16_t>(value));
+}
+
+void get_field(std::string_view body, std::size_t& offset, std::string& out) {
+  out = get_string(body, offset);
+}
+void get_field(std::string_view body, std::size_t& offset, double& out) {
+  out = get_f64(body, offset);
+}
+void get_field(std::string_view body, std::size_t& offset, int& out) {
+  out = get_i32(body, offset);
+}
+void get_field(std::string_view body, std::size_t& offset, std::uint64_t& out) {
+  out = get_u64(body, offset);
+}
+void get_field(std::string_view body, std::size_t& offset, bool& out) {
+  out = get_u8(body, offset) != 0;
+}
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+void get_field(std::string_view body, std::size_t& offset, Enum& out) {
+  out = static_cast<Enum>(get_u16(body, offset));
+}
+
 void put_record(std::string& out, const harness::RunRecord& record) {
-  put_string(out, record.benchmark);
-  put_string(out, record.device);
-  put_u16(out, static_cast<std::uint16_t>(record.technique));
-  put_string(out, record.spec_text);
-  put_u16(out, static_cast<std::uint16_t>(record.level));
-  put_u64(out, record.items_per_thread);
-  put_u8(out, record.feasible ? 1 : 0);
-  put_string(out, record.note);
-  put_f64(out, record.speedup);
-  put_f64(out, record.error_percent);
-  put_f64(out, record.approx_ratio);
-  put_f64(out, record.kernel_seconds);
-  put_f64(out, record.end_to_end_seconds);
-  put_f64(out, record.iterations);
-  put_f64(out, record.baseline_iterations);
-  put_f64(out, record.threshold);
-  put_i32(out, record.history_size);
-  put_i32(out, record.prediction_size);
-  put_i32(out, record.table_size);
-  put_i32(out, record.tables_per_warp);
-  put_string(out, record.perfo_kind);
-  put_i32(out, record.perfo_stride);
-  put_f64(out, record.perfo_fraction);
+  harness::RunRecord::for_each_field(
+      record, [&out](const char*, const auto& field) { put_field(out, field); });
 }
 
 harness::RunRecord get_record(std::string_view body, std::size_t& offset) {
   harness::RunRecord record;
-  record.benchmark = get_string(body, offset);
-  record.device = get_string(body, offset);
-  record.technique = static_cast<pragma::Technique>(get_u16(body, offset));
-  record.spec_text = get_string(body, offset);
-  record.level = static_cast<pragma::HierarchyLevel>(get_u16(body, offset));
-  record.items_per_thread = get_u64(body, offset);
-  record.feasible = get_u8(body, offset) != 0;
-  record.note = get_string(body, offset);
-  record.speedup = get_f64(body, offset);
-  record.error_percent = get_f64(body, offset);
-  record.approx_ratio = get_f64(body, offset);
-  record.kernel_seconds = get_f64(body, offset);
-  record.end_to_end_seconds = get_f64(body, offset);
-  record.iterations = get_f64(body, offset);
-  record.baseline_iterations = get_f64(body, offset);
-  record.threshold = get_f64(body, offset);
-  record.history_size = get_i32(body, offset);
-  record.prediction_size = get_i32(body, offset);
-  record.table_size = get_i32(body, offset);
-  record.tables_per_warp = get_i32(body, offset);
-  record.perfo_kind = get_string(body, offset);
-  record.perfo_stride = get_i32(body, offset);
-  record.perfo_fraction = get_f64(body, offset);
+  harness::RunRecord::for_each_field(
+      record, [&](const char*, auto& field) { get_field(body, offset, field); });
   return record;
 }
 

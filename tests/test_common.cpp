@@ -1,5 +1,6 @@
 // Unit tests for the common substrate: RNG determinism, statistics,
-// CSV/table output and string utilities.
+// CSV/table output (and the result-database CSV read back through
+// harness::ResultDb::read) and string utilities.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "harness/record.hpp"
 
 using namespace hpac;
 
@@ -154,16 +156,6 @@ TEST(Stats, McrMatchesPaperEquationTwo) {
   EXPECT_DOUBLE_EQ(stats::mcr_percent(acc, apx), 50.0);
 }
 
-TEST(Csv, RoundTripAndAccessors) {
-  CsvTable t({"name", "value"});
-  t.add_row({std::string("a"), 1.5});
-  t.add_row({std::string("b"), static_cast<long long>(7)});
-  EXPECT_EQ(t.row_count(), 2u);
-  EXPECT_DOUBLE_EQ(t.number_at(0, "value"), 1.5);
-  EXPECT_DOUBLE_EQ(t.number_at(1, 1), 7.0);
-  EXPECT_EQ(std::get<std::string>(t.at(0, 0)), "a");
-}
-
 TEST(Csv, RejectsWrongRowWidth) {
   CsvTable t({"a", "b"});
   EXPECT_THROW(t.add_row({std::string("only-one")}), Error);
@@ -177,91 +169,115 @@ TEST(Csv, QuotesSpecialCharacters) {
   EXPECT_NE(os.str().find("\"hello, \"\"world\"\"\""), std::string::npos);
 }
 
-TEST(Csv, UnknownColumnThrows) {
-  CsvTable t({"a"});
-  EXPECT_THROW(t.column_index("missing"), Error);
-}
-
 namespace {
 
-std::string rendered(const CsvTable& t) {
+using harness::ResultDb;
+using harness::RunRecord;
+
+/// A result-database CSV image: the schema header, then one
+/// `write_csv_row` per record.
+std::string rendered(const std::vector<RunRecord>& records) {
   std::ostringstream os;
-  t.write(os);
+  ResultDb().to_csv().write(os);  // the header line alone
+  for (const RunRecord& r : records) write_csv_row(os, r.to_row());
   return os.str();
+}
+
+ResultDb read_text(const std::string& bytes, bool drop_torn_tail = false) {
+  std::istringstream is(bytes);
+  return ResultDb::read(is, drop_torn_tail);
+}
+
+std::string reread(const std::string& bytes) { return rendered(read_text(bytes).records()); }
+
+RunRecord record_named(const std::string& benchmark, double speedup = 1.5) {
+  RunRecord r;
+  r.benchmark = benchmark;
+  r.device = "v100";
+  r.spec_text = "perfo(small:2)";
+  r.speedup = speedup;
+  return r;
 }
 
 }  // namespace
 
 TEST(Csv, LoadRoundTripsSpecialCharacters) {
-  CsvTable t({"text", "more"});
-  t.add_row({std::string("comma, inside"), std::string("plain")});
-  t.add_row({std::string("quote \"q\" here"), std::string("line\nbreak")});
-  t.add_row({std::string("\"leading"), std::string("mix,\"of\"\nall three")});
-  const std::string bytes = rendered(t);
+  RunRecord a = record_named("comma, inside");
+  a.note = "quote \"q\" here";
+  a.spec_text = "line\nbreak";
+  RunRecord b = record_named("\"leading");
+  b.device = "mix,\"of\"\nall three";
+  b.perfo_kind = "plain";
+  const std::string bytes = rendered({a, b});
 
-  std::istringstream is(bytes);
-  const CsvTable loaded = CsvTable::load(is);
-  ASSERT_EQ(loaded.row_count(), 3u);
-  EXPECT_EQ(loaded.text_at(0, "text"), "comma, inside");
-  EXPECT_EQ(loaded.text_at(1, "text"), "quote \"q\" here");
-  EXPECT_EQ(loaded.text_at(1, "more"), "line\nbreak");
-  EXPECT_EQ(loaded.text_at(2, "text"), "\"leading");
-  EXPECT_EQ(loaded.text_at(2, "more"), "mix,\"of\"\nall three");
-  EXPECT_EQ(rendered(loaded), bytes);
+  const ResultDb loaded = read_text(bytes);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.records()[0].benchmark, "comma, inside");
+  EXPECT_EQ(loaded.records()[0].note, "quote \"q\" here");
+  EXPECT_EQ(loaded.records()[0].spec_text, "line\nbreak");
+  EXPECT_EQ(loaded.records()[1].benchmark, "\"leading");
+  EXPECT_EQ(loaded.records()[1].device, "mix,\"of\"\nall three");
+  EXPECT_EQ(loaded.records()[1].perfo_kind, "plain");
+  EXPECT_EQ(rendered(loaded.records()), bytes);
 }
 
 TEST(Csv, NumericFormattingIsStableAcrossRepeatedRoundTrips) {
-  CsvTable t({"d", "i", "s"});
-  t.add_row({1.0 / 3.0, static_cast<long long>(-7), std::string("x")});
-  t.add_row({1.23456789012e-17, static_cast<long long>(1LL << 60), std::string("42x")});
-  t.add_row({-0.000123456789, static_cast<long long>(0), std::string("")});
-  t.add_row({2.0, static_cast<long long>(9), std::string("1e5")});
-  const std::string first = rendered(t);
+  // Doubles, integers and string fields that merely look numeric ("007",
+  // "1e5", "42x") all come back byte for byte.
+  RunRecord a = record_named("a", 1.0 / 3.0);
+  a.perfo_stride = -7;
+  a.note = "x";
+  RunRecord b = record_named("007", 1.23456789012e-17);
+  b.items_per_thread = 1ull << 60;
+  b.note = "42x";
+  RunRecord c = record_named("c", -0.000123456789);
+  c.items_per_thread = 0;
+  c.note = "";
+  RunRecord d = record_named("d", 2.0);
+  d.history_size = 9;
+  d.note = "1e5";
+  d.perfo_kind = "0.50";
+  const std::string first = rendered({a, b, c, d});
 
-  std::istringstream is1(first);
-  const std::string second = rendered(CsvTable::load(is1));
-  std::istringstream is2(second);
-  const std::string third = rendered(CsvTable::load(is2));
+  const std::string second = reread(first);
+  const std::string third = reread(second);
   EXPECT_EQ(second, first);
   EXPECT_EQ(third, first);
-}
-
-TEST(Csv, LoadRestoresNumericTypes) {
-  CsvTable t({"d", "i"});
-  t.add_row({1.5, static_cast<long long>(7)});
-  std::istringstream is(rendered(t));
-  const CsvTable loaded = CsvTable::load(is);
-  EXPECT_DOUBLE_EQ(loaded.number_at(0, "d"), 1.5);
-  EXPECT_DOUBLE_EQ(loaded.number_at(0, "i"), 7.0);
-  EXPECT_TRUE(std::holds_alternative<double>(loaded.at(0, 0)));
-  EXPECT_TRUE(std::holds_alternative<long long>(loaded.at(0, 1)));
-}
-
-TEST(Csv, LoadKeepsNonCanonicalNumbersAsText) {
-  // "007" parses as 7 but re-formats differently; it must stay a string so
-  // the bytes survive.
-  std::istringstream is("col\n007\n");
-  const CsvTable loaded = CsvTable::load(is);
-  EXPECT_TRUE(std::holds_alternative<std::string>(loaded.at(0, 0)));
-  EXPECT_EQ(rendered(loaded), "col\n007\n");
+  const ResultDb loaded = read_text(first);
+  EXPECT_EQ(loaded.records()[1].benchmark, "007");
+  EXPECT_EQ(loaded.records()[3].note, "1e5");
+  EXPECT_EQ(loaded.records()[3].perfo_kind, "0.50");
 }
 
 TEST(Csv, RandomizedRoundTripIsByteIdentical) {
-  // Property test: rows mixing random nasty strings and random numerics
-  // survive write -> load -> write untouched.
+  // Property test: records mixing random nasty strings and random numerics
+  // survive write -> read -> write untouched.
   Xoshiro256 rng(2026);
   const std::string alphabet = "ab,\"\n x0.-";
-  CsvTable t({"s", "d", "i"});
-  for (int row = 0; row < 200; ++row) {
+  const auto nasty = [&rng, &alphabet] {
     std::string s;
     const std::size_t len = rng.uniform_index(12);
     for (std::size_t i = 0; i < len; ++i) s.push_back(alphabet[rng.uniform_index(alphabet.size())]);
-    t.add_row({s, rng.uniform(-1e6, 1e6) * std::pow(10.0, rng.uniform(-12, 12)),
-               static_cast<long long>(rng.next())});
+    return s;
+  };
+  std::vector<RunRecord> records;
+  for (int row = 0; row < 200; ++row) {
+    const auto real = [&rng] {
+      const double mantissa = rng.uniform(-1e6, 1e6);
+      return mantissa * std::pow(10.0, rng.uniform(-12, 12));
+    };
+    RunRecord r;
+    r.benchmark = nasty();
+    r.note = nasty();
+    r.perfo_kind = nasty();
+    r.speedup = real();
+    r.error_percent = real();
+    r.items_per_thread = rng.next();
+    r.perfo_stride = static_cast<int>(rng.next() >> 33) - (1 << 30);
+    records.push_back(std::move(r));
   }
-  const std::string bytes = rendered(t);
-  std::istringstream is(bytes);
-  EXPECT_EQ(rendered(CsvTable::load(is)), bytes);
+  const std::string bytes = rendered(records);
+  EXPECT_EQ(reread(bytes), bytes);
 }
 
 TEST(Csv, ReaderHandlesCrlfAndMissingFinalNewline) {
@@ -278,6 +294,20 @@ TEST(Csv, ReaderHandlesCrlfAndMissingFinalNewline) {
   ASSERT_TRUE(row2.has_value());
   EXPECT_EQ((*row2)[1], "4");
   EXPECT_FALSE(reader.next_row().has_value());
+
+  // The same through the record reader: CRLF everywhere, no final newline.
+  const std::vector<RunRecord> records{record_named("a", 0.25), record_named("b", 4.0)};
+  const std::string lf = rendered(records);
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf.push_back('\r');
+    crlf.push_back(c);
+  }
+  crlf.resize(crlf.size() - 2);
+  EXPECT_EQ(rendered(read_text(crlf).records()), lf);
+  // A journal row always ends with its newline, so a torn-tail read drops
+  // the unterminated last record.
+  EXPECT_EQ(read_text(crlf, /*drop_torn_tail=*/true).size(), 1u);
 }
 
 TEST(Csv, ReaderSpansQuotedNewlines) {
@@ -288,36 +318,61 @@ TEST(Csv, ReaderSpansQuotedNewlines) {
   ASSERT_EQ(row->size(), 2u);
   EXPECT_EQ((*row)[0], "one\ncell");
   EXPECT_EQ((*row)[1], "two");
+
+  RunRecord r = record_named("a");
+  r.note = "one\ncell\n\ntwo";
+  const ResultDb loaded = read_text(rendered({r, record_named("b")}));
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.records()[0].note, "one\ncell\n\ntwo");
+  EXPECT_EQ(loaded.records()[1].benchmark, "b");
 }
 
 TEST(Csv, LoadRejectsMalformedInput) {
-  std::istringstream empty("");
-  EXPECT_THROW(CsvTable::load(empty), Error);
-  std::istringstream ragged("a,b\n1\n");
-  EXPECT_THROW(CsvTable::load(ragged), Error);
-  std::istringstream unterminated("a\n\"open\n");
-  EXPECT_THROW(CsvTable::load(unterminated), Error);
+  const std::string header = rendered({});
+  const std::string good = rendered({record_named("a")});
+  const std::string row = good.substr(header.size());
+  EXPECT_THROW(read_text(""), Error);
+  EXPECT_EQ(read_text(header).size(), 0u);
+  EXPECT_THROW(read_text("a,b\n1,2\n"), Error);                       // foreign schema
+  EXPECT_THROW(read_text(header.substr(0, header.size() - 8) + "\n"), Error);  // cut header
+  EXPECT_THROW(read_text(header + "a,v100\n"), Error);                // ragged
+  EXPECT_THROW(read_text(header + row + row.substr(0, row.size() - 1) + ",x\n"), Error);
+  EXPECT_THROW(read_text(header + "\"open\n"), Error);                // unterminated quote
+  std::string bad_number = row;
+  bad_number.replace(bad_number.find(",1.5,"), 5, ",fast,");
+  EXPECT_THROW(read_text(header + bad_number), Error);
 }
 
 TEST(Csv, LoadFileMissingPathThrows) {
-  EXPECT_THROW(CsvTable::load_file("/nonexistent/dir/f.csv"), Error);
+  EXPECT_THROW(ResultDb::load("/nonexistent/dir/f.csv"), Error);
 }
 
 TEST(Csv, DropTornTailRecoversJournalsKilledMidRow) {
   // The signature of an append-mode journal whose writer died mid-write:
   // a final record with too few cells ...
-  std::istringstream torn_cells("a,b\n1,2\n3\n");
-  const CsvTable recovered = CsvTable::load(torn_cells, /*drop_torn_tail=*/true);
-  EXPECT_EQ(recovered.row_count(), 1u);
-  // ... or one ending inside a quoted cell.
-  std::istringstream torn_quote("a,b\n1,2\n3,\"unterm");
-  EXPECT_EQ(CsvTable::load(torn_quote, true).row_count(), 1u);
-  // Without the flag both stay hard errors ...
-  std::istringstream strict("a,b\n1,2\n3\n");
-  EXPECT_THROW(CsvTable::load(strict), Error);
-  // ... and a ragged row in the *middle* is corruption either way.
-  std::istringstream mid("a,b\n1\n3,4\n");
-  EXPECT_THROW(CsvTable::load(mid, true), Error);
+  const std::string journal = rendered({record_named("a"), record_named("b")});
+  const std::string torn_cells = journal + "c,v100\n";
+  EXPECT_EQ(read_text(torn_cells, /*drop_torn_tail=*/true).size(), 2u);
+  // ... one ending inside a quoted cell ...
+  const std::string torn_quote = journal + "c,v100,perfo,\"unterm";
+  EXPECT_EQ(read_text(torn_quote, true).size(), 2u);
+  // ... or one whose cells all parse but whose newline never landed: a
+  // "0.3" cut to "0." in the last column.
+  RunRecord c = record_named("c");
+  c.perfo_fraction = 0.3;
+  const std::string full = rendered({record_named("a"), record_named("b"), c});
+  const std::string torn_number = full.substr(0, full.size() - 2);
+  EXPECT_EQ(read_text(torn_number, true).size(), 2u);
+  // Without the flag the first two stay hard errors, and the third reads
+  // as written.
+  EXPECT_THROW(read_text(torn_cells), Error);
+  EXPECT_THROW(read_text(torn_quote), Error);
+  EXPECT_EQ(read_text(torn_number).size(), 3u);
+  // A bad record in the *middle* is corruption either way.
+  const std::string header = rendered({});
+  const std::string mid = header + "a,v100\n" + journal.substr(header.size());
+  EXPECT_THROW(read_text(mid, true), Error);
+  EXPECT_THROW(read_text(mid), Error);
 }
 
 TEST(Strings, TrimRemovesWhitespace) {
@@ -457,24 +512,24 @@ TEST(StringsLocale, ParsersIgnoreCommaDecimalLocale) {
 TEST(CsvLocale, CheckpointRoundTripSurvivesCommaDecimalLocale) {
   // A campaign checkpoint is written with std::to_chars and re-parsed on
   // resume through parse_double; under a comma-decimal LC_NUMERIC the
-  // strtod-based parser rejected the file it had itself written, so the
-  // typed re-parse degraded doubles to strings and resume blew up in
-  // number_at. The round trip must stay typed and byte-stable.
-  CsvTable table({"name", "speedup", "count"});
-  table.add_row({std::string("a"), 1.0 / 3.0, 42LL});
-  table.add_row({std::string("b"), 6.02214076e23, -7LL});
-  table.add_row({std::string("c"), 0.5, 9000000000000LL});
-  std::ostringstream first;
-  table.write(first);
+  // strtod-based parser rejected the file it had itself written, and
+  // resume blew up. The round trip must keep every value and its bytes.
+  RunRecord a = record_named("a", 1.0 / 3.0);
+  a.history_size = 42;
+  RunRecord b = record_named("b", 6.02214076e23);
+  b.perfo_stride = -7;
+  RunRecord c = record_named("c", 0.5);
+  c.items_per_thread = 9000000000000ull;
+  const std::string first = rendered({a, b, c});
 
   ScopedNumericLocale de("de_DE.UTF-8");
   if (!de.ok()) GTEST_SKIP() << "de_DE.UTF-8 not generated on this host";
-  std::istringstream in(first.str());
-  const CsvTable loaded = CsvTable::load(in);
-  EXPECT_DOUBLE_EQ(loaded.number_at(0, "speedup"), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(loaded.number_at(1, "speedup"), 6.02214076e23);
-  EXPECT_DOUBLE_EQ(loaded.number_at(2, "count"), 9000000000000.0);
-  std::ostringstream second;
-  loaded.write(second);
-  EXPECT_EQ(first.str(), second.str());
+  const ResultDb loaded = read_text(first);
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_DOUBLE_EQ(loaded.records()[0].speedup, 1.0 / 3.0);
+  EXPECT_EQ(loaded.records()[0].history_size, 42);
+  EXPECT_DOUBLE_EQ(loaded.records()[1].speedup, 6.02214076e23);
+  EXPECT_EQ(loaded.records()[1].perfo_stride, -7);
+  EXPECT_EQ(loaded.records()[2].items_per_thread, 9000000000000ull);
+  EXPECT_EQ(rendered(loaded.records()), first);
 }

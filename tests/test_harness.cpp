@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -377,9 +378,9 @@ TEST(RunRecordCsv, RowRoundTripRestoresEveryField) {
   std::ostringstream os;
   db.to_csv().write(os);
   std::istringstream is(os.str());
-  const CsvTable loaded = CsvTable::load(is);
-  ASSERT_EQ(loaded.row_count(), 1u);
-  const RunRecord r = RunRecord::from_row(loaded, 0);
+  const ResultDb loaded = ResultDb::read(is);
+  ASSERT_EQ(loaded.size(), 1u);
+  const RunRecord& r = loaded.records().front();
   const RunRecord expect = tricky_record();
   EXPECT_EQ(r.benchmark, expect.benchmark);
   EXPECT_EQ(r.device, expect.device);
@@ -436,6 +437,44 @@ TEST(RunRecordCsv, LoadRejectsForeignColumns) {
   std::remove(path.c_str());
 }
 
+TEST(RunRecordCsv, FromCellsParsesEachCellOnceAsItsFieldType) {
+  std::vector<std::string> cells;
+  for (const CsvCell& cell : tricky_record().to_row()) {
+    std::ostringstream os;
+    write_csv_cell(os, cell);
+    const std::string text = os.str();
+    // Unquote: the row holds one quoted cell (the note).
+    cells.push_back(text.front() == '"' ? tricky_record().note : text);
+  }
+  EXPECT_EQ(RunRecord::from_cells(cells).to_row(), tricky_record().to_row());
+
+  const auto column = [](const char* name) {
+    const auto& columns = RunRecord::csv_columns();
+    return static_cast<std::size_t>(std::find(columns.begin(), columns.end(), name) -
+                                    columns.begin());
+  };
+  // A non-canonical number in a numeric column parses as its value.
+  std::vector<std::string> loose = cells;
+  loose[column("speedup")] = "0.50";
+  loose[column("threshold")] = "2.";
+  loose[column("history_size")] = "+3";
+  const RunRecord parsed = RunRecord::from_cells(loose);
+  EXPECT_DOUBLE_EQ(parsed.speedup, 0.5);
+  EXPECT_DOUBLE_EQ(parsed.threshold, 2.0);
+  EXPECT_EQ(parsed.history_size, 3);
+
+  for (const auto& [name, text] : std::vector<std::pair<const char*, std::string>>{
+           {"speedup", "0.5.0"}, {"speedup", "fast"}, {"history_size", "2.5"},
+           {"table_size", "3000000000"}, {"items_per_thread", ""},
+           {"feasible", "yes"}, {"technique", "hologram"}, {"level", "galaxy"}}) {
+    std::vector<std::string> bad = cells;
+    bad[column(name)] = text;
+    EXPECT_THROW(RunRecord::from_cells(bad), Error) << name << " = '" << text << "'";
+  }
+  cells.pop_back();
+  EXPECT_THROW(RunRecord::from_cells(cells), Error);
+}
+
 TEST(RunRecordCsv, TechniqueAndHierarchyNamesRoundTrip) {
   using pragma::Technique;
   for (const auto t : {Technique::kNone, Technique::kTafMemo, Technique::kIactMemo,
@@ -460,8 +499,10 @@ TEST(ResultDb, CsvExportHasAllRows) {
   db.add(r);
   const auto csv = db.to_csv();
   EXPECT_EQ(csv.row_count(), 2u);
-  EXPECT_NO_THROW(csv.column_index("speedup"));
-  EXPECT_NO_THROW(csv.column_index("error_percent"));
+  EXPECT_EQ(csv.columns(), RunRecord::csv_columns());
+  const auto& columns = csv.columns();
+  EXPECT_NE(std::find(columns.begin(), columns.end(), "speedup"), columns.end());
+  EXPECT_NE(std::find(columns.begin(), columns.end(), "error_percent"), columns.end());
 }
 
 namespace {

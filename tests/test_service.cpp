@@ -28,6 +28,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "harness/campaign.hpp"
 #include "harness/result_store.hpp"
 #include "harness/tuning_service.hpp"
@@ -646,6 +647,54 @@ TEST(Protocol, AnswerRoundTripsEveryRecordField) {
   const std::string body = service::encode_answer(answer);
   EXPECT_THROW(service::decode_answer(std::string_view(body).substr(0, body.size() / 2)),
                service::ProtocolError);
+}
+
+TEST(Protocol, AnswerBytesArePinned) {
+  // Protocol v2's record body, byte for byte: a codec refactor that
+  // reorders fields or changes a field's wire width breaks deployed
+  // clients, however well it round-trips against itself.
+  TuningAnswer answer;
+  answer.status = TuningStatus::kOk;
+  answer.memoized = true;
+  RunRecord& r = answer.record;
+  r.benchmark = "leukocyte";
+  r.device = "mi250x";
+  r.technique = pragma::Technique::kPerforation;
+  r.spec_text = "perfo(large:3) level(block)";
+  r.level = pragma::HierarchyLevel::kBlock;
+  r.items_per_thread = 9000000000000ull;
+  r.feasible = false;
+  r.note = "torn\nrow, \"quoted\"";
+  r.speedup = 1.0 / 3.0;
+  r.error_percent = 6.02214076e23;
+  r.approx_ratio = 0.125;
+  r.kernel_seconds = 1.5e-4;
+  r.end_to_end_seconds = 2.25e-3;
+  r.iterations = 42;
+  r.baseline_iterations = 60;
+  r.threshold = 0.5;
+  r.history_size = 3;
+  r.prediction_size = 8;
+  r.table_size = 4;
+  r.tables_per_warp = 16;
+  r.perfo_kind = "large";
+  r.perfo_stride = -3;
+  r.perfo_fraction = 0.3;
+
+  std::string hex;
+  for (const unsigned char byte : service::encode_answer(answer)) {
+    hex += strings::format("%02x", byte);
+  }
+  EXPECT_EQ(hex,
+            "00010000000001090000006c65756b6f63797465060000006d69323530780300"
+            "1b000000706572666f286c617267653a3329206c6576656c28626c6f636b2902"
+            "000090cd792f0800000012000000746f726e0a726f772c202271756f74656422"
+            "555555555555d53f17c557ca85e1df44000000000000c03f613255302aa9233f"
+            "3bdf4f8d976e623f00000000000045400000000000004e40000000000000e03f"
+            "03000000080000000400000010000000050000006c61726765fdffffff333333"
+            "333333d33f");
+  EXPECT_EQ(service::decode_answer(service::encode_answer(answer)).record.to_row(),
+            r.to_row());
 }
 
 // --- socket transport (in-process server) ------------------------------------
