@@ -7,6 +7,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/fileops.hpp"
 #include "common/strings.hpp"
 #include "harness/lease_journal.hpp"
 #include "harness/record.hpp"
@@ -74,18 +75,34 @@ int run_protocol(const std::uint8_t* data, std::size_t size) {
 int run_csv(const std::uint8_t* data, std::size_t size) {
   if (size == 0 || size > kMaxInput) return 0;
   const bool drop_torn_tail = (data[0] & 1) != 0;
-  std::istringstream in{std::string(as_text(data + 1, size - 1))};
+  const std::string input(as_text(data + 1, size - 1));
+  const auto csv_text = [](const harness::ResultDb& db) {
+    std::ostringstream out;
+    db.to_csv().write(out);
+    return out.str();
+  };
+  std::istringstream in{input};
   try {
     const harness::ResultDb db = harness::ResultDb::read(in, drop_torn_tail);
     // Whatever read accepted must re-serialize stably: write -> read ->
     // write is byte-identical (the property the result-store journal and
     // its canonical rewrite rely on).
-    std::ostringstream first;
-    db.to_csv().write(first);
-    std::istringstream again{first.str()};
-    std::ostringstream second;
-    harness::ResultDb::read(again).to_csv().write(second);
-    check(first.str() == second.str());
+    const std::string first = csv_text(db);
+    std::istringstream again{first};
+    check(first == csv_text(harness::ResultDb::read(again)));
+    if (drop_torn_tail) {
+      // read leaves the stream after the last row it accepted; that
+      // prefix — what a result store keeps of its journal — must re-read
+      // strictly to the same records.
+      const std::streamoff accepted = in.tellg();
+      check(accepted >= 0 && static_cast<std::size_t>(accepted) <= input.size());
+      if (accepted == 0) {
+        check(db.size() == 0);
+      } else {
+        std::istringstream prefix{input.substr(0, static_cast<std::size_t>(accepted))};
+        check(first == csv_text(harness::ResultDb::read(prefix)));
+      }
+    }
   } catch (const Error&) {
   }
   return 0;
@@ -102,10 +119,17 @@ int run_lease_journal(const std::uint8_t* data, std::size_t size) {
   check(out.valid_records ==
         out.claims + out.heartbeats + out.releases + out.reclaims);
   // Determinism: the same bytes replay to the same state.
-  const LeaseJournal::Inspection again = LeaseJournal::inspect_bytes(bytes);
-  check(again.valid_records == out.valid_records &&
-        again.invalid_lines == out.invalid_lines &&
-        again.last_seen == out.last_seen);
+  check(LeaseJournal::inspect_bytes(bytes) == out);
+  // A live journal reads the file in refreshes that end anywhere: two
+  // replays split at an arbitrary point, each resuming where the last
+  // stopped, give the state of one inspect.
+  const std::size_t cut = fileops::fnv1a64(bytes) % (bytes.size() + 1);
+  LeaseJournal::Inspection live;
+  std::size_t offset = LeaseJournal::replay(bytes.substr(0, cut), live);
+  check(offset <= cut);
+  offset += LeaseJournal::replay(bytes.substr(offset), live);
+  if (offset < bytes.size()) ++live.invalid_lines;  // the unterminated tail
+  check(live == out);
   return 0;
 }
 
@@ -119,9 +143,11 @@ int run_spec(const std::uint8_t* data, std::size_t size) {
   (void)strings::parse_double(text, real);
   try {
     const pragma::ApproxSpec spec = pragma::parse_approx(text);
-    // Canonical form is a fixed point: parse(to_string(s)) == s.
+    // The canonical form reads back to equal fields, and is a fixed point.
     const std::string canonical = spec.to_string();
-    check(canonical == pragma::parse_approx(canonical).to_string());
+    const pragma::ApproxSpec again = pragma::parse_approx(canonical);
+    check(again == spec);
+    check(canonical == again.to_string());
   } catch (const Error&) {
   }
   return 0;

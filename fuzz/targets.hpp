@@ -23,16 +23,18 @@ int run_protocol(const std::uint8_t* data, std::size_t size);
 
 /// harness/record.cpp: ResultDb::read over the record schema (first byte
 /// selects drop_torn_tail), checking write/read round-trip stability of
-/// whatever is accepted.
+/// whatever is accepted and, under drop_torn_tail, that the prefix read
+/// accepted re-reads to the same records.
 int run_csv(const std::uint8_t* data, std::size_t size);
 
 /// harness/lease_journal.cpp: LeaseJournal::inspect_bytes over a raw
-/// journal image — torn tails, mangled checksums, glued lines.
+/// journal image — torn tails, mangled checksums, glued lines — checking
+/// that two replays split at an arbitrary point reach the same state.
 int run_lease_journal(const std::uint8_t* data, std::size_t size);
 
 /// pragma/parser.cpp + common/strings.cpp: the `#pragma approx` clause
 /// grammar behind every --spec CLI flag, plus the int/double primitives
-/// under flag parsing, checking parse(to_string(s)) canonicality.
+/// under flag parsing, checking that parse(to_string(s)) has s's fields.
 int run_spec(const std::uint8_t* data, std::size_t size);
 
 }  // namespace hpac::fuzz

@@ -38,8 +38,7 @@ double BinomialOptions::tree_price(double spot, double strike, double expiry, in
   // Vector fast path: lanes are the tree nodes of one level. The update
   // is elementwise (both inputs loaded before the store, no reduction),
   // so the kernel is bit-identical to this loop; resolved per call so
-  // HPAC_SIMD / simd::set_level changes apply, and shared by both
-  // binding forms since they funnel through tree_price.
+  // HPAC_SIMD / simd::set_level changes apply.
   if (const kernels::BinomialInductFn induct = kernels::binomial_induct_fn()) {
     induct(values.data(), steps, discount, p_up, p_down);
   } else {

@@ -4,10 +4,10 @@
 // dominate sweep time: blackscholes batch pricing
 // (lanes = option contracts, wired through the warp-per-call
 // `accurate_batch` binding hook), the binomial backward induction
-// (lanes = tree nodes of one level, applied inside `tree_price` so both
-// binding forms benefit) and kmeans (lanes = observations in the
-// nearest-centroid search, wired through `accurate_batch` like
-// blackscholes; lanes = dims in the host centroid sums). Every kernel
+// (lanes = tree nodes of one level, applied inside `tree_price`) and
+// kmeans (lanes = observations in the nearest-centroid search, wired
+// through `accurate_batch` like blackscholes; lanes = dims in the host
+// centroid sums). Every kernel
 // is bit-identical to its scalar reference — same per-lane operation
 // order, explicit mul/add (no FMA) — so QoI vectors, error metrics and
 // sweep CSVs are invariant across dispatch levels (enforced by the

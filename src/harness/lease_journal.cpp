@@ -76,102 +76,10 @@ std::atomic<int> g_append_count{0};
 
 // --- record replay -----------------------------------------------------------
 
-/// One record-application engine shared by the live journal and the
-/// static inspect(): given a validated body, mutate (tuples, last_seen)
-/// under the journal-order rules. Tolerant by construction — anything
-/// that does not parse or references an out-of-range tuple is reported
-/// as invalid and skipped.
-struct LeaseJournal::Replay {
-  std::vector<TupleState>& tuples;
-  std::unordered_map<std::string, std::uint64_t>& last_seen;
-  Inspection* counters = nullptr;  ///< optional (inspect only)
-
-  void bump_seen(const std::string& worker, std::uint64_t nonce, std::uint64_t ts) {
-    std::uint64_t& slot = last_seen[seen_key(worker, nonce)];
-    if (ts > slot) slot = ts;
-  }
-
-  /// Apply one non-header body. Returns false when the record is
-  /// malformed (the caller counts it as an invalid line).
-  bool apply(const std::vector<std::string>& t) {
-    if (t.empty()) return false;
-    const std::string& kind = t[0];
-    if (kind == "C") {
-      std::uint64_t first = 0, count = 0, nonce = 0, ts = 0;
-      if (t.size() != 6 || !parse_u64(t[1], first) || !parse_u64(t[2], count) ||
-          !valid_worker_name(t[3]) || !parse_u64(t[4], nonce) || !parse_u64(t[5], ts) ||
-          count == 0 || first + count > tuples.size()) {
-        return false;
-      }
-      for (std::uint64_t i = first; i < first + count; ++i) {
-        TupleState& st = tuples[i];
-        if (!st.claimed && !st.released) {
-          st.claimed = true;
-          st.worker = t[3];
-          st.nonce = nonce;
-        }
-      }
-      bump_seen(t[3], nonce, ts);
-      if (counters != nullptr) ++counters->claims;
-      return true;
-    }
-    if (kind == "H") {
-      std::uint64_t nonce = 0, ts = 0;
-      if (t.size() != 4 || !valid_worker_name(t[1]) || !parse_u64(t[2], nonce) ||
-          !parse_u64(t[3], ts)) {
-        return false;
-      }
-      bump_seen(t[1], nonce, ts);
-      if (counters != nullptr) ++counters->heartbeats;
-      return true;
-    }
-    if (kind == "R") {
-      std::uint64_t tuple = 0, nonce = 0;
-      if (t.size() != 4 || !parse_u64(t[1], tuple) || !valid_worker_name(t[2]) ||
-          !parse_u64(t[3], nonce) || tuple >= tuples.size()) {
-        return false;
-      }
-      TupleState& st = tuples[tuple];
-      // Only the current owner's release counts: a worker whose lease was
-      // reclaimed mid-evaluation appends a release that every reader
-      // ignores (the reclaimer's result is the one that stands).
-      if (st.claimed && !st.released && st.worker == t[2] && st.nonce == nonce) {
-        st.released = true;
-      }
-      if (counters != nullptr) ++counters->releases;
-      return true;
-    }
-    if (kind == "X") {
-      std::uint64_t tuple = 0, old_nonce = 0, nonce = 0, ts = 0;
-      if (t.size() != 7 || !parse_u64(t[1], tuple) || !valid_worker_name(t[2]) ||
-          !parse_u64(t[3], old_nonce) || !valid_worker_name(t[4]) ||
-          !parse_u64(t[5], nonce) || !parse_u64(t[6], ts) || tuple >= tuples.size()) {
-        return false;
-      }
-      TupleState& st = tuples[tuple];
-      // Compare-and-swap: the record names the incumbent it observed.
-      // The first reclaim in journal order transfers the lease; a racing
-      // reclaim that lands later names an incumbent that no longer owns
-      // the tuple and is ignored — expired leases transfer exactly once.
-      if (st.claimed && !st.released && st.worker == t[2] && st.nonce == old_nonce) {
-        st.worker = t[4];
-        st.nonce = nonce;
-      }
-      bump_seen(t[4], nonce, ts);
-      if (counters != nullptr) ++counters->reclaims;
-      return true;
-    }
-    return false;
-  }
-};
-
-// --- line framing ------------------------------------------------------------
-
-std::string LeaseJournal::sealed_line(const std::string& body) {
-  return body + " " + fileops::hex16(fileops::fnv1a64(body)) + "\n";
-}
-
 namespace {
+
+using Inspection = LeaseJournal::Inspection;
+using TupleState = LeaseJournal::TupleState;
 
 /// Split a line into (body, valid): the last space-separated field must
 /// be a 16-hex-digit FNV-1a of everything before it. Glued lines (a torn
@@ -187,7 +95,110 @@ bool unseal_line(std::string_view line, std::string& body) {
   return true;
 }
 
+void bump_seen(Inspection& state, const std::string& worker, std::uint64_t nonce,
+               std::uint64_t ts) {
+  std::uint64_t& slot = state.last_seen[seen_key(worker, nonce)];
+  if (ts > slot) slot = ts;
+}
+
+/// Counts one applied record of a kind; always true.
+bool counted(Inspection& state, std::size_t& kind_count) {
+  ++kind_count;
+  ++state.valid_records;
+  return true;
+}
+
+/// Apply one unsealed line's tokens to `state` under the journal-order
+/// rules. Returns false when the line is malformed, out of range or a
+/// header after the first (the caller counts it as an invalid line).
+bool apply_line(Inspection& state, const std::vector<std::string>& t) {
+  if (t.empty()) return false;
+  const std::string& kind = t[0];
+  std::vector<TupleState>& tuples = state.tuples;
+  if (kind == kMagic) {
+    std::uint64_t domain = 0, fingerprint = 0;
+    // A non-empty mode marks the header as seen; a later one is invalid.
+    if (!state.mode.empty() || t.size() != 5 || t[1] != kVersion || t[2].empty() ||
+        !parse_u64(t[3], domain) || !fileops::parse_hex16(t[4], fingerprint)) {
+      return false;
+    }
+    state.mode = t[2];
+    state.domain = domain;
+    state.fingerprint = fingerprint;
+    tuples.resize(domain);
+    return true;
+  }
+  if (kind == "C") {
+    std::uint64_t first = 0, count = 0, nonce = 0, ts = 0;
+    if (t.size() != 6 || !parse_u64(t[1], first) || !parse_u64(t[2], count) ||
+        !valid_worker_name(t[3]) || !parse_u64(t[4], nonce) || !parse_u64(t[5], ts) ||
+        count == 0 || first + count > tuples.size()) {
+      return false;
+    }
+    for (std::uint64_t i = first; i < first + count; ++i) {
+      TupleState& st = tuples[i];
+      if (!st.claimed && !st.released) {
+        st.claimed = true;
+        st.worker = t[3];
+        st.nonce = nonce;
+      }
+    }
+    bump_seen(state, t[3], nonce, ts);
+    return counted(state, state.claims);
+  }
+  if (kind == "H") {
+    std::uint64_t nonce = 0, ts = 0;
+    if (t.size() != 4 || !valid_worker_name(t[1]) || !parse_u64(t[2], nonce) ||
+        !parse_u64(t[3], ts)) {
+      return false;
+    }
+    bump_seen(state, t[1], nonce, ts);
+    return counted(state, state.heartbeats);
+  }
+  if (kind == "R") {
+    std::uint64_t tuple = 0, nonce = 0;
+    if (t.size() != 4 || !parse_u64(t[1], tuple) || !valid_worker_name(t[2]) ||
+        !parse_u64(t[3], nonce) || tuple >= tuples.size()) {
+      return false;
+    }
+    TupleState& st = tuples[tuple];
+    // Only the current owner's release counts: a worker whose lease was
+    // reclaimed mid-evaluation appends a release that every reader
+    // ignores (the reclaimer's result is the one that stands).
+    if (st.claimed && !st.released && st.worker == t[2] && st.nonce == nonce) {
+      st.released = true;
+    }
+    return counted(state, state.releases);
+  }
+  if (kind == "X") {
+    std::uint64_t tuple = 0, old_nonce = 0, nonce = 0, ts = 0;
+    if (t.size() != 7 || !parse_u64(t[1], tuple) || !valid_worker_name(t[2]) ||
+        !parse_u64(t[3], old_nonce) || !valid_worker_name(t[4]) ||
+        !parse_u64(t[5], nonce) || !parse_u64(t[6], ts) || tuple >= tuples.size()) {
+      return false;
+    }
+    TupleState& st = tuples[tuple];
+    // Compare-and-swap: the record names the incumbent it observed.
+    // The first reclaim in journal order transfers the lease; a racing
+    // reclaim that lands later names an incumbent that no longer owns
+    // the tuple and is ignored — expired leases transfer exactly once.
+    if (st.claimed && !st.released && st.worker == t[2] && st.nonce == old_nonce) {
+      st.worker = t[4];
+      st.nonce = nonce;
+    }
+    bump_seen(state, t[4], nonce, ts);
+    return counted(state, state.reclaims);
+  }
+  return false;
+}
+
 }  // namespace
+
+// --- line framing ------------------------------------------------------------
+
+std::string LeaseJournal::sealed_line(const std::string& body) {
+  return body + " " + fileops::hex16(fileops::fnv1a64(body)) + "\n";
+}
 
 // --- construction ------------------------------------------------------------
 
@@ -204,7 +215,6 @@ LeaseJournal::LeaseJournal(Options options) : options_(std::move(options)) {
   HPAC_REQUIRE(options_.domain > 0, "lease journal needs a non-empty tuple domain");
   HPAC_REQUIRE(options_.ttl_ms > 0, "lease journal TTL must be positive");
   if (options_.nonce == 0) options_.nonce = generate_nonce();
-  tuples_.resize(options_.domain);
 
   // Create-or-join: write the header to a temp file and publish it with
   // an exclusive link, so exactly one of N racing workers creates the
@@ -224,6 +234,17 @@ LeaseJournal::LeaseJournal(Options options) : options_(std::move(options)) {
   }
   common::MutexLock lock(mutex_);
   refresh_locked();
+  if (state_.mode != mode_name(options_.mode)) {
+    throw ConfigError("lease journal " + options_.path +
+                      " has an incompatible header/mode (expected " +
+                      mode_name(options_.mode) + ")");
+  }
+  if (state_.domain != options_.domain || state_.fingerprint != options_.fingerprint) {
+    throw ConfigError(
+        "lease journal " + options_.path +
+        " was created for a different campaign plan (domain/fingerprint mismatch); "
+        "refusing to mix sweeps in one directory");
+  }
 }
 
 LeaseJournal::~LeaseJournal() = default;
@@ -241,9 +262,18 @@ std::uint64_t LeaseJournal::now_ms() {
 
 // --- reading -----------------------------------------------------------------
 
-void LeaseJournal::refresh() {
-  common::MutexLock lock(mutex_);
-  refresh_locked();
+std::size_t LeaseJournal::replay(std::string_view bytes, Inspection& state) {
+  std::size_t consumed = 0;
+  for (std::size_t nl = bytes.find('\n'); nl != std::string_view::npos;
+       nl = bytes.find('\n', consumed)) {
+    const std::string_view line = bytes.substr(consumed, nl - consumed);
+    consumed = nl + 1;
+    std::string body;
+    if (!unseal_line(line, body) || !apply_line(state, strings::split(body, ' '))) {
+      ++state.invalid_lines;
+    }
+  }
+  return consumed;
 }
 
 void LeaseJournal::refresh_locked() {
@@ -251,63 +281,8 @@ void LeaseJournal::refresh_locked() {
   if (!fileops::read_file(options_.path, bytes)) {
     throw Error("lease journal disappeared: " + options_.path);
   }
-  if (options_.mode == AppendMode::kRenameRewrite) {
-    // The file may have been atomically replaced; rebuild from scratch.
-    tuples_.assign(options_.domain, TupleState{});
-    last_seen_.clear();
-    invalid_lines_ = 0;
-    carry_.clear();
-    read_offset_ = 0;
-    consume_bytes(bytes);
-    if (!carry_.empty()) {
-      // Rename mode never publishes partial lines; treat one as torn.
-      ++invalid_lines_;
-      carry_.clear();
-    }
-    return;
-  }
   if (bytes.size() <= read_offset_) return;
-  consume_bytes(std::string_view(bytes).substr(read_offset_));
-  read_offset_ = bytes.size();
-}
-
-void LeaseJournal::consume_bytes(std::string_view bytes) {
-  carry_.append(bytes.data(), bytes.size());
-  std::size_t start = 0;
-  Replay replay{tuples_, last_seen_, nullptr};
-  for (;;) {
-    const std::size_t nl = carry_.find('\n', start);
-    if (nl == std::string::npos) break;
-    const std::string_view line = std::string_view(carry_).substr(start, nl - start);
-    start = nl + 1;
-    std::string body;
-    if (!unseal_line(line, body)) {
-      ++invalid_lines_;
-      continue;
-    }
-    const std::vector<std::string> tokens = strings::split(body, ' ');
-    if (!tokens.empty() && tokens[0] == kMagic) {
-      if (tokens.size() != 5 || tokens[1] != kVersion ||
-          tokens[2] != mode_name(options_.mode)) {
-        throw ConfigError("lease journal " + options_.path +
-                          " has an incompatible header/mode (expected " +
-                          mode_name(options_.mode) + ")");
-      }
-      std::uint64_t domain = 0, fingerprint = 0;
-      if (!parse_u64(tokens[3], domain) || !fileops::parse_hex16(tokens[4], fingerprint)) {
-        throw ConfigError("lease journal " + options_.path + " has a malformed header");
-      }
-      if (domain != options_.domain || fingerprint != options_.fingerprint) {
-        throw ConfigError(
-            "lease journal " + options_.path +
-            " was created for a different campaign plan (domain/fingerprint mismatch); "
-            "refusing to mix sweeps in one directory");
-      }
-      continue;
-    }
-    if (!replay.apply(tokens)) ++invalid_lines_;
-  }
-  carry_.erase(0, start);
+  read_offset_ += replay(std::string_view(bytes).substr(read_offset_), state_);
 }
 
 // --- writing -----------------------------------------------------------------
@@ -354,7 +329,7 @@ std::vector<std::size_t> LeaseJournal::claim(std::size_t first, std::size_t coun
   refresh_locked();
   std::vector<std::size_t> won;
   for (std::size_t i = first; i < first + count; ++i) {
-    const TupleState& st = tuples_[i];
+    const TupleState& st = state_.tuples[i];
     if (st.claimed && !st.released && st.worker == options_.worker &&
         st.nonce == options_.nonce) {
       won.push_back(i);
@@ -380,7 +355,7 @@ LeaseJournal::ReclaimOutcome LeaseJournal::try_reclaim(std::size_t tuple) {
   common::MutexLock lock(mutex_);
   HPAC_REQUIRE(tuple < options_.domain, "lease reclaim out of range");
   refresh_locked();
-  const TupleState st = tuples_[tuple];
+  const TupleState st = state_.tuples[tuple];
   ReclaimOutcome outcome;
   if (!st.claimed || st.released) return outcome;
   if (!owner_expired_locked(st, now_ms())) return outcome;
@@ -389,7 +364,7 @@ LeaseJournal::ReclaimOutcome LeaseJournal::try_reclaim(std::size_t tuple) {
                 std::to_string(st.nonce) + " " + options_.worker + " " +
                 std::to_string(options_.nonce) + " " + std::to_string(now_ms()));
   refresh_locked();
-  const TupleState& now = tuples_[tuple];
+  const TupleState& now = state_.tuples[tuple];
   outcome.won = now.claimed && !now.released && now.worker == options_.worker &&
                 now.nonce == options_.nonce;
   return outcome;
@@ -397,21 +372,16 @@ LeaseJournal::ReclaimOutcome LeaseJournal::try_reclaim(std::size_t tuple) {
 
 // --- queries -----------------------------------------------------------------
 
-std::uint64_t LeaseJournal::last_seen(const std::string& worker,
-                                      std::uint64_t nonce) const {
-  const auto it = last_seen_.find(seen_key(worker, nonce));
-  return it != last_seen_.end() ? it->second : 0;
-}
-
 bool LeaseJournal::owner_expired_locked(const TupleState& st, std::uint64_t now) const {
-  const std::uint64_t seen = last_seen(st.worker, st.nonce);
+  const auto it = state_.last_seen.find(seen_key(st.worker, st.nonce));
+  const std::uint64_t seen = it != state_.last_seen.end() ? it->second : 0;
   return now > seen && now - seen > options_.ttl_ms;
 }
 
 bool LeaseJournal::holds(std::size_t tuple) {
   common::MutexLock lock(mutex_);
   refresh_locked();
-  const TupleState& st = tuples_[tuple];
+  const TupleState& st = state_.tuples[tuple];
   return st.claimed && !st.released && st.worker == options_.worker &&
          st.nonce == options_.nonce;
 }
@@ -420,14 +390,14 @@ LeaseJournal::TupleState LeaseJournal::state(std::size_t tuple) {
   common::MutexLock lock(mutex_);
   HPAC_REQUIRE(tuple < options_.domain, "lease state out of range");
   refresh_locked();
-  return tuples_[tuple];
+  return state_.tuples[tuple];
 }
 
 bool LeaseJournal::all_released(std::size_t first, std::size_t count) {
   common::MutexLock lock(mutex_);
   refresh_locked();
   for (std::size_t i = first; i < first + count; ++i) {
-    if (!tuples_[i].released) return false;
+    if (!state_.tuples[i].released) return false;
   }
   return true;
 }
@@ -438,7 +408,7 @@ std::vector<std::size_t> LeaseJournal::expired(std::size_t first, std::size_t co
   const std::uint64_t now = now_ms();
   std::vector<std::size_t> out;
   for (std::size_t i = first; i < first + count; ++i) {
-    const TupleState& st = tuples_[i];
+    const TupleState& st = state_.tuples[i];
     if (st.claimed && !st.released && owner_expired_locked(st, now)) out.push_back(i);
   }
   return out;
@@ -451,7 +421,7 @@ std::optional<std::pair<std::size_t, std::size_t>> LeaseJournal::next_unclaimed_
   if (domain_count == 0 || max_len == 0) return std::nullopt;
   refresh_locked();
   const auto free = [this](std::size_t i) {
-    return !tuples_[i].claimed && !tuples_[i].released;
+    return !state_.tuples[i].claimed && !state_.tuples[i].released;
   };
   for (std::size_t k = 0; k < domain_count; ++k) {
     const std::size_t i = (rotate + k) % domain_count;
@@ -466,7 +436,7 @@ std::optional<std::pair<std::size_t, std::size_t>> LeaseJournal::next_unclaimed_
 std::size_t LeaseJournal::invalid_lines() {
   common::MutexLock lock(mutex_);
   refresh_locked();
-  return invalid_lines_;
+  return state_.invalid_lines;
 }
 
 // --- inspect -----------------------------------------------------------------
@@ -481,42 +451,7 @@ LeaseJournal::Inspection LeaseJournal::inspect(const std::string& path) {
 
 LeaseJournal::Inspection LeaseJournal::inspect_bytes(std::string_view bytes) {
   Inspection out;
-  Replay replay{out.tuples, out.last_seen, &out};
-  std::size_t start = 0;
-  bool saw_header = false;
-  while (start < bytes.size()) {
-    const std::size_t nl = bytes.find('\n', start);
-    if (nl == std::string::npos) {
-      ++out.invalid_lines;  // torn tail: record never terminated
-      break;
-    }
-    const std::string_view line = std::string_view(bytes).substr(start, nl - start);
-    start = nl + 1;
-    std::string body;
-    if (!unseal_line(line, body)) {
-      ++out.invalid_lines;
-      continue;
-    }
-    const std::vector<std::string> tokens = strings::split(body, ' ');
-    if (!tokens.empty() && tokens[0] == kMagic) {
-      std::uint64_t domain = 0;
-      if (saw_header || tokens.size() != 5 || !parse_u64(tokens[3], domain) ||
-          !fileops::parse_hex16(tokens[4], out.fingerprint)) {
-        ++out.invalid_lines;
-        continue;
-      }
-      saw_header = true;
-      out.mode = tokens[2];
-      out.domain = domain;
-      out.tuples.resize(domain);
-      continue;
-    }
-    if (replay.apply(tokens)) {
-      ++out.valid_records;
-    } else {
-      ++out.invalid_lines;
-    }
-  }
+  if (replay(bytes, out) < bytes.size()) ++out.invalid_lines;  // torn tail
   return out;
 }
 

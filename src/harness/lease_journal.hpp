@@ -79,11 +79,14 @@ class LeaseJournal {
     bool released = false;
     std::string worker;  ///< current owner (last claim/reclaim winner)
     std::uint64_t nonce = 0;
+
+    bool operator==(const TupleState&) const = default;
   };
 
-  /// Point-in-time parse of a journal file, tolerant like a live reader
-  /// (invalid lines skipped and counted). For tests and tooling; takes no
-  /// locks and works for either mode.
+  /// The state a replay of journal lines builds: the first valid header
+  /// (mode, domain, fingerprint), every tuple's lease and the record
+  /// counts. A live journal keeps one as its view; inspect() returns one
+  /// for tests and tooling. Invalid lines are skipped and counted.
   struct Inspection {
     std::string mode;
     std::size_t domain = 0;
@@ -99,6 +102,8 @@ class LeaseJournal {
     std::size_t heartbeats = 0;
     std::size_t releases = 0;
     std::size_t reclaims = 0;
+
+    bool operator==(const Inspection&) const = default;
   };
 
   /// Create or join the journal at options.path. Creation races resolve
@@ -110,12 +115,6 @@ class LeaseJournal {
 
   LeaseJournal(const LeaseJournal&) = delete;
   LeaseJournal& operator=(const LeaseJournal&) = delete;
-
-  /// Absorb records appended since the last refresh (atomic-append mode
-  /// reads incrementally; rename mode re-reads the current file). All
-  /// query methods refresh implicitly; an explicit call is only useful to
-  /// batch several state() lookups against one view.
-  void refresh();
 
   /// Try to claim [first, first+count): appends one claim record, then
   /// re-reads and returns the indices this worker actually won (an
@@ -164,9 +163,19 @@ class LeaseJournal {
 
   static Inspection inspect(const std::string& path);
 
-  /// inspect() over bytes already in memory — the parser entry the fuzz
-  /// harness drives directly, with no filesystem in the loop.
+  /// inspect() over bytes already in memory: one replay, plus one invalid
+  /// line for an unterminated tail.
   static Inspection inspect_bytes(std::string_view bytes);
+
+  /// The one journal reader. Applies every '\n'-terminated line of
+  /// `bytes` to `state` in order: unseals it, records the first valid
+  /// header, applies C/H/R/X records and counts anything else as an
+  /// invalid line. Returns the length of the prefix consumed, through the
+  /// last '\n'; an unterminated tail is left for the caller. A live
+  /// journal replays the bytes past its read offset on every refresh and
+  /// advances the offset by the return value — valid in both modes, since
+  /// a rename rewrite republishes the old bytes plus one line.
+  static std::size_t replay(std::string_view bytes, Inspection& state);
 
   static std::uint64_t now_ms();
   static const char* mode_name(AppendMode mode);
@@ -189,13 +198,9 @@ class LeaseJournal {
       1 + 4 * (1 + 20) + 2 * (1 + kMaxWorkerNameBytes) + (1 + 16) + 1;
 
  private:
-  struct Replay;  // shared record-application logic (live + inspect)
-
   void append_record(const std::string& body) REQUIRES(mutex_);
+  /// Replays the bytes appended past read_offset_ into state_.
   void refresh_locked() REQUIRES(mutex_);
-  void consume_bytes(std::string_view bytes) REQUIRES(mutex_);
-  std::uint64_t last_seen(const std::string& worker, std::uint64_t nonce) const
-      REQUIRES(mutex_);
   bool owner_expired_locked(const TupleState& st, std::uint64_t now) const
       REQUIRES(mutex_);
   static std::string sealed_line(const std::string& body);
@@ -203,14 +208,10 @@ class LeaseJournal {
   Options options_;
   mutable common::Mutex mutex_;
   std::unique_ptr<fileops::AppendFile> appender_
-      GUARDED_BY(mutex_);                          ///< kAtomicAppend only
-  std::size_t read_offset_ GUARDED_BY(mutex_) = 0; ///< kAtomicAppend only
-  /// Trailing bytes not yet terminated by '\n'.
-  std::string carry_ GUARDED_BY(mutex_);
-  std::vector<TupleState> tuples_ GUARDED_BY(mutex_);
-  /// worker#nonce -> newest timestamp.
-  std::unordered_map<std::string, std::uint64_t> last_seen_ GUARDED_BY(mutex_);
-  std::size_t invalid_lines_ GUARDED_BY(mutex_) = 0;
+      GUARDED_BY(mutex_);  ///< kAtomicAppend only
+  /// Replay of the journal's first read_offset_ bytes.
+  Inspection state_ GUARDED_BY(mutex_);
+  std::size_t read_offset_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace hpac::harness

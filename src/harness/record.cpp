@@ -128,13 +128,29 @@ void ResultDb::save(const std::string& path) const { to_csv().save(path); }
 
 ResultDb ResultDb::read(std::istream& is, bool drop_torn_tail) {
   CsvReader reader(is);
-  HPAC_REQUIRE(reader.next_row() == RunRecord::csv_columns(),
+  // Under drop_torn_tail the stream is left where the input after the
+  // last accepted row starts.
+  std::streampos accepted = drop_torn_tail ? is.tellg() : std::streampos(-1);
+  const auto leave_after_accepted = [&] {
+    if (!drop_torn_tail) return;
+    is.clear();
+    is.seekg(accepted);
+  };
+  const auto header = reader.next_row();
+  // A header cut short of its newline is a torn tail too: the writer was
+  // killed while creating the file, so nothing in it is durable.
+  if (drop_torn_tail && header && is.eof()) {
+    leave_after_accepted();
+    return {};
+  }
+  HPAC_REQUIRE(header == RunRecord::csv_columns(),
                "CSV columns do not match the result database schema");
   ResultDb db;
   // A writer killed mid-append leaves at most the last record torn: cut
   // short of its newline (every writer ends a row with one), which may
   // also leave it ragged, inside an open quote or with a truncated cell.
   for (;;) {
+    if (drop_torn_tail) accepted = is.tellg();
     try {
       const auto cells = reader.next_row();
       // eof() right after a record means it ended without its newline.
@@ -145,6 +161,7 @@ ResultDb ResultDb::read(std::istream& is, bool drop_torn_tail) {
       break;
     }
   }
+  leave_after_accepted();
   return db;
 }
 

@@ -117,8 +117,12 @@ class ResultDb {
   /// input's last record is dropped when it fails to read or to parse or
   /// lacks its final newline, so a journal whose writer was killed
   /// mid-append still loads and never keeps a half-written row (campaign
-  /// resume and the fleet merge rely on this). An earlier bad record
-  /// throws either way.
+  /// resume and the fleet merge rely on this). A header that lacks its
+  /// newline is such a tail too: the result is empty. An earlier bad
+  /// record throws either way. With `drop_torn_tail` the stream is left,
+  /// with its state cleared, just after the last row read accepted — the
+  /// header or a record — or at its start when it accepted none; the
+  /// input must be seekable.
   static ResultDb read(std::istream& is, bool drop_torn_tail = false);
   /// `read` of the file at `path`; throws when it cannot be opened.
   static ResultDb load(const std::string& path, bool drop_torn_tail = false);

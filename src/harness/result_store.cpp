@@ -95,29 +95,22 @@ ResultStore::ResultStore(std::string path, bool read_only)
     : path_(std::move(path)), read_only_(read_only), log_(std::make_shared<Log>()) {
   // Serialize against writers in OTHER processes sharing this journal:
   // append_if_absent holds the same flock around each row. Without it, a
-  // peer's complete rows landing between the durable-prefix read and the
+  // peer's complete rows landing between the journal read and the
   // truncate below would be destroyed as a "torn tail". Read-only opens
   // never truncate, so they take no lock (and must work on read-only
   // filesystems where the lock file cannot be created).
   std::optional<fileops::FileLock> open_lock;
   if (persistent() && !read_only_) open_lock.emplace(path_ + ".lock");
-  // One read of the journal decides everything. Its durable prefix — the
-  // bytes through the final newline — resumes; anything past it is a torn
-  // row from a writer killed mid-append. A file with NO newline (a writer
-  // killed mid-header-write) has nothing durable at all and must not even
-  // be parsed — ResultDb::read would reject its torn header.
+  // One read of the journal decides everything: what ResultDb::read
+  // accepts resumes, and the stream is left where that ends. Anything
+  // past it is a torn tail from a writer killed mid-append — or
+  // mid-header, which leaves nothing to resume.
   std::string bytes;
   if (persistent()) fileops::read_file(path_, bytes);
-  const std::size_t last_newline = bytes.rfind('\n');
-  const std::size_t durable = last_newline == std::string::npos ? 0 : last_newline + 1;
-  const bool torn = durable < bytes.size();
-  const bool resuming = durable > 0;
-  HPAC_REQUIRE(!read_only_ || resuming,
-               "read-only result store needs an existing journal: " + path_);
-  if (resuming) {
-    bytes.resize(durable);
+  const std::size_t size = bytes.size();
+  std::size_t durable = 0;
+  if (size > 0) {
     std::istringstream in(std::move(bytes));
-    // drop_torn_tail: a writer killed mid-append must not brick the store.
     const ResultDb journal = ResultDb::read(in, /*drop_torn_tail=*/true);
     for (const RunRecord& record : journal.records()) {
       if (log_->add(key_of(record), record) == 0) {
@@ -126,13 +119,16 @@ ResultStore::ResultStore(std::string path, bool read_only)
         ++load_stats_.restored;
       }
     }
+    durable = static_cast<std::size_t>(in.tellg());
   }
+  const bool resuming = durable > 0;
+  HPAC_REQUIRE(!read_only_ || resuming,
+               "read-only result store needs an existing journal: " + path_);
   if (persistent() && !read_only_) {
-    // The file must shed what lies past its durable prefix too, or the
-    // append stream below would glue the next row onto the half row —
-    // turning a recoverable torn tail into a corrupt mid-file line on the
-    // following reload.
-    if (torn) {
+    // The file must shed its torn tail too, or the append stream below
+    // would continue it: glued onto a half row, or inside its open quote,
+    // the next row would be lost on the following reload.
+    if (durable < size) {
       HPAC_REQUIRE(::truncate(path_.c_str(), static_cast<off_t>(durable)) == 0,
                    "cannot drop torn tail of result store journal: " + path_);
     }

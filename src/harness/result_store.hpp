@@ -93,14 +93,16 @@ class ResultStore {
   };
 
   /// Open (or create) a store journaling to `path`; empty = in-memory
-  /// only. An existing journal is absorbed first — torn trailing rows
-  /// (writer killed mid-append) are dropped, duplicate tuples keep the
+  /// only. An existing journal is absorbed first through
+  /// `ResultDb::read(..., drop_torn_tail=true)` — a torn trailing row
+  /// (writer killed mid-append) is dropped, duplicate tuples keep the
   /// first occurrence — and subsequent appends continue the same file in
-  /// append mode. Before appending resumes, a torn trailing row is also
-  /// truncated out of the file itself: leaving the half row in place would
-  /// make the next append glue onto it and corrupt a mid-file line. A
-  /// fresh file gets the canonical CSV header immediately, so journal and
-  /// final CSV share one format.
+  /// append mode. Before appending resumes, the file is truncated to the
+  /// end of the last row that read accepted: a torn row left in place
+  /// would swallow the next append (glued onto it, or inside its open
+  /// quote). A file with no complete header counts as fresh and gets the
+  /// canonical CSV header immediately, so journal and final CSV share one
+  /// format.
   ///
   /// `read_only` opens an existing journal (or finalized CSV) for serving
   /// only: the file is never opened for writing, never truncated, and

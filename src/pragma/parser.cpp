@@ -1,6 +1,7 @@
 #include "pragma/parser.hpp"
 
 #include <cctype>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -105,6 +106,9 @@ class Scanner {
 int to_int(Scanner& s, const std::string& token, const char* what) {
   long long v = 0;
   if (!strings::parse_int(token, v)) s.fail(std::string("invalid integer for ") + what);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    s.fail(std::string(what) + " " + token + " is out of range");
+  }
   return static_cast<int>(v);
 }
 

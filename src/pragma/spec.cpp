@@ -1,5 +1,6 @@
 #include "pragma/spec.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -55,6 +56,9 @@ void ApproxSpec::validate() const {
   const int selected = (taf ? 1 : 0) + (iact ? 1 : 0) + (perfo ? 1 : 0);
   if (technique == Technique::kNone) {
     if (selected != 0) throw ParseError("technique is none but parameters are present");
+    if (level != HierarchyLevel::kThread) {
+      throw ParseError("level(...) applies to memoization activation, not accurate runs");
+    }
     return;
   }
   if (selected != 1) {
@@ -96,6 +100,24 @@ void ApproxSpec::validate() const {
   }
 }
 
+namespace {
+
+/// A double at the smallest %g precision >= 6 that parse_double reads back
+/// identical: unchanged from ostream's default wherever that already
+/// round-trips, and locale-independent through to_chars.
+std::string format_param(double value) {
+  char buf[32];
+  for (int precision = 6;; ++precision) {
+    const auto end =
+        std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, precision).ptr;
+    std::string text(buf, end);
+    double back = 0;
+    if (precision >= 17 || (strings::parse_double(text, back) && back == value)) return text;
+  }
+}
+
+}  // namespace
+
 std::string ApproxSpec::to_string() const {
   std::ostringstream os;
   switch (technique) {
@@ -104,10 +126,10 @@ std::string ApproxSpec::to_string() const {
       break;
     case Technique::kTafMemo:
       os << "memo(out:" << taf->history_size << ":" << taf->prediction_size << ":"
-         << taf->rsd_threshold << ")";
+         << format_param(taf->rsd_threshold) << ")";
       break;
     case Technique::kIactMemo:
-      os << "memo(in:" << iact->table_size << ":" << iact->threshold;
+      os << "memo(in:" << iact->table_size << ":" << format_param(iact->threshold);
       if (iact->tables_per_warp > 0) os << ":" << iact->tables_per_warp;
       os << ")";
       if (iact->clock_replacement) os << " replacement(clock)";
@@ -117,7 +139,7 @@ std::string ApproxSpec::to_string() const {
       if (perfo->kind == PerfoKind::kSmall || perfo->kind == PerfoKind::kLarge) {
         os << perfo->stride;
       } else {
-        os << perfo->fraction;
+        os << format_param(perfo->fraction);
       }
       os << ")";
       if (!perfo->herded) os << " herded(0)";

@@ -32,6 +32,8 @@ struct TafParams {
   int history_size = 3;       ///< hSize: sliding window length
   int prediction_size = 8;    ///< pSize: approximations per stable regime
   double rsd_threshold = 0.5; ///< activation when window RSD falls below
+
+  bool operator==(const TafParams&) const = default;
 };
 
 /// Parameters of `memo(in: tSize : threshold [: tablesPerWarp])`.
@@ -43,6 +45,8 @@ struct IactParams {
   /// round-robin (the paper implemented both and found no effect —
   /// footnote 3; `hpac_repro`'s `fn3.clock_no_effect` claim scores that).
   bool clock_replacement = false;
+
+  bool operator==(const IactParams&) const = default;
 };
 
 /// Parameters of `perfo(kind : value)`.
@@ -54,6 +58,8 @@ struct PerfoParams {
   /// steps in every thread, keeping warp control flow uniform. Defaults to
   /// on; `herded(0)` restores the CPU per-iteration pattern for ablations.
   bool herded = true;
+
+  bool operator==(const PerfoParams&) const = default;
 };
 
 /// A parsed and validated `#pragma approx ...` directive.
@@ -74,8 +80,11 @@ struct ApproxSpec {
   /// kinds, perfo together with memo, missing required parameters).
   void validate() const;
 
-  /// Canonical single-line clause text (parse(to_string(s)) == s).
+  /// Canonical single-line clause text (parse(to_string(s)) == s): doubles
+  /// print at the smallest %g precision >= 6 that reads back identical.
   std::string to_string() const;
+
+  bool operator==(const ApproxSpec&) const = default;
 };
 
 /// Human-readable names used across tables, CSV output and tests.

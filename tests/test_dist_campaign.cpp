@@ -319,6 +319,72 @@ TEST(LeaseJournal, RenameRewriteModeCoordinatesLikeAppendMode) {
   EXPECT_EQ(inspection.invalid_lines, 0u);
 }
 
+TEST(LeaseJournal, InterleavedRenameAppendsKeepLiveStateEqualToInspect) {
+  const std::string dir = fresh_dir("lease_rename_interleave");
+  const std::string path = dir + "/leases.journal";
+  const auto mode = LeaseJournal::AppendMode::kRenameRewrite;
+  LeaseJournal a(lease_options(path, "a", 6, 120, mode));
+  LeaseJournal b(lease_options(path, "b", 6, 120, mode));
+
+  // Every append republishes the whole file; each journal's next refresh
+  // replays only what lies past its own read offset.
+  EXPECT_EQ(a.claim(0, 2).size(), 2u);
+  b.heartbeat();
+  EXPECT_EQ(b.claim(1, 3), (std::vector<std::size_t>{2, 3}));
+  a.release(0);
+  b.release(2);
+  a.heartbeat();
+  b.release(0);  // not b's lease: appended, ignored by every reader
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  b.heartbeat();
+  EXPECT_TRUE(b.try_reclaim(1).won);
+  a.release(1);  // a lost tuple 1: ignored
+  EXPECT_EQ(a.claim(4, 2).size(), 2u);
+
+  const auto inspection = LeaseJournal::inspect(path);
+  EXPECT_EQ(inspection.valid_records, 11u);
+  EXPECT_EQ(inspection.invalid_lines, 0u);
+  ASSERT_EQ(inspection.tuples.size(), 6u);
+  EXPECT_TRUE(inspection.tuples[0].released);
+  EXPECT_EQ(inspection.tuples[1].worker, "b");
+  EXPECT_FALSE(inspection.tuples[1].released);
+  for (LeaseJournal* live : {&a, &b}) {
+    SCOPED_TRACE(live->options().worker);
+    for (std::size_t i = 0; i < 6; ++i) EXPECT_TRUE(live->state(i) == inspection.tuples[i]) << i;
+    EXPECT_EQ(live->invalid_lines(), 0u);
+  }
+}
+
+TEST(LeaseJournal, ReplayInTwoRefreshesMatchesOneInspect) {
+  const std::string dir = fresh_dir("lease_split");
+  const std::string path = dir + "/leases.journal";
+  {
+    LeaseJournal w(lease_options(path, "w", 4));
+    w.claim(0, 2);
+    w.heartbeat();
+    w.release(0);
+  }
+  // A torn half glued to the next record mid-file, and an unterminated
+  // tail: both count as invalid lines, whatever the refresh boundaries.
+  std::vector<std::string> lines;  // header, C, H, R
+  std::istringstream is(slurp(path));
+  for (std::string line; std::getline(is, line);) lines.push_back(line + "\n");
+  ASSERT_EQ(lines.size(), 4u);
+  const std::string bytes = lines[0] + lines[1] + lines[3].substr(0, lines[3].size() / 2) +
+                            lines[2] + lines[3] + lines[3].substr(0, 7);
+  const LeaseJournal::Inspection whole = LeaseJournal::inspect_bytes(bytes);
+  EXPECT_EQ(whole.invalid_lines, 2u);
+  EXPECT_TRUE(whole.tuples[0].released);
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const std::string_view view(bytes);
+    LeaseJournal::Inspection live;
+    std::size_t offset = LeaseJournal::replay(view.substr(0, cut), live);
+    offset += LeaseJournal::replay(view.substr(offset), live);
+    if (offset < bytes.size()) ++live.invalid_lines;
+    EXPECT_TRUE(live == whole) << "cut=" << cut;
+  }
+}
+
 // --- satellite: torn-write hardening (every byte offset) ---------------------
 
 TEST(LeaseJournal, TruncatedRecordDropsOnlyTheTornTail) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/error.hpp"
 #include "pragma/parser.hpp"
 
@@ -115,6 +118,8 @@ TEST(Parser, ValidationRules) {
   EXPECT_THROW(parse_approx("perfo(small:1)"), ParseError);   // stride >= 2
   EXPECT_THROW(parse_approx("perfo(ini:1.5)"), ParseError);   // fraction in (0,1)
   EXPECT_THROW(parse_approx("perfo(ini:0.5) level(warp)"), ParseError);
+  // to_string omits the level of a none spec, so one would not round-trip.
+  EXPECT_THROW(parse_approx("level(warp)"), ParseError);
   EXPECT_THROW(parse_approx("memo(out:0:2:0.5)"), ParseError);
 }
 
@@ -127,6 +132,50 @@ TEST(Parser, RoundTripThroughToString) {
     const auto spec = parse_approx(text);
     const auto again = parse_approx(spec.to_string());
     EXPECT_EQ(again.to_string(), spec.to_string()) << text;
+    EXPECT_EQ(again, spec) << text;
+  }
+}
+
+TEST(Parser, RejectsIntegersOutsideInt) {
+  // Each of these once wrapped modulo 2^32 into a valid-looking value
+  // (history 3, stride 2, one table per warp, herded off).
+  const std::pair<const char*, const char*> cases[] = {
+      {"memo(out:4294967299:8:0.5)", "TAF history size"},
+      {"memo(out:3:2147483648:0.5)", "TAF prediction size"},
+      {"memo(in:4294967300:0.5) in(x)", "iACT table size"},
+      {"memo(in:4:0.5:-4294967295) in(x)", "tables per warp"},
+      {"perfo(small:4294967298)", "perforation stride"},
+      {"perfo(small:2) herded(4294967296)", "herded flag"},
+  };
+  for (const auto& [text, clause] : cases) {
+    try {
+      parse_approx(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(clause) + " "), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(parse_approx("perfo(small:2147483647)").perfo->stride, 2147483647);
+}
+
+TEST(Parser, ToStringKeepsEveryDigitOfItsDoubles) {
+  // Six significant digits made these two one text (and one store key).
+  const auto a = parse_approx("memo(out:3:8:0.1234567)");
+  const auto b = parse_approx("memo(out:3:8:0.1234568)");
+  EXPECT_EQ(a.to_string(), "memo(out:3:8:0.1234567)");
+  EXPECT_EQ(b.to_string(), "memo(out:3:8:0.1234568)");
+  EXPECT_EQ(parse_approx(a.to_string()), a);
+  EXPECT_EQ(parse_approx("perfo(fini:0.30000000000000004)").to_string(),
+            "perfo(fini:0.30000000000000004)");
+  EXPECT_EQ(parse_approx("memo(in:4:2.0000001) in(x)").to_string(),
+            "memo(in:4:2.0000001) in(x)");
+  // Texts that already round-trip at six digits print as before.
+  for (const char* text : {"memo(out:3:8:0.5)", "memo(out:3:8:20)", "memo(out:3:8:0.123457)",
+                           "memo(out:3:8:1e-05)", "memo(out:3:8:1e+06)", "perfo(ini:0.3)",
+                           "memo(in:4:0.1) in(x)"}) {
+    EXPECT_EQ(parse_approx(text).to_string(), text);
   }
 }
 

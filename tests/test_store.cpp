@@ -270,6 +270,41 @@ TEST(ResultStore, TornTailIsTruncatedOutOfTheFileBeforeAppendsResume) {
   EXPECT_EQ(audit.load_stats().restored, 1u);
 }
 
+TEST(ResultStore, TornTailIsCutWhereReadStoppedNotAtTheLastNewline) {
+  const std::string path = temp_csv("torn_quoted");
+  std::string one, two;
+  {
+    ResultStore store(path);
+    store.append(make_record(0));
+    one = slurp(path);
+    store.append(make_record(1));
+    two = slurp(path);
+  }
+  // Two torn rows that hold a newline: one cut inside a quoted note after
+  // its embedded newline, and a complete but ragged one. Cut at the last
+  // newline, the file kept them (the first up to that newline), the next
+  // append landed inside the open quote or after the bad row, and the
+  // following open lost the acknowledged record or threw.
+  for (const std::string& tail :
+       {std::string("b,v100,none,perfo(small:2),thread,1,1,\"half a note\nsecond line"),
+        std::string("b,v100,none,perfo(small:2)\n")}) {
+    SCOPED_TRACE(tail);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << one << tail;
+    }
+    {
+      ResultStore reopened(path);
+      EXPECT_EQ(reopened.load_stats().restored, 1u);
+      EXPECT_EQ(slurp(path), one);
+      reopened.append(make_record(1));
+    }
+    ResultStore audit(path, /*read_only=*/true);
+    EXPECT_EQ(audit.load_stats().restored, 2u);
+    EXPECT_EQ(slurp(path), two);
+  }
+}
+
 TEST(ResultStore, ReadOnlyStoreServesButNeverWrites) {
   const std::string path = temp_csv("read_only");
   {
